@@ -448,40 +448,33 @@ def _gather(args: argparse.Namespace) -> tuple[str, dict, Path | None, str, bool
     return command, params, output, fmt, bool(args.gnuplot_hints)
 
 
-def _run_rerun(args: argparse.Namespace) -> int:
-    try:
-        with open(args.manifest) as fh:
+def _load_manifest(args: argparse.Namespace) -> tuple[str, dict, Path | None, str, bool]:
+    with open(args.manifest) as fh:
+        try:
             manifest = json.load(fh)
-    except OSError as e:
-        print(f"io failure: {e}", file=sys.stderr)
-        return 3
-    except json.JSONDecodeError as e:
-        print(f"invalid configuration: manifest is not valid JSON: {e}", file=sys.stderr)
-        return 2
+        except json.JSONDecodeError as e:
+            raise ConfigError(f"manifest is not valid JSON: {e}") from e
+    if not isinstance(manifest, dict):
+        raise ConfigError("manifest: top level must be a JSON object")
     command = manifest.get("command")
     if command not in _RUNNERS:
-        print(f"invalid configuration: unknown command {command!r} in manifest", file=sys.stderr)
-        return 2
+        raise ConfigError(f"unknown command {command!r} in manifest")
     params = manifest.get("parameters", {})
     fmt = manifest.get("format", "csv")
-    output = Path(args.output) if args.output else Path(manifest["output"])
-    return _RUNNERS[command](params, output, fmt, bool(args.gnuplot_hints))
+    output = args.output or manifest.get("output")
+    return command, params, Path(output) if output else None, fmt, bool(args.gnuplot_hints)
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "rerun":
-        return _run_rerun(args)
     try:
-        command, params, output, fmt, hints = _gather(args)
+        load = _load_manifest if args.command == "rerun" else _gather
+        command, params, output, fmt, hints = load(args)
         if command != "cost" and output is None:
             raise ConfigError("output: required")
         return _RUNNERS[command](params, output, fmt, hints)
-    except ConfigError as e:
-        print(f"invalid configuration: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
+    except ValueError as e:  # ConfigError included
         print(f"invalid configuration: {e}", file=sys.stderr)
         return 2
     except OSError as e:

@@ -136,7 +136,11 @@ def binomial_tail(m: int, p: float, k: int) -> float:
     The sum starts from an lgamma-based anchor term and walks with the exact
     term-ratio recurrence.  Sums that start deep in a tail are taken on the side
     where the anchor term is representable: above the mode directly, below the
-    mode through the complement.
+    mode through the complement.  The walk stops once a term falls below 1e-18
+    of the running sum or reaches exactly 0.0.  Far from the mode the anchor
+    term underflows to 0.0; every later term is then 0.0 times a finite ratio,
+    so the sum cannot change and stopping returns the same double as walking
+    on to the end.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
@@ -170,7 +174,7 @@ def _binom_sum_up(m: int, p: float, k: int) -> float:
     total = 0.0
     for j in range(k, m + 1):
         total += term
-        if term < total * 1e-18:
+        if term == 0.0 or term < total * 1e-18:
             break
         term *= (m - j) / (j + 1) * ratio
     return total
@@ -183,7 +187,7 @@ def _binom_sum_down(m: int, p: float, k: int) -> float:
     total = 0.0
     for j in range(k, -1, -1):
         total += term
-        if term < total * 1e-18:
+        if term == 0.0 or term < total * 1e-18:
             break
         if j > 0:
             term *= j / (m - j + 1) * ratio

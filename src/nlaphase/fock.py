@@ -25,6 +25,13 @@ __all__ = [
     "phase_derivative",
 ]
 
+# choose_cutoff scans levels in chunks that double from _FIRST_CHUNK up to _MAX_CHUNK,
+# so its memory stays bounded; float64 holds every integer level up to _MAX_LEVEL
+_FIRST_CHUNK = 64
+_MAX_CHUNK = 1 << 16
+_MAX_LEVEL = 1 << 53
+_MAX_AMPLITUDE = math.sqrt(_MAX_LEVEL)
+
 
 @dataclass(frozen=True)
 class CoherentParams:
@@ -92,19 +99,35 @@ def choose_cutoff(params: CoherentParams, nla_n0: int, gain: float, tol: Toleran
 
     The amplified amplitude gain*r bounds the photon distribution of the input and
     of both amplifier branches, so a single cutoff chosen against the Poisson tail
-    of mean (gain*r)^2 serves every vector in one calculation.
+    of mean mu = (gain*r)^2 serves every vector in one calculation.
+
+    The scan evaluates the tail on chunks of consecutive levels and returns the
+    first one below tail_tol, the same level a one-by-one scan finds.  It starts
+    at int(mu) - 1: every level N skipped there has N + 1 <= mu - 1, below the
+    Poisson median (which is >= mu - ln 2), so its tail is >= 1/2 and above any
+    tail_tol that Tolerance admits.  Raises ValueError when the cutoff would
+    exceed 2**53, beyond which float64 no longer tells levels apart.
     """
     tol = tol or Tolerance()
     if not (math.isfinite(gain) and gain >= 1.0):
         raise ValueError(f"gain must be finite and >= 1, got {gain}")
     if nla_n0 < 1:
         raise ValueError(f"nla_n0 must be >= 1, got {nla_n0}")
-    mu = (gain * params.r) ** 2
-    n = nla_n0 + 1
-    # regularized lower incomplete gamma P(N+1, mu) equals the Poisson tail beyond N
-    while gammainc(n + 1, mu) >= tol.tail_tol:
-        n += 1
-    return n
+    amplitude = gain * params.r
+    if not amplitude < _MAX_AMPLITUDE:
+        raise ValueError(f"amplified amplitude {amplitude:.6g} needs a cutoff above 2**53")
+    mu = amplitude**2
+    n = max(nla_n0 + 1, int(mu) - 1)
+    chunk = _FIRST_CHUNK
+    while n < _MAX_LEVEL:
+        levels = np.arange(n, min(n + chunk, _MAX_LEVEL))
+        # regularized lower incomplete gamma P(N+1, mu) equals the Poisson tail beyond N
+        below = gammainc(levels + 1, mu) < tol.tail_tol
+        if below.any():
+            return n + int(below.argmax())
+        n += levels.size
+        chunk = min(2 * chunk, _MAX_CHUNK)
+    raise ValueError(f"no cutoff up to 2**53 bounds the Poisson tail of mean {mu:.6g}")
 
 
 def coherent_state(params: CoherentParams, cutoff: int) -> FockVector:

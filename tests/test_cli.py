@@ -19,6 +19,16 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+def edited_fraction_manifest(tmp_path, edit):
+    """Write a small fraction dataset, apply edit to its manifest, return the edited copy."""
+    assert run("fraction", "--m", 20, "--output", tmp_path / "fraction.csv") == 0
+    manifest = json.loads((tmp_path / "fraction.csv.manifest.json").read_text())
+    edit(manifest)
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(manifest))
+    return edited
+
+
 class TestProbabilities:
     def test_rows_and_values(self, tmp_path):
         out = tmp_path / "probs.csv"
@@ -197,3 +207,17 @@ class TestExitCodes:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert run("rerun", "--manifest", bad) == 2
+
+    def test_rerun_without_output(self, tmp_path, capsys):
+        edited = edited_fraction_manifest(tmp_path, lambda m: m.pop("output"))
+        assert run("rerun", "--manifest", edited) == 2
+        assert "invalid configuration: output" in capsys.readouterr().err
+
+    def test_rerun_with_invalid_parameters(self, tmp_path, capsys):
+        edited = edited_fraction_manifest(tmp_path, lambda m: m["parameters"].update(m=0))
+        assert run("rerun", "--manifest", edited, "--output", tmp_path / "again.csv") == 2
+        assert "invalid configuration: m must be >= 1" in capsys.readouterr().err
+
+    def test_amplitude_without_representable_cutoff(self, tmp_path):
+        assert run("fisher-sweep", "--r", "1e100", "--n0-list", "1", "--gains", "1",
+                   "--output", tmp_path / "x.csv") == 2

@@ -1,9 +1,11 @@
 """Tests for the branch Fisher information bookkeeping."""
 
+import json
 import math
 
 import numpy as np
 import pytest
+from scipy.special import gammainc
 from scipy.stats import binom
 
 from nlaphase import (
@@ -13,8 +15,10 @@ from nlaphase import (
     NlaParams,
     binomial_tail,
     branch_breakdown,
+    Tolerance,
     choose_cutoff,
     coherent_state,
+    default_gain_grid,
     j_nla_conditional,
     min_ns_exceeding,
     phase_derivative,
@@ -23,6 +27,7 @@ from nlaphase import (
     sweep_fraction,
     sweep_gain,
 )
+from nlaphase.cli import main
 from nlaphase.errors import NoCrossingError
 
 # frozen from the high-cutoff mpmath brute-force oracle (numerical derivative of
@@ -255,6 +260,102 @@ class TestBinomialTail:
             binomial_tail(10, -0.1, 2)
         with pytest.raises(ValueError):
             binomial_tail(10, 0.5, 11)
+
+
+def reference_binomial_tail(m, p, k):
+    """binomial_tail as a walk that stops only on the relative threshold, never on
+    an exact zero: the same anchor, recurrence and operation order, term by term."""
+    if k == 0:
+        return 1.0
+    if p == 0.0:
+        return 0.0
+    if p == 1.0:
+        return 1.0
+
+    def term_at(j):
+        return math.exp(
+            math.lgamma(m + 1) - math.lgamma(j + 1) - math.lgamma(m - j + 1)
+            + j * math.log(p) + (m - j) * math.log1p(-p)
+        )
+
+    if k > (m + 1) * p:
+        term, ratio, total = term_at(k), p / (1.0 - p), 0.0
+        for j in range(k, m + 1):
+            total += term
+            if term < total * 1e-18:
+                break
+            term *= (m - j) / (j + 1) * ratio
+        return min(1.0, total)
+    term, ratio, total = term_at(k - 1), (1.0 - p) / p, 0.0
+    for j in range(k - 1, -1, -1):
+        total += term
+        if term < total * 1e-18:
+            break
+        if j > 0:
+            term *= j / (m - j + 1) * ratio
+    return max(0.0, 1.0 - total)
+
+
+def reference_choose_cutoff(r, n0, gain, tol=Tolerance()):
+    """choose_cutoff as a one-level-at-a-time scan from the floor n0 + 1."""
+    mu = (gain * r) ** 2
+    n = n0 + 1
+    while gammainc(n + 1, mu) >= tol.tail_tol:
+        n += 1
+    return n
+
+
+FRACTION_M = 10000
+
+
+@pytest.fixture(scope="module")
+def fraction_tail_reference():
+    # every row of the fraction dataset at m = 10000 and the paper working point
+    p = paper_breakdown().p_s
+    return p, [reference_binomial_tail(FRACTION_M, p, k) for k in range(FRACTION_M + 1)]
+
+
+class TestTailReferenceEquality:
+    def test_binomial_tail_every_row_at_large_m(self, fraction_tail_reference):
+        p, want = fraction_tail_reference
+        got = [binomial_tail(FRACTION_M, p, k) for k in range(FRACTION_M + 1)]
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+
+    @pytest.mark.parametrize("p", [1e-12, 1e-9, 1e-4, 0.0752652662929847, 0.3, 0.5,
+                                   0.9, 1.0 - 1e-4, 1.0 - 1e-9, 1.0 - 1e-12])
+    def test_binomial_tail_grid(self, p):
+        for m in (1, 2, 5, 40, 333, 1500):
+            for k in range(m + 1):
+                assert binomial_tail(m, p, k).hex() == reference_binomial_tail(m, p, k).hex()
+
+    @pytest.mark.parametrize("r", [0.0, 1e-3, 0.25, 1.0, 4.0, 16.0, 30.0])
+    def test_choose_cutoff_default_grid(self, r):
+        for n0 in (1, 2, 3, 6):
+            for g in default_gain_grid():
+                got = choose_cutoff(CoherentParams(r), n0, float(g))
+                assert got == reference_choose_cutoff(r, n0, float(g)), (r, n0, g)
+
+    @pytest.mark.parametrize("r", [0.0, 1e-3, 0.25, 1.0, 4.0, 16.0, 30.0])
+    def test_choose_cutoff_loose_tolerance(self, r):
+        tol = Tolerance(tail_tol=1e-6)
+        for g in default_gain_grid():
+            got = choose_cutoff(CoherentParams(r), 2, float(g), tol)
+            assert got == reference_choose_cutoff(r, 2, float(g), tol), (r, g)
+
+    def test_choose_cutoff_large_r_point(self):
+        assert choose_cutoff(CoherentParams(16.0), 1, 8.0) == 17292
+
+    def test_fraction_dataset_tail_column(self, tmp_path, fraction_tail_reference):
+        _, want = fraction_tail_reference
+        out = tmp_path / "fraction.json"
+        assert main(["fraction", "--m", str(FRACTION_M), "--r", "0.25", "--gain", "2",
+                     "--n0", "2", "--format", "json", "--output", str(out)]) == 0
+        tail = [row["p_ns_or_more"] for row in json.loads(out.read_text())]
+        assert [v.hex() for v in tail] == [v.hex() for v in want]
+        assert tail[0] == 1.0
+        assert all(a >= b for a, b in zip(tail, tail[1:]))
+        # the mean is about 753 successes; far above it the tail underflows to zero
+        assert tail[5000:] == [0.0] * (FRACTION_M - 4999)
 
 
 class TestSweeps:

@@ -56,6 +56,15 @@ class TestChooseCutoff:
         for n0 in (1, 3, 5):
             assert choose_cutoff(CoherentParams(0.0), n0, 4.0) == n0 + 1
 
+    @pytest.mark.parametrize("r", [1e8, 1e100, 1e160, 1e308])
+    def test_unrepresentable_cutoff_raises(self, r):
+        # the Poisson mean (gain*r)^2 lies beyond 2**53, or overflows, so no level
+        # can be scanned to; the call must raise at once instead of scanning forever
+        with pytest.raises(ValueError, match="2\\*\\*53"):
+            choose_cutoff(CoherentParams(r), 1, 1.0)
+        with pytest.raises(ValueError, match="2\\*\\*53"):
+            choose_cutoff(CoherentParams(r), 2, 8.0)
+
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             choose_cutoff(CoherentParams(0.25), 0, 2.0)
