@@ -2,8 +2,9 @@
 
 Every dataset-producing command writes a sidecar `<output>.manifest.json` holding
 the fully resolved parameter set; `nlaphase rerun --manifest <file>` re-executes
-it and reproduces the dataset byte for byte.  Numeric CSV/JSON output uses the
-shortest representation that parses back to the exact double.
+it through the same parameter checks and reproduces the dataset byte for byte.
+Numeric CSV/JSON output uses the shortest representation that parses back to the
+exact double.
 
 Exit codes: 0 success, 2 invalid configuration, 3 I/O failure, 4 numerical
 degeneracy under --strict.
@@ -16,12 +17,13 @@ import csv
 import datetime
 import json
 import sys
+from contextlib import nullcontext
 from itertools import product
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import __version__, kernels
-from .cost import CostParams, breakeven_y, cost_direct, cost_postselect, recommend_strategy
-from .errors import NoBreakevenError
+from .cost import CostParams, recommend_strategy
 from .fisher import (
     branch_breakdown,
     default_gain_grid,
@@ -38,7 +40,7 @@ DEFAULTS = {
     "gain": 2.0,
     "n0": 2,
     "n0_list": [1, 2, 3],
-    "gain_grid": None,  # None -> default_gain_grid()
+    "gain_grid": [float(g) for g in default_gain_grid()],
     "m": 1000,
     "runs": 100_000,
     "seed": 4,
@@ -46,6 +48,7 @@ DEFAULTS = {
     "y": 0.0,
     "z": 1.0,
     "epsilon": 1.0,
+    "strict": False,
 }
 
 _HINTS = {
@@ -87,19 +90,124 @@ class ConfigError(ValueError):
     """Invalid configuration; message names the offending field."""
 
 
+def _int(raw) -> int:
+    """int() that refuses bools and non-integral floats instead of truncating them."""
+    if isinstance(raw, bool) or (isinstance(raw, float) and not raw.is_integer()):
+        raise ValueError(f"must be an integer, got {raw!r}")
+    return int(raw)
+
+
+def _nonempty_list(cast: Callable) -> Callable:
+    """Cast for a JSON list or a comma-separated string of values."""
+
+    def parse(raw) -> list:
+        if isinstance(raw, str):
+            raw = [part for part in raw.split(",") if part.strip()]
+        values = [cast(v) for v in raw]
+        if not values:
+            raise ValueError("must be nonempty")
+        return values
+
+    return parse
+
+
+def _seed(raw) -> int:
+    seed = _int(raw)
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"must be a 64-bit unsigned integer, got {seed}")
+    return seed
+
+
+def _bool(raw) -> bool:
+    if not isinstance(raw, bool):
+        raise ValueError(f"must be true or false, got {raw!r}")
+    return raw
+
+
+_FORMATS = ("csv", "json")
+
+
+def _format(raw) -> str:
+    if raw not in _FORMATS:
+        raise ValueError(f"must be 'csv' or 'json', got {raw!r}")
+    return raw
+
+
+class _Field(NamedTuple):
+    flag: str
+    parse: dict  # argparse keywords of the flag
+    cast: Callable  # checks and converts a flag, config or manifest value
+    help: str
+
+
+_FLOAT = {"type": float}
+_INT = {"type": int}
+_FIELDS = {
+    "r": _Field("--r", _FLOAT, float, "coherent amplitude"),
+    "theta_true": _Field("--theta-true", _FLOAT, float, "true phase of the simulated state"),
+    "gain": _Field("--gain", _FLOAT, float, "amplifier gain"),
+    "n0": _Field("--n0", _INT, _int, "amplifier working cutoff"),
+    "n0_list": _Field("--n0-list", {}, _nonempty_list(_int), "comma-separated n0 values"),
+    "gain_grid": _Field(
+        "--gains", {}, _nonempty_list(float), "comma-separated gain grid (default: 40 log-spaced on [1,8])"
+    ),
+    "m": _Field("--m", _INT, _int, "samples per experiment"),
+    "runs": _Field("--runs", _INT, _int, "experiments per grid point"),
+    "x": _Field("--x", _FLOAT, float, "cost per sample acquired"),
+    "y": _Field("--y", _FLOAT, float, "cost per estimator measurement"),
+    "z": _Field("--z", _FLOAT, float, "cost per amplification"),
+    "epsilon": _Field("--epsilon", _FLOAT, float, "target information budget"),
+    "strict": _Field(
+        "--strict", {"action": "store_true"}, _bool, "treat no-breakeven as a hard error (exit 4)"
+    ),
+    "seed": _Field("--seed", _INT, _seed, "master 64-bit seed"),
+    "format": _Field("--format", {"choices": _FORMATS}, _format, "dataset format"),
+}
+
+
+class _Command(NamedTuple):
+    help: str
+    params: tuple[str, ...]  # in manifest order
+    format: str = "csv"  # default format
+
+
+_GRID_PARAMS = ("r", "n0_list", "gain_grid", "seed")
+_COMMANDS = {
+    "probabilities": _Command("heralding probabilities over a gain grid", _GRID_PARAMS),
+    "fisher-sweep": _Command("branch Fisher information over a gain grid", _GRID_PARAMS),
+    "fraction": _Command(
+        "count-conditioned information versus success fraction", ("m", "r", "gain", "n0", "seed")
+    ),
+    "simulate": _Command(
+        "Monte Carlo estimator precision over a gain grid",
+        ("r", "n0_list", "gain_grid", "theta_true", "m", "runs", "seed"),
+    ),
+    "cost": _Command(
+        "strategy cost report for one working point",
+        ("x", "y", "z", "epsilon", "r", "gain", "n0", "strict", "seed"),
+        "json",
+    ),
+}
+
+
+def _read_object(path, what: str) -> dict:
+    with open(path) as fh:
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as e:
+            raise ConfigError(f"{what}: {path} is not valid JSON: {e}") from e
+    if not isinstance(data, dict):
+        raise ConfigError(f"{what}: top level must be a JSON object")
+    return data
+
+
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
     try:
-        with open(path) as fh:
-            cfg = json.load(fh)
+        flat = _read_object(path, "config")
     except OSError as e:
         raise ConfigError(f"config: cannot read {path}: {e}") from e
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"config: {path} is not valid JSON: {e}") from e
-    if not isinstance(cfg, dict):
-        raise ConfigError("config: top level must be a JSON object")
-    flat = dict(cfg)
     nested = flat.pop("cost", {})
     if not isinstance(nested, dict):
         raise ConfigError("config: 'cost' must be a JSON object")
@@ -107,30 +215,36 @@ def _load_config(path: str | None) -> dict:
     return flat
 
 
-def _resolve(name: str, cli_value, config: dict, cast):
-    """Precedence: explicit flag > config file > built-in default."""
-    if cli_value is not None:
-        raw = cli_value
-    elif name in config:
-        raw = config[name]
-    else:
-        raw = DEFAULTS[name]
-    try:
-        return None if raw is None else cast(raw)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"{name}: {e}") from e
+def _load_manifest(path: str) -> tuple[str, dict, str | None]:
+    """Command, config (the recorded parameters plus the format) and output of a manifest."""
+    manifest = _read_object(path, "manifest")
+    command, parameters, output = (manifest.get(k) for k in ("command", "parameters", "output"))
+    if command not in _COMMANDS:
+        raise ConfigError(f"unknown command {command!r} in manifest")
+    if not isinstance(parameters, dict):
+        raise ConfigError("parameters: must be a JSON object")
+    if not isinstance(output, (str, type(None))):
+        raise ConfigError(f"output: must be a path, got {output!r}")
+    return command, {**parameters, "format": manifest.get("format")}, output
 
 
-def _float_list(raw) -> list[float]:
-    if isinstance(raw, str):
-        raw = [part for part in raw.split(",") if part.strip()]
-    return [float(v) for v in raw]
+def _gather(command: str, flags: dict, config: dict, defaults: dict) -> tuple[dict, str]:
+    """Resolve and check the command's parameters and format: flag > config > default.
 
-
-def _int_list(raw) -> list[int]:
-    if isinstance(raw, str):
-        raw = [part for part in raw.split(",") if part.strip()]
-    return [int(v) for v in raw]
+    flags holds only the flags given.  A name found in none of the three is a
+    configuration error; a manifest records every parameter, so `rerun` passes
+    no defaults.
+    """
+    resolved = {}
+    for name in _COMMANDS[command].params + ("format",):
+        source = next((s for s in (flags, config, defaults) if name in s), None)
+        if source is None:
+            raise ConfigError(f"{name}: missing")
+        try:
+            resolved[name] = _FIELDS[name].cast(source[name])
+        except (TypeError, ValueError) as e:
+            raise ConfigError(f"{name}: {e}") from e
+    return resolved, resolved.pop("format")
 
 
 def _utc_now() -> str:
@@ -145,39 +259,25 @@ def _jsonable(value):
     return value
 
 
-def _write_rows(output: Path, fmt: str, fieldnames: list[str], rows: list[dict]) -> None:
-    if fmt == "csv":
-        with open(output, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=fieldnames)
-            writer.writeheader()
-            for row in rows:
-                writer.writerow({k: _jsonable(row[k]) for k in fieldnames})
-    else:
-        payload = [{k: _jsonable(row[k]) for k in fieldnames} for row in rows]
-        with open(output, "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+def _write_rows(output: Path | None, fmt: str, rows: list[dict] | dict) -> None:
+    """Write rows as CSV or JSON to output, or to stdout when output is None.
 
-
-def _write_report(output: Path | None, fmt: str, report: dict) -> None:
-    if fmt == "csv":
-        fieldnames = list(report)
-        if output is None:
-            writer = csv.DictWriter(sys.stdout, fieldnames=fieldnames)
-            writer.writeheader()
-            writer.writerow({k: _jsonable(report[k]) for k in fieldnames})
-        else:
-            with open(output, "w", newline="") as fh:
-                writer = csv.DictWriter(fh, fieldnames=fieldnames)
-                writer.writeheader()
-                writer.writerow({k: _jsonable(report[k]) for k in fieldnames})
-        return
-    text = json.dumps({k: _jsonable(v) for k, v in report.items()}, indent=2) + "\n"
+    A single report dict is one CSV row, or one JSON object.
+    """
+    single = isinstance(rows, dict)
+    records = [{k: _jsonable(v) for k, v in row.items()} for row in ([rows] if single else rows)]
     if output is None:
-        sys.stdout.write(text)
+        sink = nullcontext(sys.stdout)
     else:
-        with open(output, "w") as fh:
-            fh.write(text)
+        sink = open(output, "w", newline="" if fmt == "csv" else None)
+    with sink as fh:
+        if fmt == "csv":
+            writer = csv.DictWriter(fh, fieldnames=list(records[0]))
+            writer.writeheader()
+            writer.writerows(records)
+        else:
+            json.dump(records[0] if single else records, fh, indent=2)
+            fh.write("\n")
 
 
 def _write_sidecars(command: str, output: Path, fmt: str, params: dict, hints: bool) -> None:
@@ -218,15 +318,14 @@ def run_probabilities(params: dict, output: Path, fmt: str, hints: bool) -> int:
                     "p_f": failure_probability(params["r"], nla),
                 }
             )
-    _write_rows(output, fmt, ["gain", "n0", "p_s", "p_f"], rows)
+    _write_rows(output, fmt, rows)
     _write_sidecars("probabilities", output, fmt, params, hints)
     return 0
 
 
 def run_fisher_sweep(params: dict, output: Path, fmt: str, hints: bool) -> int:
     rows = sweep_gain(params["r"], params["n0_list"], params["gain_grid"])
-    fieldnames = list(rows[0])
-    _write_rows(output, fmt, fieldnames, rows)
+    _write_rows(output, fmt, rows)
     _write_sidecars("fisher-sweep", output, fmt, params, hints)
     return 0
 
@@ -239,7 +338,7 @@ def run_fraction(params: dict, output: Path, fmt: str, hints: bool) -> int:
     for row in rows:
         # chance of seeing at least this many successes in one experiment
         row["p_ns_or_more"] = binomial_tail(params["m"], breakdown.p_s, row["n_s"])
-    _write_rows(output, fmt, list(rows[0]), rows)
+    _write_rows(output, fmt, rows)
     _write_sidecars("fraction", output, fmt, params, hints)
     return 0
 
@@ -283,7 +382,7 @@ def run_simulate(params: dict, output: Path, fmt: str, hints: bool) -> int:
                 "runs_used_nla": nla.runs_used,
             }
         )
-    _write_rows(output, fmt, list(rows[0]), rows)
+    _write_rows(output, fmt, rows)
     _write_sidecars("simulate", output, fmt, params, hints)
     return 0
 
@@ -291,15 +390,10 @@ def run_simulate(params: dict, output: Path, fmt: str, hints: bool) -> int:
 def run_cost(params: dict, output: Path | None, fmt: str, hints: bool) -> int:
     costs = CostParams(params["x"], params["y"], params["z"], params["epsilon"])
     breakdown = branch_breakdown(params["r"], NlaParams(params["gain"], params["n0"]))
-    strict = bool(params.get("strict", False))
-    try:
-        y_star = breakeven_y(params["x"], params["z"], breakdown.j_alpha, breakdown.j_s, breakdown.p_s)
-    except NoBreakevenError as e:
-        if strict:
-            print(f"numerical degeneracy: {e}", file=sys.stderr)
-            return 4
-        y_star = None
     rec = recommend_strategy(costs, breakdown)
+    if params["strict"] and rec.breakeven_y is None:
+        print("numerical degeneracy: no break-even cost; post-selection cannot win", file=sys.stderr)
+        return 4
     report = {
         "x": params["x"],
         "y": params["y"],
@@ -312,12 +406,12 @@ def run_cost(params: dict, output: Path | None, fmt: str, hints: bool) -> int:
         "j_s": breakdown.j_s,
         "j_f": breakdown.j_f,
         "p_s": breakdown.p_s,
-        "cost_direct": cost_direct(costs, breakdown.j_alpha),
+        "cost_direct": rec.cost_direct,
         "cost_postselect": rec.cost_postselect,
-        "breakeven_y": y_star,
+        "breakeven_y": rec.breakeven_y,
         "recommendation": rec.strategy,
     }
-    _write_report(output, fmt, report)
+    _write_rows(output, fmt, report)
     if output is not None:
         _write_sidecars("cost", output, fmt, params, hints)
     return 0
@@ -337,18 +431,6 @@ _RUNNERS = {
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sub: argparse.ArgumentParser, output_required: bool = True) -> None:
-    sub.add_argument("--config", help="JSON config file; flags override its values")
-    sub.add_argument("--seed", type=int, default=None, help="master 64-bit seed")
-    sub.add_argument("--output", required=output_required, help="output dataset path")
-    sub.add_argument("--format", choices=("csv", "json"), default=None, help="dataset format")
-    sub.add_argument(
-        "--gnuplot-hints",
-        action="store_true",
-        help="also write <output>.hints.txt describing axes and normalization",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nlaphase",
@@ -357,123 +439,39 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
+    hints_help = "also write <output>.hints.txt describing axes and normalization"
 
-    p = subs.add_parser("probabilities", help="heralding probabilities over a gain grid")
-    p.add_argument("--r", type=float, default=None)
-    p.add_argument("--n0-list", default=None, help="comma-separated n0 values")
-    p.add_argument("--gains", default=None, help="comma-separated gain grid (default: 40 log-spaced on [1,8])")
-    _add_common(p)
-
-    p = subs.add_parser("fisher-sweep", help="branch Fisher information over a gain grid")
-    p.add_argument("--r", type=float, default=None)
-    p.add_argument("--n0-list", default=None)
-    p.add_argument("--gains", default=None)
-    _add_common(p)
-
-    p = subs.add_parser("fraction", help="count-conditioned information versus success fraction")
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--r", type=float, default=None)
-    p.add_argument("--gain", type=float, default=None)
-    p.add_argument("--n0", type=int, default=None)
-    _add_common(p)
-
-    p = subs.add_parser("simulate", help="Monte Carlo estimator precision over a gain grid")
-    p.add_argument("--r", type=float, default=None)
-    p.add_argument("--theta-true", type=float, default=None)
-    p.add_argument("--gains", default=None)
-    p.add_argument("--n0-list", default=None)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--runs", type=int, default=None)
-    _add_common(p)
-
-    p = subs.add_parser("cost", help="strategy cost report for one working point")
-    p.add_argument("--x", type=float, default=None, help="cost per sample acquired")
-    p.add_argument("--y", type=float, default=None, help="cost per estimator measurement")
-    p.add_argument("--z", type=float, default=None, help="cost per amplification")
-    p.add_argument("--epsilon", type=float, default=None, help="target information budget")
-    p.add_argument("--r", type=float, default=None)
-    p.add_argument("--gain", type=float, default=None)
-    p.add_argument("--n0", type=int, default=None)
-    p.add_argument("--strict", action="store_true", help="treat no-breakeven as a hard error (exit 4)")
-    _add_common(p, output_required=False)
+    for command, spec in _COMMANDS.items():
+        p = subs.add_parser(command, help=spec.help)
+        for name in spec.params + ("format",):
+            field = _FIELDS[name]
+            p.add_argument(field.flag, dest=name, default=None, help=field.help, **field.parse)
+        p.add_argument("--config", help="JSON config file; flags override its values")
+        p.add_argument("--output", help="output dataset path")
+        p.add_argument("--gnuplot-hints", action="store_true", help=hints_help)
 
     p = subs.add_parser("rerun", help="re-execute a manifest and reproduce its dataset")
     p.add_argument("--manifest", required=True)
     p.add_argument("--output", default=None, help="override the dataset path (default: as in manifest)")
-    p.add_argument(
-        "--gnuplot-hints",
-        action="store_true",
-        help="also write <output>.hints.txt describing axes and normalization",
-    )
-
+    p.add_argument("--gnuplot-hints", action="store_true", help=hints_help)
     return parser
 
 
-def _gather(args: argparse.Namespace) -> tuple[str, dict, Path | None, str, bool]:
-    config = _load_config(args.config)
-    command = args.command
-    params: dict = {}
-    if command in ("probabilities", "fisher-sweep", "simulate"):
-        params["r"] = _resolve("r", args.r, config, float)
-        params["n0_list"] = _resolve("n0_list", getattr(args, "n0_list"), config, _int_list)
-        grid = _resolve("gain_grid", getattr(args, "gains"), config, _float_list)
-        params["gain_grid"] = [float(g) for g in (grid if grid is not None else default_gain_grid())]
-        if not params["gain_grid"]:
-            raise ConfigError("gain_grid: must be nonempty")
-        if not params["n0_list"]:
-            raise ConfigError("n0_list: must be nonempty")
-    if command == "fraction":
-        params["m"] = _resolve("m", args.m, config, int)
-        params["r"] = _resolve("r", args.r, config, float)
-        params["gain"] = _resolve("gain", args.gain, config, float)
-        params["n0"] = _resolve("n0", args.n0, config, int)
-    if command == "simulate":
-        params["theta_true"] = _resolve("theta_true", args.theta_true, config, float)
-        params["m"] = _resolve("m", args.m, config, int)
-        params["runs"] = _resolve("runs", args.runs, config, int)
-    if command == "cost":
-        for field in ("x", "y", "z", "epsilon", "r", "gain"):
-            params[field] = _resolve(field, getattr(args, field), config, float)
-        params["n0"] = _resolve("n0", args.n0, config, int)
-        params["strict"] = bool(args.strict)
-    params["seed"] = _resolve("seed", args.seed, config, int)
-    if not 0 <= params["seed"] < 1 << 64:
-        raise ConfigError(f"seed: must be a 64-bit unsigned integer, got {params['seed']}")
-
-    default_fmt = "json" if command == "cost" else "csv"
-    fmt = args.format or config.get("format") or default_fmt
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"format: must be 'csv' or 'json', got {fmt!r}")
-    output = Path(args.output) if args.output else None
-    return command, params, output, fmt, bool(args.gnuplot_hints)
-
-
-def _load_manifest(args: argparse.Namespace) -> tuple[str, dict, Path | None, str, bool]:
-    with open(args.manifest) as fh:
-        try:
-            manifest = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"manifest is not valid JSON: {e}") from e
-    if not isinstance(manifest, dict):
-        raise ConfigError("manifest: top level must be a JSON object")
-    command = manifest.get("command")
-    if command not in _RUNNERS:
-        raise ConfigError(f"unknown command {command!r} in manifest")
-    params = manifest.get("parameters", {})
-    fmt = manifest.get("format", "csv")
-    output = args.output or manifest.get("output")
-    return command, params, Path(output) if output else None, fmt, bool(args.gnuplot_hints)
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        load = _load_manifest if args.command == "rerun" else _gather
-        command, params, output, fmt, hints = load(args)
-        if command != "cost" and output is None:
+        if args.command == "rerun":
+            command, config, output = _load_manifest(args.manifest)
+            flags, defaults = {}, {}
+        else:
+            command, config, output = args.command, _load_config(args.config), None
+            flags = {k: v for k, v in vars(args).items() if v is not None}
+            defaults = {**DEFAULTS, "format": _COMMANDS[command].format}
+        params, fmt = _gather(command, flags, config, defaults)
+        output = args.output or output
+        if command != "cost" and not output:
             raise ConfigError("output: required")
-        return _RUNNERS[command](params, output, fmt, hints)
+        return _RUNNERS[command](params, Path(output) if output else None, fmt, args.gnuplot_hints)
     except ValueError as e:  # ConfigError included
         print(f"invalid configuration: {e}", file=sys.stderr)
         return 2

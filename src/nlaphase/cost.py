@@ -98,7 +98,7 @@ def recommend_strategy(params: CostParams, breakdown: FisherBreakdown) -> Strate
         c_post = math.inf
     try:
         y_star = breakeven_y(params.x, params.z, breakdown.j_alpha, breakdown.j_s, breakdown.p_s)
-    except (NoBreakevenError, ValueError):
+    except ValueError:  # NoBreakevenError included
         y_star = None
     strategy = "postselect" if c_post < c_direct else "direct"
     return StrategyReport(strategy, c_direct, c_post, y_star)

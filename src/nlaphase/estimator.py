@@ -84,14 +84,10 @@ def build_observable(psi0: FockVector, dpsi0: FockVector) -> EstimatorObservable
     eigenvector phases are fixed so that <psi0|c+-> is real and positive, which
     makes the construction deterministic.
     """
-    overlap = inner_product(psi0, dpsi0)
-    if abs(overlap.real) >= 1e-10:
-        raise ValueError(
-            f"overlap <psi0|dpsi0> must be purely imaginary, got real part {overlap.real:.3e}"
-        )
-    j = qfi_pure(psi0, dpsi0)
+    j = qfi_pure(psi0, dpsi0)  # raises ValueError unless the overlap is purely imaginary
     if j <= 0.0:
         raise DegenerateObservableError("family carries no phase information (J = 0)")
+    overlap = inner_product(psi0, dpsi0)
     lam = 1.0 / math.sqrt(j)
 
     # orthonormal basis of span{psi0, dpsi0}

@@ -99,13 +99,8 @@ def failure_operator(params: NlaParams, cutoff: int) -> DiagonalOperator:
     return DiagonalOperator(_level_weights(params, cutoff, "failure"), cutoff)
 
 
-def success_probability(r: float, params: NlaParams) -> float:
-    """Heralding probability of the success arm for input amplitude r.
-
-    p_s = e^{-r^2} * sum_{n<=n0} g^{2(n-n0)} r^{2n}/n!  +  P[Poisson(r^2) > n0].
-    The infinite tail is evaluated through the complement of the finite Poisson
-    sum, so no truncation error enters.
-    """
+def _head_sums(r: float, params: NlaParams) -> tuple[float, float, float]:
+    """Sums over n <= n0 of t_n g^{2(n-n0)}, t_n and t_n (1 - g^{2(n-n0)}), t_n = r^{2n}/n!."""
     if not (math.isfinite(r) and r >= 0.0):
         raise ValueError(f"r must be finite and >= 0, got {r}")
     g2 = params.gain**2
@@ -113,28 +108,31 @@ def success_probability(r: float, params: NlaParams) -> float:
     gfac = g2 ** (-params.n0)  # g^{2(n-n0)} running factor
     head = 0.0
     plain = 0.0
+    fail = 0.0
     for n in range(params.n0 + 1):
         head += term * gfac
         plain += term
+        fail += term * (1.0 - gfac)
         term *= r * r / (n + 1)
         gfac *= g2
+    return head, plain, fail
+
+
+def success_probability(r: float, params: NlaParams) -> float:
+    """Heralding probability of the success arm for input amplitude r.
+
+    p_s = e^{-r^2} * sum_{n<=n0} g^{2(n-n0)} r^{2n}/n!  +  P[Poisson(r^2) > n0].
+    The infinite tail is evaluated through the complement of the finite Poisson
+    sum, so no truncation error enters.
+    """
+    head, plain, _ = _head_sums(r, params)
     w = math.exp(-r * r)
     return w * head + (1.0 - w * plain)
 
 
 def failure_probability(r: float, params: NlaParams) -> float:
     """Heralding probability of the failure arm; p_s + p_f = 1 by completeness."""
-    if not (math.isfinite(r) and r >= 0.0):
-        raise ValueError(f"r must be finite and >= 0, got {r}")
-    g2 = params.gain**2
-    term = 1.0
-    gfac = g2 ** (-params.n0)
-    total = 0.0
-    for n in range(params.n0 + 1):
-        total += term * (1.0 - gfac)
-        term *= r * r / (n + 1)
-        gfac *= g2
-    return math.exp(-r * r) * total
+    return math.exp(-r * r) * _head_sums(r, params)[2]
 
 
 def apply_branch(input: CoherentParams, params: NlaParams, branch: str, cutoff: int) -> BranchOutcome:

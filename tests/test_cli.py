@@ -124,6 +124,37 @@ class TestCost:
         assert run("cost", "--gain", 1, "--strict") == 4
         assert run("cost", "--gain", 1) == 0
 
+    def test_strict_from_config_and_manifest_exits_4(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"strict": True}))
+        assert run("cost", "--config", config, "--gain", 1) == 4
+        out = tmp_path / "cost.json"
+        assert run("cost", "--gain", 1, "--output", out) == 0
+        manifest = json.loads((tmp_path / "cost.json.manifest.json").read_text())
+        manifest["parameters"]["strict"] = True
+        edited = tmp_path / "strict.json"
+        edited.write_text(json.dumps(manifest))
+        assert run("rerun", "--manifest", edited) == 4
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_stdout_and_file_bytes_agree(self, tmp_path, capsysbinary, fmt):
+        args = ("cost", "--y", 50, "--format", fmt)
+        assert run(*args) == 0
+        stdout = capsysbinary.readouterr().out
+        out = tmp_path / f"cost.{fmt}"
+        assert run(*args, "--output", out) == 0
+        assert out.read_bytes() == stdout
+        if fmt == "json":
+            assert isinstance(json.loads(stdout), dict)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_rerun_reproduces_bytes(self, tmp_path, fmt):
+        out = tmp_path / f"cost.{fmt}"
+        assert run("cost", "--y", 50, "--r", 0.3, "--format", fmt, "--output", out) == 0
+        copy = tmp_path / f"copy.{fmt}"
+        assert run("rerun", "--manifest", f"{out}.manifest.json", "--output", copy) == 0
+        assert copy.read_bytes() == out.read_bytes()
+
 
 class TestManifests:
     def test_sidecar_written_with_resolved_params(self, tmp_path):
@@ -180,6 +211,37 @@ class TestConfigFile:
         report = json.loads(capsys.readouterr().out)
         assert report["x"] == 2.0 and report["y"] == 100.0 and report["epsilon"] == 3.0
 
+    @pytest.mark.parametrize(
+        "values, field",
+        [
+            ({"m": 20.9}, "m"),
+            ({"n0": 2.5}, "n0"),
+            ({"seed": 4.7}, "seed"),
+            ({"m": True}, "m"),
+            ({"n0_list": [1.5]}, "n0_list"),
+        ],
+    )
+    def test_non_integral_values_rejected(self, tmp_path, capsys, values, field):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(values))
+        command = "probabilities" if "n0_list" in values else "fraction"
+        assert run(command, "--config", config, "--output", tmp_path / "x.csv") == 2
+        assert f"invalid configuration: {field}: must be an integer" in capsys.readouterr().err
+
+    def test_integral_floats_accepted(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"m": 20.0, "n0": 2, "seed": 4.0}))
+        out = tmp_path / "x.csv"
+        assert run("fraction", "--config", config, "--output", out) == 0
+        manifest = json.loads((tmp_path / "x.csv.manifest.json").read_text())
+        assert manifest["parameters"]["m"] == 20 and manifest["parameters"]["seed"] == 4
+
+    def test_strict_must_be_boolean(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"strict": "no"}))
+        assert run("cost", "--config", config) == 2
+        assert "invalid configuration: strict" in capsys.readouterr().err
+
     def test_unreadable_config_is_configuration_error(self, tmp_path):
         assert run("probabilities", "--config", tmp_path / "missing.json",
                    "--output", tmp_path / "x.csv") == 2
@@ -212,6 +274,27 @@ class TestExitCodes:
         edited = edited_fraction_manifest(tmp_path, lambda m: m.pop("output"))
         assert run("rerun", "--manifest", edited) == 2
         assert "invalid configuration: output" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            (lambda m: m["parameters"].update(m="x"), "m"),
+            (lambda m: m.pop("parameters"), "parameters"),
+            (lambda m: m.update(parameters=[20, 0.25]), "parameters"),
+            (lambda m: m.update(format="xml"), "format"),
+            (lambda m: m["parameters"].update(seed=-1), "seed"),
+            (lambda m: m["parameters"].pop("r"), "r"),
+            (lambda m: m["parameters"].update(n0=2.5), "n0"),
+        ],
+        ids=["m-string", "no-parameters", "parameters-list", "format-xml", "seed-negative",
+             "r-removed", "n0-non-integral"],
+    )
+    def test_rerun_checks_manifest_like_a_direct_run(self, tmp_path, capsys, edit, field):
+        edited = edited_fraction_manifest(tmp_path, edit)
+        again = tmp_path / "again.csv"
+        assert run("rerun", "--manifest", edited, "--output", again) == 2
+        assert f"invalid configuration: {field}:" in capsys.readouterr().err
+        assert not again.exists()
 
     def test_rerun_with_invalid_parameters(self, tmp_path, capsys):
         edited = edited_fraction_manifest(tmp_path, lambda m: m["parameters"].update(m=0))
