@@ -49,13 +49,11 @@ from .fock import (
     inner_product,
     phase_derivative,
 )
-from .kernels import CounterStream, active_backend, categorical_counts, derive_key
+from .kernels import active_backend, categorical_counts, derive_key
 from .montecarlo import (
     PrecisionReport,
     SimConfig,
-    TrialCounts,
     precision_from_samples,
-    sample_multinomial,
     simulate_direct,
     simulate_nla,
 )
@@ -110,9 +108,7 @@ __all__ = [
     "mle_direct",
     "mle_nla",
     "SimConfig",
-    "TrialCounts",
     "PrecisionReport",
-    "sample_multinomial",
     "simulate_direct",
     "simulate_nla",
     "precision_from_samples",
@@ -122,7 +118,6 @@ __all__ = [
     "cost_postselect",
     "breakeven_y",
     "recommend_strategy",
-    "CounterStream",
     "active_backend",
     "categorical_counts",
     "derive_key",

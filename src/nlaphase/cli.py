@@ -97,6 +97,13 @@ def _int(raw) -> int:
     return int(raw)
 
 
+def _float(raw) -> float:
+    """float() that refuses bools, which JSON would otherwise turn into 0.0 and 1.0."""
+    if isinstance(raw, bool):
+        raise ValueError(f"must be a number, got {raw!r}")
+    return float(raw)
+
+
 def _nonempty_list(cast: Callable) -> Callable:
     """Cast for a JSON list or a comma-separated string of values."""
 
@@ -143,20 +150,20 @@ class _Field(NamedTuple):
 _FLOAT = {"type": float}
 _INT = {"type": int}
 _FIELDS = {
-    "r": _Field("--r", _FLOAT, float, "coherent amplitude"),
-    "theta_true": _Field("--theta-true", _FLOAT, float, "true phase of the simulated state"),
-    "gain": _Field("--gain", _FLOAT, float, "amplifier gain"),
+    "r": _Field("--r", _FLOAT, _float, "coherent amplitude"),
+    "theta_true": _Field("--theta-true", _FLOAT, _float, "true phase of the simulated state"),
+    "gain": _Field("--gain", _FLOAT, _float, "amplifier gain"),
     "n0": _Field("--n0", _INT, _int, "amplifier working cutoff"),
     "n0_list": _Field("--n0-list", {}, _nonempty_list(_int), "comma-separated n0 values"),
     "gain_grid": _Field(
-        "--gains", {}, _nonempty_list(float), "comma-separated gain grid (default: 40 log-spaced on [1,8])"
+        "--gains", {}, _nonempty_list(_float), "comma-separated gain grid (default: 40 log-spaced on [1,8])"
     ),
     "m": _Field("--m", _INT, _int, "samples per experiment"),
     "runs": _Field("--runs", _INT, _int, "experiments per grid point"),
-    "x": _Field("--x", _FLOAT, float, "cost per sample acquired"),
-    "y": _Field("--y", _FLOAT, float, "cost per estimator measurement"),
-    "z": _Field("--z", _FLOAT, float, "cost per amplification"),
-    "epsilon": _Field("--epsilon", _FLOAT, float, "target information budget"),
+    "x": _Field("--x", _FLOAT, _float, "cost per sample acquired"),
+    "y": _Field("--y", _FLOAT, _float, "cost per estimator measurement"),
+    "z": _Field("--z", _FLOAT, _float, "cost per amplification"),
+    "epsilon": _Field("--epsilon", _FLOAT, _float, "target information budget"),
     "strict": _Field(
         "--strict", {"action": "store_true"}, _bool, "treat no-breakeven as a hard error (exit 4)"
     ),

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -18,9 +17,6 @@ from .errors import DegenerateObservableError, NoDataError
 from .fock import CoherentParams, FockVector, coherent_state, inner_product
 from .fisher import qfi_pure
 from .nla import NlaParams, failure_operator, success_operator
-
-if TYPE_CHECKING:
-    from .montecarlo import TrialCounts
 
 __all__ = [
     "EstimatorObservable",
@@ -157,35 +153,68 @@ def combine_weight(v_s: float, v_f: float) -> float:
     return v_f / (v_s + v_f)
 
 
-def mle_direct(n_plus: int, n_minus: int, lam: float) -> float:
-    """Maximum-likelihood phase estimate lam * (n+ - n-) / (n+ + n-)."""
-    total = n_plus + n_minus
-    if total < 1:
+def _has_data(counts: np.ndarray, failure_informative: bool = False) -> np.ndarray:
+    """The no-data rule: True for each run (last axis: +, -, ... or s+, s-, f+, f-, null)
+    with at least one informative count.  The failure pair is informative only when
+    the failure branch carries phase information."""
+    return counts[..., : 4 if failure_informative else 2].sum(axis=-1) >= 1
+
+
+def _counts(counts) -> np.ndarray:
+    counts = np.asarray(counts)
+    if np.any(counts < 0):
+        raise ValueError("counts must be nonnegative")
+    return counts
+
+
+def _float_if_scalar(theta: np.ndarray):
+    return theta if theta.ndim else float(theta)
+
+
+def _direct(n_plus: np.ndarray, n_minus: np.ndarray, lam: float) -> np.ndarray:
+    # a zero total yields 0 in place of 0/0; callers select such entries away
+    return lam * (n_plus - n_minus) / np.maximum(n_plus + n_minus, 1)
+
+
+def mle_direct(n_plus, n_minus, lam: float):
+    """Maximum-likelihood phase estimate lam * (n+ - n-) / (n+ + n-).
+
+    n_plus and n_minus are counts or broadcastable arrays of per-run counts; the
+    result is a float or an array of per-run estimates, each computed in the scalar
+    formula's operation order.  Raises NoDataError if any run has n+ + n- = 0 and
+    ValueError on a negative count; an empty array gives an empty result.
+    """
+    pairs = _counts(np.stack(np.broadcast_arrays(n_plus, n_minus), axis=-1))
+    if not np.all(_has_data(pairs)):
         raise NoDataError("no informative counts")
-    return lam * (n_plus - n_minus) / total
+    return _float_if_scalar(_direct(pairs[..., 0], pairs[..., 1], lam))
 
 
-def mle_nla(counts: "TrialCounts", lambda_s: float, lambda_f: float | None) -> float:
+def mle_nla(counts, lambda_s: float, lambda_f: float | None):
     """Combine the per-branch estimates with inverse-variance weights.
 
     theta_hat = (n_s lam_f^2 theta_s + n_f lam_s^2 theta_f) / (n_s lam_f^2 + n_f lam_s^2),
     which reduces to the surviving branch when the other saw no counts.  With a
     degenerate failure branch (lambda_f = None) the failure counts are ignored.
+
+    counts is one run's (s+, s-, f+, f-, null) row, giving a float, or an array
+    of such rows, giving an array of per-run estimates.  Raises NoDataError if any
+    run has no informative count (n_s = 0 with a degenerate failure branch, else
+    n_s + n_f = 0) and ValueError on a negative count.
     """
-    n_s = counts.n_s_plus + counts.n_s_minus
-    n_f = counts.n_f_plus + counts.n_f_minus
-    if lambda_f is None:
-        if n_s < 1:
-            raise NoDataError("no informative counts (degenerate failure branch)")
-        return mle_direct(counts.n_s_plus, counts.n_s_minus, lambda_s)
-    if n_s + n_f < 1:
+    counts = _counts(counts)
+    if counts.shape[-1:] != (5,):
+        raise ValueError(f"count rows must hold 5 outcomes, got shape {counts.shape}")
+    if not np.all(_has_data(counts, lambda_f is not None)):
         raise NoDataError("no informative counts")
-    if n_f == 0:
-        return mle_direct(counts.n_s_plus, counts.n_s_minus, lambda_s)
-    if n_s == 0:
-        return mle_direct(counts.n_f_plus, counts.n_f_minus, lambda_f)
-    theta_s = mle_direct(counts.n_s_plus, counts.n_s_minus, lambda_s)
-    theta_f = mle_direct(counts.n_f_plus, counts.n_f_minus, lambda_f)
+    s_plus, s_minus, f_plus, f_minus = (counts[..., i] for i in range(4))
+    theta_s = _direct(s_plus, s_minus, lambda_s)
+    if lambda_f is None:
+        return _float_if_scalar(theta_s)
+    theta_f = _direct(f_plus, f_minus, lambda_f)
+    n_s = s_plus + s_minus
+    n_f = f_plus + f_minus
     w_s = n_s * lambda_f**2
     w_f = n_f * lambda_s**2
-    return (w_s * theta_s + w_f * theta_f) / (w_s + w_f)
+    combined = (w_s * theta_s + w_f * theta_f) / (w_s + w_f)
+    return _float_if_scalar(np.where(n_f == 0, theta_s, np.where(n_s == 0, theta_f, combined)))

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import os
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,7 +42,6 @@ except ImportError:  # pragma: no cover - exercised only without numba installed
 
 __all__ = [
     "NUMBA_AVAILABLE",
-    "CounterStream",
     "active_backend",
     "categorical_counts",
     "derive_key",
@@ -179,24 +177,3 @@ def categorical_counts(
     else:
         raise ValueError(f"unknown backend {backend!r}")
     return out
-
-
-@dataclass
-class CounterStream:
-    """Cursor over the run indices of one keyed stream.
-
-    Streams are cheap value objects: equal (key, next_run) pairs draw equal
-    counts.  A stream is bound to one trial count m; reusing it with a different
-    m re-reads counters.
-    """
-
-    key: int
-    next_run: int = 0
-
-    def take(self, count: int = 1) -> int:
-        """Reserve `count` run indices and return the first one."""
-        if count < 0:
-            raise ValueError("count must be >= 0")
-        first = self.next_run
-        self.next_run += count
-        return first

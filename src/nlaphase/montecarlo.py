@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import DegenerateObservableError, NoDataError
+from .errors import DegenerateObservableError
 from .estimator import (
-    EstimatorObservable,
+    _has_data,
     build_observable,
     five_outcome_probs,
     mle_direct,
@@ -29,9 +29,7 @@ from .nla import NlaParams, apply_branch, failure_probability
 
 __all__ = [
     "SimConfig",
-    "TrialCounts",
     "PrecisionReport",
-    "sample_multinomial",
     "simulate_direct",
     "simulate_nla",
     "precision_from_samples",
@@ -68,26 +66,6 @@ class SimConfig:
 
 
 @dataclass(frozen=True)
-class TrialCounts:
-    """Multinomial outcome counts of one experiment (s+, s-, f+, f-, null)."""
-
-    n_s_plus: int
-    n_s_minus: int
-    n_f_plus: int
-    n_f_minus: int
-    n_null: int
-
-    def __post_init__(self):
-        for name in ("n_s_plus", "n_s_minus", "n_f_plus", "n_f_minus", "n_null"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
-
-    @property
-    def total(self) -> int:
-        return self.n_s_plus + self.n_s_minus + self.n_f_plus + self.n_f_minus + self.n_null
-
-
-@dataclass(frozen=True)
 class PrecisionReport:
     """MSE, precision 1/(m*MSE), its Monte Carlo standard error, and how many runs
     actually contributed an estimate."""
@@ -96,13 +74,6 @@ class PrecisionReport:
     precision: float
     stderr_precision: float
     runs_used: int
-
-
-def sample_multinomial(probs, m: int, stream: kernels.CounterStream) -> np.ndarray:
-    """Draw one multinomial count vector of m trials, advancing the stream by one run."""
-    run0 = stream.take(1)
-    counts = kernels.categorical_counts(stream.key, run0, 1, m, np.asarray(probs, dtype=float))
-    return counts[0]
 
 
 def precision_from_samples(estimates, theta_true: float, m: int) -> PrecisionReport:
@@ -142,12 +113,8 @@ def simulate_direct(config: SimConfig, tol: Tolerance | None = None) -> Precisio
     obs, probs = _direct_setup(config, tol)
     key = kernels.derive_key(config.seed, _STREAM_DIRECT)
     counts = kernels.categorical_counts(key, 0, config.runs, config.m, probs.as_array())
-    estimates = []
-    for n_plus, n_minus, _ in counts:
-        try:
-            estimates.append(mle_direct(int(n_plus), int(n_minus), obs.lam))
-        except NoDataError:
-            continue  # dropped run; visible through runs_used
+    counts = counts[_has_data(counts)]  # dropped runs show in runs_used
+    estimates = mle_direct(counts[:, 0], counts[:, 1], obs.lam)
     return precision_from_samples(estimates, config.theta_true, config.m)
 
 
@@ -178,11 +145,5 @@ def simulate_nla(config: SimConfig, tol: Tolerance | None = None) -> PrecisionRe
     lam_f = None if obs_f is None else obs_f.lam
     key = kernels.derive_key(config.seed, _STREAM_NLA)
     counts = kernels.categorical_counts(key, 0, config.runs, config.m, probs.as_array())
-    estimates = []
-    for row in counts:
-        tc = TrialCounts(int(row[0]), int(row[1]), int(row[2]), int(row[3]), int(row[4]))
-        try:
-            estimates.append(mle_nla(tc, obs_s.lam, lam_f))
-        except NoDataError:
-            continue
-    return precision_from_samples(estimates, config.theta_true, config.m)
+    counts = counts[_has_data(counts, lam_f is not None)]  # dropped runs show in runs_used
+    return precision_from_samples(mle_nla(counts, obs_s.lam, lam_f), config.theta_true, config.m)

@@ -228,6 +228,20 @@ class TestConfigFile:
         assert run(command, "--config", config, "--output", tmp_path / "x.csv") == 2
         assert f"invalid configuration: {field}: must be an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, values, field",
+        [
+            ("fraction", {"r": True, "m": 5}, "r"),
+            ("probabilities", {"gain_grid": [1.0, False]}, "gain_grid"),
+        ],
+    )
+    def test_booleans_rejected_as_numbers(self, tmp_path, capsys, command, values, field):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(values))
+        assert run(command, "--config", config, "--output", tmp_path / "x.csv") == 2
+        assert f"invalid configuration: {field}: must be a number" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_integral_floats_accepted(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"m": 20.0, "n0": 2, "seed": 4.0}))
@@ -285,9 +299,10 @@ class TestExitCodes:
             (lambda m: m["parameters"].update(seed=-1), "seed"),
             (lambda m: m["parameters"].pop("r"), "r"),
             (lambda m: m["parameters"].update(n0=2.5), "n0"),
+            (lambda m: m["parameters"].update(r=True), "r"),
         ],
         ids=["m-string", "no-parameters", "parameters-list", "format-xml", "seed-negative",
-             "r-removed", "n0-non-integral"],
+             "r-removed", "n0-non-integral", "r-boolean"],
     )
     def test_rerun_checks_manifest_like_a_direct_run(self, tmp_path, capsys, edit, field):
         edited = edited_fraction_manifest(tmp_path, edit)

@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlaphase import (
     CoherentParams,
     NlaParams,
-    TrialCounts,
+    SimConfig,
     apply_branch,
     build_observable,
     choose_cutoff,
@@ -20,8 +22,11 @@ from nlaphase import (
     outcome_probabilities,
     phase_derivative,
     qfi_pure,
+    simulate_direct,
+    simulate_nla,
     success_probability,
 )
+from nlaphase import kernels, montecarlo
 from nlaphase.errors import DegenerateObservableError, DimensionMismatchError, NoDataError
 
 
@@ -265,22 +270,29 @@ class TestMleDirect:
     def test_no_data(self):
         with pytest.raises(NoDataError):
             mle_direct(0, 0, 2.0)
+        with pytest.raises(NoDataError):
+            mle_direct(np.array([3, 0]), np.array([1, 0]), 2.0)
+
+    def test_arrays(self):
+        got = mle_direct(np.array([60, 50, 100]), np.array([40, 50, 0]), 2.0)
+        assert got.tolist() == [mle_direct(60, 40, 2.0), 0.0, 2.0]
+        assert mle_direct(np.array([], dtype=np.int64), np.array([], dtype=np.int64), 2.0).size == 0
+
+    def test_negative_counts_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            mle_direct(5, -1, 2.0)
 
 
 class TestMleNla:
     def test_single_branch_limits(self):
-        counts = TrialCounts(6, 4, 0, 0, 0)
-        assert mle_nla(counts, 2.0, 3.0) == mle_direct(6, 4, 2.0)
-        counts = TrialCounts(0, 0, 6, 4, 0)
-        assert mle_nla(counts, 2.0, 3.0) == mle_direct(6, 4, 3.0)
+        assert mle_nla([6, 4, 0, 0, 0], 2.0, 3.0) == mle_direct(6, 4, 2.0)
+        assert mle_nla([0, 0, 6, 4, 0], 2.0, 3.0) == mle_direct(6, 4, 3.0)
 
     def test_degenerate_failure_ignores_failure_counts(self):
-        counts = TrialCounts(6, 4, 30, 10, 0)
-        assert mle_nla(counts, 2.0, None) == mle_direct(6, 4, 2.0)
+        assert mle_nla([6, 4, 30, 10, 0], 2.0, None) == mle_direct(6, 4, 2.0)
 
     def test_symmetric_weights_average(self):
-        counts = TrialCounts(6, 4, 8, 2, 0)
-        got = mle_nla(counts, 2.0, 2.0)
+        got = mle_nla([6, 4, 8, 2, 0], 2.0, 2.0)
         want = 0.5 * (mle_direct(6, 4, 2.0) + mle_direct(8, 2, 2.0))
         assert got == pytest.approx(want, abs=1e-15)
 
@@ -288,18 +300,143 @@ class TestMleNla:
         # the count-weighted combination equals the beta-weighted one with
         # per-branch variances lam^2 / n
         lam_s, lam_f = 1.3, 0.8
-        counts = TrialCounts(40, 25, 110, 93, 2)
         n_s, n_f = 65, 203
         beta = combine_weight(lam_s**2 / n_s, lam_f**2 / n_f)
         want = beta * mle_direct(40, 25, lam_s) + (1 - beta) * mle_direct(110, 93, lam_f)
-        assert mle_nla(counts, lam_s, lam_f) == pytest.approx(want, abs=1e-14)
+        assert mle_nla([40, 25, 110, 93, 2], lam_s, lam_f) == pytest.approx(want, abs=1e-14)
 
     def test_no_data(self):
         with pytest.raises(NoDataError):
-            mle_nla(TrialCounts(0, 0, 0, 0, 10), 2.0, 3.0)
+            mle_nla([0, 0, 0, 0, 10], 2.0, 3.0)
         with pytest.raises(NoDataError):
-            mle_nla(TrialCounts(0, 0, 5, 5, 0), 2.0, None)
+            mle_nla([0, 0, 5, 5, 0], 2.0, None)
 
     def test_negative_counts_rejected(self):
-        with pytest.raises(ValueError):
-            TrialCounts(-1, 0, 0, 0, 0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            mle_nla([-1, 0, 0, 0, 0], 2.0, 3.0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            mle_nla([[1, 0, 0, 0, 0], [3, 0, -1, 0, 0]], 2.0, 3.0)
+
+    def test_rows_must_hold_five_outcomes(self):
+        with pytest.raises(ValueError, match="5 outcomes"):
+            mle_nla([6, 4, 0], 2.0, None)
+
+
+# Reference: the scalar estimators and the per-run loop that dropped no-data runs,
+# as they were before the estimators took arrays.  The array path must give the
+# same doubles.
+
+
+def reference_direct(n_plus, n_minus, lam):
+    total = n_plus + n_minus
+    if total < 1:
+        raise NoDataError("no informative counts")
+    return lam * (n_plus - n_minus) / total
+
+
+def reference_nla(row, lambda_s, lambda_f):
+    s_plus, s_minus, f_plus, f_minus, _ = (int(c) for c in row)
+    n_s = s_plus + s_minus
+    n_f = f_plus + f_minus
+    if lambda_f is None:
+        if n_s < 1:
+            raise NoDataError("no informative counts (degenerate failure branch)")
+        return reference_direct(s_plus, s_minus, lambda_s)
+    if n_s + n_f < 1:
+        raise NoDataError("no informative counts")
+    if n_f == 0:
+        return reference_direct(s_plus, s_minus, lambda_s)
+    if n_s == 0:
+        return reference_direct(f_plus, f_minus, lambda_f)
+    theta_s = reference_direct(s_plus, s_minus, lambda_s)
+    theta_f = reference_direct(f_plus, f_minus, lambda_f)
+    w_s = n_s * lambda_f**2
+    w_f = n_f * lambda_s**2
+    return (w_s * theta_s + w_f * theta_f) / (w_s + w_f)
+
+
+def reference_estimates(rows, estimate):
+    kept = []
+    for row in rows:
+        try:
+            kept.append(estimate(row))
+        except NoDataError:
+            continue
+    return kept
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
+counts_st = st.one_of(st.just(0), st.integers(0, 3), st.integers(0, 10_000))
+rows_st = st.lists(st.tuples(*[counts_st] * 5), min_size=1, max_size=40)
+lam_st = st.floats(1e-3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+class TestArrayEstimatorsMatchReference:
+    @settings(max_examples=300, deadline=None)
+    @given(rows=rows_st, lambda_s=lam_st, lambda_f=st.none() | lam_st)
+    def test_nla_rows(self, rows, lambda_s, lambda_f):
+        kept, want = [], []
+        for row in rows:
+            try:
+                want.append(reference_nla(row, lambda_s, lambda_f))
+            except NoDataError:
+                with pytest.raises(NoDataError):
+                    mle_nla(row, lambda_s, lambda_f)
+                continue
+            kept.append(row)
+            assert hexes([mle_nla(row, lambda_s, lambda_f)]) == hexes(want[-1:])
+        got = mle_nla(np.array(kept, dtype=np.int64).reshape(-1, 5), lambda_s, lambda_f)
+        assert hexes(got) == hexes(want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=rows_st, lam=lam_st)
+    def test_direct_rows(self, rows, lam):
+        pairs = np.array(rows, dtype=np.int64)[:, :2]
+        want = reference_estimates(pairs, lambda pair: reference_direct(int(pair[0]), int(pair[1]), lam))
+        kept = pairs[pairs.sum(axis=1) >= 1]
+        assert hexes(mle_direct(kept[:, 0], kept[:, 1], lam)) == hexes(want)
+        if len(kept) < len(pairs):
+            with pytest.raises(NoDataError):
+                mle_direct(pairs[:, 0], pairs[:, 1], lam)
+
+    # the grid points of the benchmark's mc-small-m workload: n0 = 1 has a
+    # degenerate failure branch, and about a fifth of the runs at g = 8, n0 = 1
+    # carry no data; at a far phase with one trial per run the direct experiment
+    # drops runs too
+    @pytest.mark.parametrize(
+        "config",
+        [
+            SimConfig(r=0.25, gain=gain, n0=n0, m=20, runs=50_000, seed=4)
+            for gain in (1.0, 2.0, 8.0)
+            for n0 in (1, 2)
+        ]
+        + [SimConfig(r=0.25, theta_true=3.0, gain=2.0, n0=2, m=1, runs=50_000, seed=4)],
+        ids=lambda c: f"g{c.gain}-n0{c.n0}-m{c.m}",
+    )
+    def test_simulate_reports(self, config):
+        obs, probs = montecarlo._direct_setup(config)
+        key = kernels.derive_key(config.seed, montecarlo._STREAM_DIRECT)
+        counts = kernels.categorical_counts(key, 0, config.runs, config.m, probs.as_array())
+        direct = reference_estimates(counts, lambda row: reference_direct(int(row[0]), int(row[1]), obs.lam))
+
+        obs_s, obs_f, probs = montecarlo._nla_setup(config)
+        lam_f = None if obs_f is None else obs_f.lam
+        key = kernels.derive_key(config.seed, montecarlo._STREAM_NLA)
+        counts = kernels.categorical_counts(key, 0, config.runs, config.m, probs.as_array())
+        nla = reference_estimates(counts, lambda row: reference_nla(row, obs_s.lam, lam_f))
+
+        assert (lam_f is None) == (config.n0 == 1 or config.gain == 1.0)
+        if (config.gain, config.n0) == (8.0, 1):
+            assert 0.15 < 1 - len(nla) / config.runs < 0.3
+        if config.m == 1:
+            assert 0.01 < 1 - len(direct) / config.runs < 0.05
+        for simulate, estimates in ((simulate_direct, direct), (simulate_nla, nla)):
+            want = montecarlo.precision_from_samples(estimates, config.theta_true, config.m)
+            got = simulate(config)
+            assert got.runs_used == want.runs_used == len(estimates)
+            assert hexes([got.mse, got.precision, got.stderr_precision]) == hexes(
+                [want.mse, want.precision, want.stderr_precision]
+            )

@@ -6,7 +6,6 @@ import pytest
 from nlaphase import kernels
 from nlaphase.kernels import (
     NUMBA_AVAILABLE,
-    CounterStream,
     active_backend,
     categorical_counts,
     derive_key,
@@ -153,15 +152,3 @@ class TestBackendSelection:
         monkeypatch.setenv("NLAPHASE_BACKEND", "cuda")
         with pytest.raises(ValueError):
             active_backend()
-
-
-class TestCounterStream:
-    def test_take_advances(self):
-        stream = CounterStream(key=derive_key(11, 0))
-        assert stream.take(3) == 0
-        assert stream.take() == 3
-        assert stream.next_run == 4
-
-    def test_negative_take_rejected(self):
-        with pytest.raises(ValueError):
-            CounterStream(key=1).take(-1)

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from nlaphase import (
-    CounterStream,
     NlaParams,
     PrecisionReport,
     SimConfig,
@@ -16,7 +15,6 @@ from nlaphase import (
     mle_direct,
     precision_from_samples,
     qfi_coherent,
-    sample_multinomial,
     simulate_direct,
     simulate_nla,
 )
@@ -24,34 +22,38 @@ from nlaphase import kernels
 from nlaphase.montecarlo import _STREAM_DIRECT, _direct_setup
 
 
+def _draw(probs, m: int, key: int, run: int) -> np.ndarray:
+    """One multinomial count vector of m trials: run index `run` of stream `key`,
+    drawn the way the simulations draw each of their runs."""
+    return kernels.categorical_counts(key, run, 1, m, np.asarray(probs, dtype=float))[0]
+
+
 class TestSampleMultinomial:
     def test_certain_outcome(self):
-        stream = CounterStream(key=derive_key(3, 0))
-        counts = sample_multinomial([1.0, 0.0, 0.0], 100, stream)
+        counts = _draw([1.0, 0.0, 0.0], 100, derive_key(3, 0), 0)
         np.testing.assert_array_equal(counts, [100, 0, 0])
 
     def test_deterministic_for_equal_streams(self):
-        a = sample_multinomial([0.5, 0.5], 50, CounterStream(key=derive_key(3, 1)))
-        b = sample_multinomial([0.5, 0.5], 50, CounterStream(key=derive_key(3, 1)))
+        a = _draw([0.5, 0.5], 50, derive_key(3, 1), 0)
+        b = _draw([0.5, 0.5], 50, derive_key(3, 1), 0)
         np.testing.assert_array_equal(a, b)
 
     def test_stream_advances_between_draws(self):
-        stream = CounterStream(key=derive_key(3, 1))
-        a = sample_multinomial([0.5, 0.5], 50, stream)
-        b = sample_multinomial([0.5, 0.5], 50, stream)
-        assert stream.next_run == 2
+        key = derive_key(3, 1)
+        a = _draw([0.5, 0.5], 50, key, 0)
+        b = _draw([0.5, 0.5], 50, key, 1)
         assert not np.array_equal(a, b)  # astronomically unlikely to collide
 
     def test_mean_matches_binomial(self):
-        stream = CounterStream(key=derive_key(2024, 5))
+        key = derive_key(2024, 5)
         m, draws = 40, 20_000
-        first = np.array([sample_multinomial([0.5, 0.5], m, stream)[0] for _ in range(draws)])
+        first = np.array([_draw([0.5, 0.5], m, key, run)[0] for run in range(draws)])
         se = math.sqrt(m * 0.25 / draws)
         assert abs(first.mean() - m / 2) < 4 * se
 
     def test_negative_probability_rejected(self):
         with pytest.raises(ValueError):
-            sample_multinomial([-0.2, 1.2], 10, CounterStream(key=1))
+            _draw([-0.2, 1.2], 10, 1, 0)
 
 
 class TestPrecisionFromSamples:
