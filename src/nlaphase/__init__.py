@@ -19,10 +19,7 @@ from .cost import (
 )
 from .estimator import (
     EstimatorObservable,
-    FiveOutcomeProbs,
-    OutcomeProbs,
     build_observable,
-    combine_weight,
     five_outcome_probs,
     mle_direct,
     mle_nla,
@@ -62,7 +59,6 @@ from .nla import (
     DiagonalOperator,
     NlaParams,
     apply_branch,
-    branch_derivative,
     failure_operator,
     failure_probability,
     success_operator,
@@ -87,7 +83,6 @@ __all__ = [
     "success_probability",
     "failure_probability",
     "apply_branch",
-    "branch_derivative",
     "FisherBreakdown",
     "qfi_pure",
     "qfi_coherent",
@@ -99,12 +94,9 @@ __all__ = [
     "sweep_fraction",
     "default_gain_grid",
     "EstimatorObservable",
-    "OutcomeProbs",
-    "FiveOutcomeProbs",
     "build_observable",
     "outcome_probabilities",
     "five_outcome_probs",
-    "combine_weight",
     "mle_direct",
     "mle_nla",
     "SimConfig",

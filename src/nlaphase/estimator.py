@@ -20,12 +20,9 @@ from .nla import NlaParams, failure_operator, success_operator
 
 __all__ = [
     "EstimatorObservable",
-    "OutcomeProbs",
-    "FiveOutcomeProbs",
     "build_observable",
     "outcome_probabilities",
     "five_outcome_probs",
-    "combine_weight",
     "mle_direct",
     "mle_nla",
 ]
@@ -39,38 +36,6 @@ class EstimatorObservable:
     lam: float
     c_plus: FockVector
     c_minus: FockVector
-
-
-@dataclass(frozen=True)
-class OutcomeProbs:
-    """Three-outcome measurement distribution (+, -, null)."""
-
-    p_plus: float
-    p_minus: float
-    p_null: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.p_plus, self.p_minus, self.p_null])
-
-
-@dataclass(frozen=True)
-class FiveOutcomeProbs:
-    """Five-outcome distribution (s+, s-, f+, f-, null) of amplify-then-measure.
-
-    When the failure branch carries no phase information (n0 = 1, or gain = 1 where
-    it never fires) the failure pair collapses to a single aggregate outcome stored
-    in p_f_plus, and failure_degenerate is set.
-    """
-
-    p_s_plus: float
-    p_s_minus: float
-    p_f_plus: float
-    p_f_minus: float
-    p_null: float
-    failure_degenerate: bool = False
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.p_s_plus, self.p_s_minus, self.p_f_plus, self.p_f_minus, self.p_null])
 
 
 def build_observable(psi0: FockVector, dpsi0: FockVector) -> EstimatorObservable:
@@ -101,16 +66,16 @@ def build_observable(psi0: FockVector, dpsi0: FockVector) -> EstimatorObservable
     def eigenvector(col: int) -> FockVector:
         coeff = vecs[:, col]
         phase = coeff[0] / abs(coeff[0])  # <psi0|c> = coeff[0], rotate it to +real
-        return FockVector((coeff / phase) @ basis, psi0.cutoff)
+        return FockVector((coeff / phase) @ basis)
 
     return EstimatorObservable(lam, eigenvector(1), eigenvector(0))
 
 
-def outcome_probabilities(obs: EstimatorObservable, state: FockVector) -> OutcomeProbs:
-    """Outcome distribution p_+- = |<c_+-|state>|^2 with the null complement."""
+def outcome_probabilities(obs: EstimatorObservable, state: FockVector) -> np.ndarray:
+    """Outcome vector [+, -, null]: p_+- = |<c_+-|state>|^2 and the null complement."""
     p_plus = abs(inner_product(obs.c_plus, state)) ** 2
     p_minus = abs(inner_product(obs.c_minus, state)) ** 2
-    return OutcomeProbs(p_plus, p_minus, max(0.0, 1.0 - p_plus - p_minus))
+    return np.array([p_plus, p_minus, max(0.0, 1.0 - p_plus - p_minus)])
 
 
 def five_outcome_probs(
@@ -118,39 +83,25 @@ def five_outcome_probs(
     params: NlaParams,
     obs_s: EstimatorObservable,
     obs_f: EstimatorObservable | None,
-) -> FiveOutcomeProbs:
-    """Distribution of the heralded five-outcome measurement on a coherent input.
+) -> np.ndarray:
+    """Outcome vector [s+, s-, f+, f-, null] of the heralded measurement on a coherent input.
 
     p_{s,+-} = |<c_{s,+-}| E_s |alpha>|^2 and likewise for the failure pair; the
     null outcome absorbs the remainder.  Pass obs_f = None when the failure branch
-    is degenerate; its two outcomes then merge into one of probability p_f.
+    is degenerate: f+- are then 0 and the failure mass p_f is counted as null.
     """
     cutoff = obs_s.c_plus.cutoff
     alpha = coherent_state(input, cutoff)
     projected_s = success_operator(params, cutoff).apply(alpha)
-    projected_f = failure_operator(params, cutoff).apply(alpha)
-
     p_s_plus = abs(inner_product(obs_s.c_plus, projected_s)) ** 2
     p_s_minus = abs(inner_product(obs_s.c_minus, projected_s)) ** 2
-    if obs_f is None:
-        p_f_plus = projected_f.norm_sq
-        p_f_minus = 0.0
-        degenerate = True
-    else:
+    p_f_plus = p_f_minus = 0.0
+    if obs_f is not None:
+        projected_f = failure_operator(params, cutoff).apply(alpha)
         p_f_plus = abs(inner_product(obs_f.c_plus, projected_f)) ** 2
         p_f_minus = abs(inner_product(obs_f.c_minus, projected_f)) ** 2
-        degenerate = False
     p_null = max(0.0, 1.0 - p_s_plus - p_s_minus - p_f_plus - p_f_minus)
-    return FiveOutcomeProbs(p_s_plus, p_s_minus, p_f_plus, p_f_minus, p_null, degenerate)
-
-
-def combine_weight(v_s: float, v_f: float) -> float:
-    """Variance-minimizing weight beta = V_f / (V_s + V_f) on the success estimate."""
-    if v_s < 0.0 or v_f < 0.0:
-        raise ValueError("variances must be nonnegative")
-    if v_s + v_f == 0.0:
-        raise ValueError("variances must not both be zero")
-    return v_f / (v_s + v_f)
+    return np.array([p_s_plus, p_s_minus, p_f_plus, p_f_minus, p_null])
 
 
 def _has_data(counts: np.ndarray, failure_informative: bool = False) -> np.ndarray:

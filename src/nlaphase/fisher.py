@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoCrossingError
-from .fock import CoherentParams, FockVector, Tolerance, choose_cutoff, inner_product, phase_derivative
+from .fock import CoherentParams, FockVector, choose_cutoff, inner_product, phase_derivative
 from .nla import NlaParams, apply_branch, failure_probability, success_probability
 
 __all__ = [
@@ -67,7 +67,7 @@ def qfi_coherent(r: float) -> float:
     return 4.0 * r * r
 
 
-def branch_breakdown(r: float, params: NlaParams, tol: Tolerance | None = None) -> FisherBreakdown:
+def branch_breakdown(r: float, params: NlaParams) -> FisherBreakdown:
     """Evaluate every information figure for one (r, gain, n0) working point.
 
     The failure branch of the identity device (gain = 1) never occurs; its
@@ -75,7 +75,7 @@ def branch_breakdown(r: float, params: NlaParams, tol: Tolerance | None = None) 
     stays well-defined.
     """
     input = CoherentParams(r, 0.0)
-    cutoff = choose_cutoff(input, params.n0, params.gain, tol)
+    cutoff = choose_cutoff(input, params.n0, params.gain)
     p_s = success_probability(r, params)
     p_f = failure_probability(r, params)
 
@@ -199,7 +199,7 @@ def default_gain_grid(count: int = 40, g_max: float = 8.0) -> np.ndarray:
     return np.geomspace(1.0, g_max, count)
 
 
-def sweep_gain(r: float, n0_list, gains=None, tol: Tolerance | None = None) -> list[dict]:
+def sweep_gain(r: float, n0_list, gains=None) -> list[dict]:
     """One row of breakdown figures per (n0, gain) grid point, n0-major order.
 
     Each row also carries copies normalized to j_alpha = 1 (NaN when r = 0).
@@ -212,7 +212,7 @@ def sweep_gain(r: float, n0_list, gains=None, tol: Tolerance | None = None) -> l
     rows = []
     for n0 in n0_list:
         for g in gains:
-            b = branch_breakdown(r, NlaParams(float(g), int(n0)), tol)
+            b = branch_breakdown(r, NlaParams(float(g), int(n0)))
             ja = b.j_alpha
             norm = (lambda v: v / ja) if ja > 0.0 else (lambda v: float("nan"))
             rows.append(

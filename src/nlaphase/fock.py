@@ -8,7 +8,8 @@ truncation mistakes surface immediately.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammainc
@@ -64,27 +65,27 @@ class Tolerance:
 
 @dataclass(frozen=True, eq=False)
 class FockVector:
-    """Complex amplitudes c_0..c_N over photon numbers, with the cutoff N explicit.
+    """Complex amplitudes c_0..c_N over photon numbers; the cutoff N is the length - 1.
 
-    The amplitude array is made read-only on construction; instances can be shared
-    freely between threads.
+    The amplitudes are copied into a read-only array on construction, so the
+    caller's array stays writable and its later writes do not reach the vector;
+    instances can be shared freely between threads.
     """
 
     amplitudes: np.ndarray
-    cutoff: int = field(default=-1)
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=np.complex128)
-        object.__setattr__(self, "amplitudes", amps)
-        if self.cutoff < 0:
-            object.__setattr__(self, "cutoff", amps.shape[0] - 1)
-        if amps.ndim != 1 or amps.shape[0] != self.cutoff + 1:
-            raise ValueError(
-                f"amplitude array of length {amps.shape[0]} does not match cutoff {self.cutoff}"
-            )
+        amps = np.array(self.amplitudes, dtype=np.complex128)
+        if amps.ndim != 1 or amps.size < 1:
+            raise ValueError(f"amplitudes must be a nonempty 1-d array, got shape {amps.shape}")
         if not np.all(np.isfinite(amps.view(np.float64))):
             raise ValueError("amplitudes must be finite")
         amps.setflags(write=False)
+        object.__setattr__(self, "amplitudes", amps)
+
+    @property
+    def cutoff(self) -> int:
+        return self.amplitudes.shape[0] - 1
 
     @property
     def norm_sq(self) -> float:
@@ -134,16 +135,24 @@ def coherent_state(params: CoherentParams, cutoff: int) -> FockVector:
     """Coherent-state amplitudes e^{-r^2/2} * alpha^n / sqrt(n!) on the 0..cutoff grid.
 
     Uses the running recurrence c_{n+1} = c_n * alpha / sqrt(n+1) so large cutoffs
-    never touch a factorial.
+    never touch a factorial.  The recurrence starts at c_0 = e^{-r^2/2}, so r must
+    keep that a normal double (r below about 37.64); a larger r raises ValueError,
+    since a subnormal c_0 loses precision and a zero one loses every amplitude.
     """
     if cutoff < 0:
         raise ValueError(f"cutoff must be >= 0, got {cutoff}")
+    vacuum = math.exp(-0.5 * params.r**2)
+    if vacuum < sys.float_info.min:
+        raise ValueError(
+            f"coherent amplitude r = {params.r:.6g} is too large: the vacuum amplitude "
+            f"exp(-r^2/2) = {vacuum:.3g} is not a normal double"
+        )
     alpha = params.r * np.exp(1j * params.theta)
     amps = np.zeros(cutoff + 1, dtype=np.complex128)
-    amps[0] = math.exp(-0.5 * params.r**2)
+    amps[0] = vacuum
     for n in range(cutoff):
         amps[n + 1] = amps[n] * alpha / math.sqrt(n + 1)
-    return FockVector(amps, cutoff)
+    return FockVector(amps)
 
 
 def inner_product(a: FockVector, b: FockVector) -> complex:
@@ -161,4 +170,4 @@ def phase_derivative(v: FockVector) -> FockVector:
     generally unnormalized.
     """
     n = np.arange(v.cutoff + 1)
-    return FockVector(1j * n * v.amplitudes, v.cutoff)
+    return FockVector(1j * n * v.amplitudes)

@@ -151,13 +151,14 @@ def categorical_counts(
     """Outcome counts of `runs` experiments of m categorical trials each.
 
     Row i holds the counts of run index run0 + i; the probability vector must be
-    nonnegative and sum to 1 within 1e-9.  Output is identical for both backends.
+    finite, nonnegative and sum to 1 within 1e-9.  Output is identical for both
+    backends.
     """
     probs = np.asarray(probs, dtype=np.float64)
     if probs.ndim != 1 or probs.size < 1:
         raise ValueError("probs must be a nonempty 1-d array")
-    if np.any(probs < 0.0):
-        raise ValueError("probabilities must be nonnegative")
+    if not np.all(np.isfinite(probs) & (probs >= 0.0)):
+        raise ValueError("probabilities must be finite and nonnegative")
     if abs(float(probs.sum()) - 1.0) > 1e-9:
         raise ValueError(f"probabilities must sum to 1, got {float(probs.sum())!r}")
     if m < 1:

@@ -24,7 +24,7 @@ from .estimator import (
     mle_nla,
     outcome_probabilities,
 )
-from .fock import CoherentParams, Tolerance, choose_cutoff, coherent_state, phase_derivative
+from .fock import CoherentParams, choose_cutoff, coherent_state, phase_derivative
 from .nla import NlaParams, apply_branch, failure_probability
 
 __all__ = [
@@ -99,30 +99,30 @@ def precision_from_samples(estimates, theta_true: float, m: int) -> PrecisionRep
     return PrecisionReport(mse, precision, stderr, est.size)
 
 
-def _direct_setup(config: SimConfig, tol: Tolerance | None = None):
+def _direct_setup(config: SimConfig):
     """Observable and outcome distribution of the plain (no amplifier) experiment."""
-    cutoff = choose_cutoff(CoherentParams(config.r, 0.0), 1, 1.0, tol)
+    cutoff = choose_cutoff(CoherentParams(config.r, 0.0), 1, 1.0)
     psi0 = coherent_state(CoherentParams(config.r, 0.0), cutoff)
     obs = build_observable(psi0, phase_derivative(psi0))
     probed = coherent_state(CoherentParams(config.r, config.theta_true), cutoff)
     return obs, outcome_probabilities(obs, probed)
 
 
-def simulate_direct(config: SimConfig, tol: Tolerance | None = None) -> PrecisionReport:
+def simulate_direct(config: SimConfig) -> PrecisionReport:
     """Monte Carlo precision of the plain three-outcome experiment at theta_true."""
-    obs, probs = _direct_setup(config, tol)
+    obs, probs = _direct_setup(config)
     key = kernels.derive_key(config.seed, _STREAM_DIRECT)
-    counts = kernels.categorical_counts(key, 0, config.runs, config.m, probs.as_array())
+    counts = kernels.categorical_counts(key, 0, config.runs, config.m, probs)
     counts = counts[_has_data(counts)]  # dropped runs show in runs_used
     estimates = mle_direct(counts[:, 0], counts[:, 1], obs.lam)
     return precision_from_samples(estimates, config.theta_true, config.m)
 
 
-def _nla_setup(config: SimConfig, tol: Tolerance | None = None):
+def _nla_setup(config: SimConfig):
     """Branch observables and the five-outcome distribution of the heralded experiment."""
     params = NlaParams(config.gain, config.n0)
     input0 = CoherentParams(config.r, 0.0)
-    cutoff = choose_cutoff(input0, params.n0, params.gain, tol)
+    cutoff = choose_cutoff(input0, params.n0, params.gain)
 
     succ = apply_branch(input0, params, "success", cutoff)
     obs_s = build_observable(succ.state, phase_derivative(succ.state))
@@ -139,11 +139,11 @@ def _nla_setup(config: SimConfig, tol: Tolerance | None = None):
     return obs_s, obs_f, five_outcome_probs(probed, params, obs_s, obs_f)
 
 
-def simulate_nla(config: SimConfig, tol: Tolerance | None = None) -> PrecisionReport:
+def simulate_nla(config: SimConfig) -> PrecisionReport:
     """Monte Carlo precision of the heralded five-outcome experiment at theta_true."""
-    obs_s, obs_f, probs = _nla_setup(config, tol)
+    obs_s, obs_f, probs = _nla_setup(config)
     lam_f = None if obs_f is None else obs_f.lam
     key = kernels.derive_key(config.seed, _STREAM_NLA)
-    counts = kernels.categorical_counts(key, 0, config.runs, config.m, probs.as_array())
+    counts = kernels.categorical_counts(key, 0, config.runs, config.m, probs)
     counts = counts[_has_data(counts, lam_f is not None)]  # dropped runs show in runs_used
     return precision_from_samples(mle_nla(counts, obs_s.lam, lam_f), config.theta_true, config.m)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateBranchError, DimensionMismatchError
-from .fock import CoherentParams, FockVector, coherent_state, phase_derivative
+from .fock import CoherentParams, FockVector, coherent_state
 
 __all__ = [
     "NlaParams",
@@ -25,7 +25,6 @@ __all__ = [
     "success_probability",
     "failure_probability",
     "apply_branch",
-    "branch_derivative",
 ]
 
 
@@ -48,31 +47,35 @@ class NlaParams:
 
 @dataclass(frozen=True, eq=False)
 class DiagonalOperator:
-    """Fock-diagonal measurement operator with per-level weights in [0, 1]."""
+    """Fock-diagonal measurement operator with per-level weights in [0, 1] on levels
+    0..N; the cutoff N is the length - 1.  The weights are copied into a read-only
+    array on construction, like FockVector amplitudes."""
 
     weights: np.ndarray
-    cutoff: int
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
-        object.__setattr__(self, "weights", w)
-        if w.shape != (self.cutoff + 1,):
-            raise ValueError("weight array length does not match cutoff")
-        if np.any(w < 0.0) or np.any(w > 1.0):
+        w = np.array(self.weights, dtype=np.float64)
+        if w.ndim != 1 or w.size < 1:
+            raise ValueError(f"weights must be a nonempty 1-d array, got shape {w.shape}")
+        if not np.all((w >= 0.0) & (w <= 1.0)):
             raise ValueError("diagonal weights must lie in [0, 1]")
         w.setflags(write=False)
+        object.__setattr__(self, "weights", w)
+
+    @property
+    def cutoff(self) -> int:
+        return self.weights.shape[0] - 1
 
     def apply(self, v: FockVector) -> FockVector:
         if v.cutoff != self.cutoff:
             raise DimensionMismatchError(f"cutoff mismatch: {self.cutoff} vs {v.cutoff}")
-        return FockVector(self.weights * v.amplitudes, self.cutoff)
+        return FockVector(self.weights * v.amplitudes)
 
 
 @dataclass(frozen=True)
 class BranchOutcome:
-    """One heralded arm: label, heralding probability, and the normalized state."""
+    """One heralded arm: heralding probability and the normalized state."""
 
-    label: str
     probability: float
     state: FockVector
 
@@ -91,12 +94,12 @@ def _level_weights(params: NlaParams, cutoff: int, branch: str) -> np.ndarray:
 
 def success_operator(params: NlaParams, cutoff: int) -> DiagonalOperator:
     """Success-arm weights: g^(n-n0) for n <= n0, then 1."""
-    return DiagonalOperator(_level_weights(params, cutoff, "success"), cutoff)
+    return DiagonalOperator(_level_weights(params, cutoff, "success"))
 
 
 def failure_operator(params: NlaParams, cutoff: int) -> DiagonalOperator:
     """Failure-arm weights sqrt(1 - g^(2(n-n0))) for n <= n0, then 0."""
-    return DiagonalOperator(_level_weights(params, cutoff, "failure"), cutoff)
+    return DiagonalOperator(_level_weights(params, cutoff, "failure"))
 
 
 def _head_sums(r: float, params: NlaParams) -> tuple[float, float, float]:
@@ -146,19 +149,14 @@ def apply_branch(input: CoherentParams, params: NlaParams, branch: str, cutoff: 
         raise ValueError(f"branch must be 'success' or 'failure', got {branch!r}")
     if branch == "success":
         p = success_probability(input.r, params)
-        op = success_operator(params, cutoff)
     else:
         p = failure_probability(input.r, params)
-        op = failure_operator(params, cutoff)
         if p <= 0.0:
             raise DegenerateBranchError(
                 f"failure branch has zero probability at gain {params.gain}"
             )
-    projected = op.apply(coherent_state(input, cutoff))
-    state = FockVector(projected.amplitudes / math.sqrt(p), cutoff)
-    return BranchOutcome(branch, p, state)
-
-
-def branch_derivative(outcome: BranchOutcome) -> FockVector:
-    """Phase derivative of a heralded branch state (unnormalized)."""
-    return phase_derivative(outcome.state)
+    # the state before the weights: coherent_state refuses an r it cannot represent
+    # before anything of the cutoff's size is allocated
+    alpha = coherent_state(input, cutoff)
+    weights = _level_weights(params, cutoff, branch)
+    return BranchOutcome(p, FockVector(weights * alpha.amplitudes / math.sqrt(p)))

@@ -143,12 +143,12 @@ def test_criterion_06_observable_correctness():
         assert abs(trace) < 1e-10
 
         p0 = outcome_probabilities(obs, psi0)
-        assert abs(obs.lam**2 * (p0.p_plus + p0.p_minus) - obs.lam**2) < 1e-10
+        assert abs(obs.lam**2 * (p0[0] + p0[1]) - obs.lam**2) < 1e-10
 
         def mean(th):
             state = coherent_state(CoherentParams(r, th), cutoff)
             p = outcome_probabilities(obs, state)
-            return obs.lam * (p.p_plus - p.p_minus)
+            return obs.lam * (p[0] - p[1])
 
         for theta in (5e-4, 1e-3):
             ratio = abs(mean(2 * theta) - 2 * theta) / abs(mean(theta) - theta)

@@ -316,6 +316,14 @@ class TestExitCodes:
         assert run("rerun", "--manifest", edited, "--output", tmp_path / "again.csv") == 2
         assert "invalid configuration: m must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["fisher-sweep", "cost"])
+    def test_amplitude_with_underflowing_vacuum_amplitude(self, tmp_path, capsys, command):
+        out = tmp_path / "x.out"
+        grid = ["--n0-list", 2, "--gains", 2] if command == "fisher-sweep" else ["--gain", 2, "--n0", 2]
+        assert run(command, "--r", 40, *grid, "--output", out) == 2
+        assert "not a normal double" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_amplitude_without_representable_cutoff(self, tmp_path):
         assert run("fisher-sweep", "--r", "1e100", "--n0-list", "1", "--gains", "1",
                    "--output", tmp_path / "x.csv") == 2

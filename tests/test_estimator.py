@@ -13,7 +13,6 @@ from nlaphase import (
     build_observable,
     choose_cutoff,
     coherent_state,
-    combine_weight,
     failure_probability,
     five_outcome_probs,
     inner_product,
@@ -126,7 +125,7 @@ class TestMoments:
         # tr(rho_0 C^2) = lam^2 exactly at theta = 0
         obs, psi0, _ = coherent_observable(0.25)
         p = outcome_probabilities(obs, psi0)
-        second = obs.lam**2 * (p.p_plus + p.p_minus)
+        second = obs.lam**2 * (p[0] + p[1])
         assert second == pytest.approx(obs.lam**2, abs=1e-10)
 
     @pytest.mark.parametrize("theta", [5e-4, 1e-3])
@@ -140,7 +139,7 @@ class TestMoments:
         def mean(th):
             state = coherent_state(CoherentParams(0.25, th), cutoff)
             p = outcome_probabilities(obs, state)
-            return obs.lam * (p.p_plus - p.p_minus)
+            return obs.lam * (p[0] - p[1])
 
         e1 = abs(mean(theta) - theta)
         e2 = abs(mean(2 * theta) - 2 * theta)
@@ -152,22 +151,22 @@ class TestOutcomeProbabilities:
     def test_balanced_at_origin(self):
         obs, psi0, _ = coherent_observable(0.25)
         p = outcome_probabilities(obs, psi0)
-        assert p.p_plus == pytest.approx(0.5, abs=1e-12)
-        assert p.p_minus == pytest.approx(0.5, abs=1e-12)
-        assert p.p_null == pytest.approx(0.0, abs=1e-12)
+        assert p[0] == pytest.approx(0.5, abs=1e-12)
+        assert p[1] == pytest.approx(0.5, abs=1e-12)
+        assert p[2] == pytest.approx(0.0, abs=1e-12)
 
     def test_linear_response(self):
         theta = 1e-3
         obs, _, _ = coherent_observable(0.25)
         state = coherent_state(CoherentParams(0.25, theta), obs.c_plus.cutoff)
         p = outcome_probabilities(obs, state)
-        assert p.p_plus - p.p_minus == pytest.approx(theta / obs.lam, abs=5e-7)
+        assert p[0] - p[1] == pytest.approx(theta / obs.lam, abs=5e-7)
 
     def test_sums_to_one(self):
         obs, _, _ = coherent_observable(0.25)
         state = coherent_state(CoherentParams(0.25, 0.3), obs.c_plus.cutoff)
         p = outcome_probabilities(obs, state)
-        assert p.p_plus + p.p_minus + p.p_null == pytest.approx(1.0, abs=1e-12)
+        assert p[0] + p[1] + p[2] == pytest.approx(1.0, abs=1e-12)
 
     def test_dimension_mismatch(self):
         obs, _, _ = coherent_observable(0.25)
@@ -185,12 +184,12 @@ class TestFiveOutcomeProbs:
         five = five_outcome_probs(CoherentParams(r, 0.0), params, obs_s, obs_f)
         p_s = success_probability(r, params)
         p_f = failure_probability(r, params)
-        assert five.p_s_plus == pytest.approx(p_s / 2, abs=1e-12)
-        assert five.p_s_minus == pytest.approx(p_s / 2, abs=1e-12)
-        assert five.p_f_plus == pytest.approx(p_f / 2, abs=1e-12)
-        assert five.p_f_minus == pytest.approx(p_f / 2, abs=1e-12)
-        assert five.p_null == pytest.approx(0.0, abs=1e-12)
-        assert not five.failure_degenerate
+        assert five[0] == pytest.approx(p_s / 2, abs=1e-12)
+        assert five[1] == pytest.approx(p_s / 2, abs=1e-12)
+        assert five[2] == pytest.approx(p_f / 2, abs=1e-12)
+        assert five[3] == pytest.approx(p_f / 2, abs=1e-12)
+        assert five[4] == pytest.approx(0.0, abs=1e-12)
+        assert obs_f is not None
 
     def test_identity_gain_reduces_to_direct(self):
         params, obs_s, obs_f = branch_observables(0.25, 1.0, 2)
@@ -200,24 +199,29 @@ class TestFiveOutcomeProbs:
         direct = outcome_probabilities(
             obs_s, coherent_state(CoherentParams(0.25, theta), obs_s.c_plus.cutoff)
         )
-        assert five.p_s_plus == pytest.approx(direct.p_plus, abs=1e-12)
-        assert five.p_s_minus == pytest.approx(direct.p_minus, abs=1e-12)
-        assert five.p_f_plus == pytest.approx(0.0, abs=1e-15)
-        assert five.p_f_minus == 0.0
-        assert five.p_null == pytest.approx(direct.p_null, abs=1e-12)
+        assert five[0] == pytest.approx(direct[0], abs=1e-12)
+        assert five[1] == pytest.approx(direct[1], abs=1e-12)
+        assert five[2] == pytest.approx(0.0, abs=1e-15)
+        assert five[3] == 0.0
+        assert five[4] == pytest.approx(direct[2], abs=1e-12)
 
     def test_degenerate_failure_collapses_to_aggregate(self):
+        # with no failure observable the failure mass p_f is counted as null,
+        # beside the success arm's own null |<null|E_s|alpha>|^2
+        theta = 0.01
         params, obs_s, obs_f = branch_observables(0.25, 2.0, 1)
         assert obs_f is None
-        five = five_outcome_probs(CoherentParams(0.25, 0.01), params, obs_s, None)
-        assert five.failure_degenerate
-        assert five.p_f_plus == pytest.approx(failure_probability(0.25, params), abs=1e-12)
-        assert five.p_f_minus == 0.0
+        five = five_outcome_probs(CoherentParams(0.25, theta), params, obs_s, None)
+        succ = apply_branch(CoherentParams(0.25, theta), params, "success", obs_s.c_plus.cutoff)
+        null_s = succ.probability * (1.0 - outcome_probabilities(obs_s, succ.state)[:2].sum())
+        assert five[2] == 0.0
+        assert five[3] == 0.0
+        assert five[4] == pytest.approx(failure_probability(0.25, params) + null_s, abs=1e-12)
 
     def test_sums_to_one(self):
         params, obs_s, obs_f = branch_observables(0.25, 2.0, 2)
         five = five_outcome_probs(CoherentParams(0.25, 0.7), params, obs_s, obs_f)
-        assert float(five.as_array().sum()) == pytest.approx(1.0, abs=1e-12)
+        assert float(five.sum()) == pytest.approx(1.0, abs=1e-12)
 
     def test_equivalent_branch_state_form(self):
         # |<c_{s,+-}| E_s |alpha>|^2 equals p_s * |<c_{s,+-}|psi_s(theta)>|^2
@@ -227,33 +231,15 @@ class TestFiveOutcomeProbs:
         cutoff = obs_s.c_plus.cutoff
         succ = apply_branch(CoherentParams(0.25, theta), params, "success", cutoff)
         fail = apply_branch(CoherentParams(0.25, theta), params, "failure", cutoff)
-        assert five.p_s_plus == pytest.approx(
+        assert five[0] == pytest.approx(
             succ.probability * abs(inner_product(obs_s.c_plus, succ.state)) ** 2, abs=1e-14
         )
-        assert five.p_s_minus == pytest.approx(
+        assert five[1] == pytest.approx(
             succ.probability * abs(inner_product(obs_s.c_minus, succ.state)) ** 2, abs=1e-14
         )
-        assert five.p_f_plus == pytest.approx(
+        assert five[2] == pytest.approx(
             fail.probability * abs(inner_product(obs_f.c_plus, fail.state)) ** 2, abs=1e-14
         )
-
-
-class TestCombineWeight:
-    def test_symmetry(self):
-        assert combine_weight(2.0, 2.0) == 0.5
-
-    def test_boundaries(self):
-        assert combine_weight(1.0, 0.0) == 0.0
-        assert combine_weight(0.0, 1.0) == 1.0
-
-    def test_substitution(self):
-        assert combine_weight(1.0, 3.0) == 0.75
-
-    def test_both_zero_rejected(self):
-        with pytest.raises(ValueError):
-            combine_weight(0.0, 0.0)
-        with pytest.raises(ValueError):
-            combine_weight(-1.0, 2.0)
 
 
 class TestMleDirect:
@@ -301,7 +287,8 @@ class TestMleNla:
         # per-branch variances lam^2 / n
         lam_s, lam_f = 1.3, 0.8
         n_s, n_f = 65, 203
-        beta = combine_weight(lam_s**2 / n_s, lam_f**2 / n_f)
+        v_s, v_f = lam_s**2 / n_s, lam_f**2 / n_f
+        beta = v_f / (v_s + v_f)  # the variance-minimizing weight on the success estimate
         want = beta * mle_direct(40, 25, lam_s) + (1 - beta) * mle_direct(110, 93, lam_f)
         assert mle_nla([40, 25, 110, 93, 2], lam_s, lam_f) == pytest.approx(want, abs=1e-14)
 
@@ -419,13 +406,13 @@ class TestArrayEstimatorsMatchReference:
     def test_simulate_reports(self, config):
         obs, probs = montecarlo._direct_setup(config)
         key = kernels.derive_key(config.seed, montecarlo._STREAM_DIRECT)
-        counts = kernels.categorical_counts(key, 0, config.runs, config.m, probs.as_array())
+        counts = kernels.categorical_counts(key, 0, config.runs, config.m, probs)
         direct = reference_estimates(counts, lambda row: reference_direct(int(row[0]), int(row[1]), obs.lam))
 
         obs_s, obs_f, probs = montecarlo._nla_setup(config)
         lam_f = None if obs_f is None else obs_f.lam
         key = kernels.derive_key(config.seed, montecarlo._STREAM_NLA)
-        counts = kernels.categorical_counts(key, 0, config.runs, config.m, probs.as_array())
+        counts = kernels.categorical_counts(key, 0, config.runs, config.m, probs)
         nla = reference_estimates(counts, lambda row: reference_nla(row, obs_s.lam, lam_f))
 
         assert (lam_f is None) == (config.n0 == 1 or config.gain == 1.0)

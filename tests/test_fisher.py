@@ -167,6 +167,19 @@ class TestBranchBreakdown:
         assert b.j_s == 0.0
         assert b.j_f == 0.0
 
+    def test_largest_amplitude_with_normal_vacuum_amplitude(self):
+        # g = 1 leaves the state alone, so j_s is the coherent 4 r^2
+        b = branch_breakdown(37.6, NlaParams(1.0, 1))
+        assert b.j_s == pytest.approx(b.j_alpha, rel=1e-8)
+
+    @pytest.mark.parametrize("r", [38.7, 40.0])
+    def test_underflowing_vacuum_amplitude_raises(self, r):
+        # e^{-r^2/2} underflows to 0.0; a zero c_0 would give j_s = 0.0, not 4 r^2
+        with pytest.raises(ValueError, match="not a normal double"):
+            branch_breakdown(r, NlaParams(2.0, 2))
+        with pytest.raises(ValueError, match="not a normal double"):
+            sweep_gain(r, [2], gains=[2.0])
+
 
 class TestJnlaConditional:
     def test_degenerate_averages(self):

@@ -116,6 +116,18 @@ class TestCoherentState:
         with pytest.raises(ValueError):
             coherent_state(CoherentParams(0.25), -1)
 
+    def test_largest_amplitudes_with_normal_vacuum_amplitude(self):
+        # e^{-r^2/2} is still a normal double at r = 37.6, so the recurrence is exact
+        params = CoherentParams(37.6)
+        v = coherent_state(params, choose_cutoff(params, 1, 1.0))
+        assert abs(v.norm_sq - 1.0) < 1e-10
+
+    @pytest.mark.parametrize("r", [38.7, 40.0])
+    def test_underflowing_vacuum_amplitude_rejected(self, r):
+        # e^{-r^2/2} is 0.0 here: every amplitude would silently be zero
+        with pytest.raises(ValueError, match="not a normal double"):
+            coherent_state(CoherentParams(r), 10)
+
 
 class TestInnerProduct:
     def test_self_overlap_is_one(self):
@@ -196,8 +208,25 @@ def test_overlap_purely_imaginary_across_grid(r, g, n0):
 
 class TestFockVector:
     def test_length_mismatch_rejected(self):
+        # the cutoff is the length - 1, so only a nonempty 1-d array has one
         with pytest.raises(ValueError):
-            FockVector(np.ones(3), cutoff=3)
+            FockVector(np.ones((3, 1)))
+        with pytest.raises(ValueError):
+            FockVector(np.ones(0))
+
+    def test_cutoff_is_length_minus_one(self):
+        assert FockVector(np.ones(4)).cutoff == 3
+        assert coherent_state(CoherentParams(0.25), 5).cutoff == 5
+
+    def test_caller_array_neither_frozen_nor_aliased(self):
+        a = np.ones(4, dtype=np.complex128)
+        v = FockVector(a)
+        a[0] = 2.0  # the caller's array stays writable
+        assert v.amplitudes[0] == 1.0
+        b = np.zeros(6)
+        w = FockVector(b[:3])
+        b[:] = 5.0  # a write through the base does not reach the vector
+        np.testing.assert_array_equal(w.amplitudes, np.zeros(3))
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):

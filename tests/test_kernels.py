@@ -129,6 +129,27 @@ class TestCategoricalCounts:
         with pytest.raises(ValueError):
             categorical_counts(key, 0, 5, 10, [0.5, 0.5], backend="fortran")
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize(
+        "probs", [[np.nan, 0.5, 0.5], [0.5, np.nan, 0.5], [np.inf, 0.5, 0.5], [0.5, 0.5, -np.inf]]
+    )
+    def test_non_finite_probabilities_rejected(self, backend, probs):
+        # NaN compares false with everything, so a sign check and a sum check alone let it through
+        with pytest.raises(ValueError, match="finite"):
+            categorical_counts(derive_key(1, 0), 0, 5, 10, probs, backend=backend)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_failure_mass_counted_as_null_keeps_success_counts(self, backend):
+        # [a, b, p_f, 0, rest] and [a, b, 0, 0, p_f + rest] share the cdf
+        # boundaries a and a + b, so the s+- columns agree draw for draw
+        a, b, p_f, rest = 0.31, 0.17, 0.43, 0.09
+        key = derive_key(11, 1)
+        split = categorical_counts(key, 0, 200, 97, [a, b, p_f, 0.0, rest], backend=backend)
+        merged = categorical_counts(key, 0, 200, 97, [a, b, 0.0, 0.0, p_f + rest], backend=backend)
+        np.testing.assert_array_equal(split[:, :2], merged[:, :2])
+        np.testing.assert_array_equal(merged[:, 2:4], 0)
+        np.testing.assert_array_equal(merged[:, 4], split[:, 2:].sum(axis=1))
+
     def test_empty_runs(self):
         counts = categorical_counts(derive_key(1, 0), 0, 0, 10, [0.5, 0.5])
         assert counts.shape == (0, 2)

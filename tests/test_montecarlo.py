@@ -98,7 +98,7 @@ class TestSimulateDirect:
         config = SimConfig(r=0.25, theta_true=0.0, m=200, runs=20_000, seed=17)
         obs, probs = _direct_setup(config)
         counts = kernels.categorical_counts(
-            derive_key(config.seed, _STREAM_DIRECT), 0, config.runs, config.m, probs.as_array()
+            derive_key(config.seed, _STREAM_DIRECT), 0, config.runs, config.m, probs
         )
         est = np.array([mle_direct(int(a), int(b), obs.lam) for a, b, _ in counts])
         assert abs(est.mean()) < 4 * est.std(ddof=1) / math.sqrt(est.size)
@@ -151,7 +151,7 @@ class TestSimulateNla:
 
         _, _, probs = _nla_setup(config)
         counts = kernels.categorical_counts(
-            derive_key(config.seed, _STREAM_NLA), 0, config.runs, config.m, probs.as_array()
+            derive_key(config.seed, _STREAM_NLA), 0, config.runs, config.m, probs
         )
         p_s = branch_breakdown(config.r, NlaParams(config.gain, config.n0)).p_s
         frac = counts[:, :2].sum() / (config.runs * config.m)

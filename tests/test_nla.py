@@ -8,9 +8,9 @@ import pytest
 
 from nlaphase import (
     CoherentParams,
+    DiagonalOperator,
     NlaParams,
     apply_branch,
-    branch_derivative,
     choose_cutoff,
     coherent_state,
     failure_operator,
@@ -165,22 +165,51 @@ class TestApplyBranch:
         with pytest.raises(DegenerateBranchError):
             apply_branch(CoherentParams(0.25), NlaParams(1.0, 2), "failure", 6)
 
+    def test_unrepresentable_amplitude_rejected_before_the_weights(self):
+        # cutoff 1 < n0 would fail in the weights; coherent_state must refuse r = 40 first,
+        # so a huge cutoff from choose_cutoff never reaches an allocation
+        with pytest.raises(ValueError, match="not a normal double"):
+            apply_branch(CoherentParams(40.0), NlaParams(2.0, 3), "success", 1)
+
     def test_unknown_branch_rejected(self):
         with pytest.raises(ValueError):
             apply_branch(CoherentParams(0.25), NlaParams(2.0, 2), "both", 6)
+
+
+class TestDiagonalOperator:
+    def test_cutoff_is_length_minus_one(self):
+        assert success_operator(NlaParams(2.0, 2), 4).cutoff == 4
+        assert DiagonalOperator(np.ones(3)).cutoff == 2
+
+    def test_caller_array_neither_frozen_nor_aliased(self):
+        w = np.full(4, 0.5)
+        op = DiagonalOperator(w)
+        w[0] = 1.0  # the caller's array stays writable
+        assert op.weights[0] == 0.5
+        with pytest.raises(ValueError):
+            op.weights[0] = 1.0
+        b = np.zeros(6)
+        op = DiagonalOperator(b[:3])
+        b[:] = 1.0  # a write through the base does not reach the operator
+        np.testing.assert_array_equal(op.weights, np.zeros(3))
+
+    @pytest.mark.parametrize("bad", [[0.5, 1.5], [-0.1], [np.nan, 0.5], [], [[0.5]]])
+    def test_invalid_weights_rejected(self, bad):
+        with pytest.raises(ValueError):
+            DiagonalOperator(np.array(bad))
 
 
 class TestBranchDerivative:
     def test_vacuum_failure_has_zero_derivative(self):
         cutoff = choose_cutoff(CoherentParams(0.25), 1, 2.0)
         out = apply_branch(CoherentParams(0.25), NlaParams(2.0, 1), "failure", cutoff)
-        np.testing.assert_array_equal(branch_derivative(out).amplitudes, np.zeros(cutoff + 1))
+        np.testing.assert_array_equal(phase_derivative(out.state).amplitudes, np.zeros(cutoff + 1))
 
     def test_identity_gain_matches_coherent_derivative(self):
         cutoff = choose_cutoff(CoherentParams(0.25), 2, 1.0)
         out = apply_branch(CoherentParams(0.25), NlaParams(1.0, 2), "success", cutoff)
         expected = phase_derivative(coherent_state(CoherentParams(0.25), cutoff))
-        np.testing.assert_array_equal(branch_derivative(out).amplitudes, expected.amplitudes)
+        np.testing.assert_array_equal(phase_derivative(out.state).amplitudes, expected.amplitudes)
 
     def test_finite_difference(self):
         r, g, n0, h = 0.25, 2.0, 2, 1e-6
@@ -191,4 +220,4 @@ class TestBranchDerivative:
             plus = apply_branch(CoherentParams(r, h), params, branch, cutoff).state.amplitudes
             minus = apply_branch(CoherentParams(r, -h), params, branch, cutoff).state.amplitudes
             fd = (plus - minus) / (2 * h)
-            assert np.linalg.norm(fd - branch_derivative(out).amplitudes) < 1e-6
+            assert np.linalg.norm(fd - phase_derivative(out.state).amplitudes) < 1e-6
