@@ -1,20 +1,43 @@
 """Benchmark the sampling kernel: numba JIT path versus the pure-numpy fallback.
 
-Both backends draw the identical counts (verified before timing), so the numbers
-are a straight apples-to-apples throughput comparison of the hot loop that
-dominates the Monte Carlo experiments.
+Before timing, the numpy kernel is checked against an independent reference (a
+per-run bincount of searchsorted over `uniform_stream`'s uniforms) and, when numba
+is importable, against the numba kernel; the script exits 1 on any difference.
+Both backends draw the identical counts, so the numbers are a straight
+apples-to-apples throughput comparison of the hot loop that dominates the Monte
+Carlo experiments.
 
-    python3 benchmarks/kernel_bench.py [--runs N] [--m M] [--repeat K]
+    PYTHONPATH=src python3 benchmarks/kernel_bench.py [--runs N] [--m M] [--repeat K]
 """
 
 import argparse
+import sys
 import time
 
 import numpy as np
 
-from nlaphase.kernels import NUMBA_AVAILABLE, categorical_counts, derive_key
+from nlaphase.kernels import NUMBA_AVAILABLE, categorical_counts, derive_key, uniform_stream
 
 PROBS = np.array([0.0376, 0.0376, 0.4624, 0.4624, 0.0])  # five-outcome working point
+
+
+def reference_counts(key, run0, runs, m, probs):
+    # the float categorization of each draw, counted per run
+    cdf = np.cumsum(probs[:-1])
+    cat = np.searchsorted(cdf, uniform_stream(key, run0 * m, runs * m), side="right")
+    return np.array([np.bincount(row, minlength=probs.size) for row in cat.reshape(runs, m)])
+
+
+def check(key, m, runs=200, run0=3):
+    want = reference_counts(key, run0, runs, m, PROBS)
+    backends = ["numpy"] + (["numba"] if NUMBA_AVAILABLE else [])
+    for backend in backends:
+        # the first numba call also compiles it, outside the timed region
+        got = categorical_counts(key, run0, runs, m, PROBS, backend=backend)
+        if not np.array_equal(got, want):
+            sys.exit(f"{backend} kernel disagrees with the uniform_stream reference; benchmark aborted")
+    print(f"reference check: OK ({', '.join(backends)}; {runs} runs compared)")
+    return backends
 
 
 def best_time(backend, key, runs, m, repeat):
@@ -35,15 +58,8 @@ def main():
 
     key = derive_key(12345, 0)
     trials = args.runs * args.m
-    backends = ["numpy"]
-    if NUMBA_AVAILABLE:
-        backends.insert(0, "numba")
-        # compile outside the timed region, then check the backends agree bit for bit
-        a = categorical_counts(key, 0, 64, args.m, PROBS, backend="numba")
-        b = categorical_counts(key, 0, 64, args.m, PROBS, backend="numpy")
-        assert np.array_equal(a, b), "backends disagree; benchmark aborted"
-        print("bit-identity check: OK (64 runs compared)")
-    else:
+    backends = check(key, args.m)
+    if not NUMBA_AVAILABLE:
         print("numba not importable; timing the numpy fallback only")
 
     print(f"workload: {args.runs} runs x {args.m} trials = {trials:.2e} categorical draws\n")

@@ -95,6 +95,18 @@ class FockVector:
         return np.arange(self.cutoff + 1)
 
 
+def _vacuum_amplitude(r: float) -> float:
+    # e^{-r^2/2}, the first amplitude of a coherent state; raises when it is not a
+    # normal double (r above about 37.64)
+    vacuum = math.exp(-0.5 * r**2)
+    if vacuum < sys.float_info.min:
+        raise ValueError(
+            f"coherent amplitude r = {r:.6g} is too large: the vacuum amplitude "
+            f"exp(-r^2/2) = {vacuum:.3g} is not a normal double"
+        )
+    return vacuum
+
+
 def choose_cutoff(params: CoherentParams, nla_n0: int, gain: float, tol: Tolerance | None = None) -> int:
     """Smallest cutoff N >= nla_n0 + 1 whose truncated Poisson tail is below tail_tol.
 
@@ -107,7 +119,9 @@ def choose_cutoff(params: CoherentParams, nla_n0: int, gain: float, tol: Toleran
     at int(mu) - 1: every level N skipped there has N + 1 <= mu - 1, below the
     Poisson median (which is >= mu - ln 2), so its tail is >= 1/2 and above any
     tail_tol that Tolerance admits.  Raises ValueError when the cutoff would
-    exceed 2**53, beyond which float64 no longer tells levels apart.
+    exceed 2**53, beyond which float64 no longer tells levels apart, and, before
+    any scan, for an r that `coherent_state` refuses, since no vector can be built
+    on the cutoff of such an r.
     """
     tol = tol or Tolerance()
     if not (math.isfinite(gain) and gain >= 1.0):
@@ -117,6 +131,7 @@ def choose_cutoff(params: CoherentParams, nla_n0: int, gain: float, tol: Toleran
     amplitude = gain * params.r
     if not amplitude < _MAX_AMPLITUDE:
         raise ValueError(f"amplified amplitude {amplitude:.6g} needs a cutoff above 2**53")
+    _vacuum_amplitude(params.r)
     mu = amplitude**2
     n = max(nla_n0 + 1, int(mu) - 1)
     chunk = _FIRST_CHUNK
@@ -141,12 +156,7 @@ def coherent_state(params: CoherentParams, cutoff: int) -> FockVector:
     """
     if cutoff < 0:
         raise ValueError(f"cutoff must be >= 0, got {cutoff}")
-    vacuum = math.exp(-0.5 * params.r**2)
-    if vacuum < sys.float_info.min:
-        raise ValueError(
-            f"coherent amplitude r = {params.r:.6g} is too large: the vacuum amplitude "
-            f"exp(-r^2/2) = {vacuum:.3g} is not a normal double"
-        )
+    vacuum = _vacuum_amplitude(params.r)
     alpha = params.r * np.exp(1j * params.theta)
     amps = np.zeros(cutoff + 1, dtype=np.complex128)
     amps[0] = vacuum

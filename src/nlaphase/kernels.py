@@ -12,15 +12,23 @@ evaluated in any order, split across any number of workers, or recomputed one at
 time and the drawn counts never change.  Stream keys are derived from a 64-bit
 seed with the same mixer, `derive_key(seed, stream_index)`.
 
-Both backends evaluate the identical integer pipeline and the identical float64
-categorization, so their outputs are bit-for-bit equal; the numba path is simply
-faster.  Select with the environment variable NLAPHASE_BACKEND=numba|numpy
-(default: numba when importable, else numpy).  `benchmarks/kernel_bench.py`
-compares the two.
+A trial falls in category j when exactly j of the cdf entries c satisfy u >= c.
+The numba backend compares the float u with each c.  The numpy backend compares
+the raw 64-bit hash z instead, and lands every draw in the same category:
+u = (z >> 11) * 2**-53 is exact, so u >= c holds exactly when the integer
+z >> 11 is at least ceil(c * 2**53), that is when z >= ceil(c * 2**53) << 11.
+When ceil(c * 2**53) >= 2**53 (c >= 1, including a cdf entry that rounding puts
+above 1) no draw passes.  The cdf is nondecreasing, so the count of category j
+in a run is #(u >= c_{j-1}) - #(u >= c_j).  The two backends' outputs are
+therefore bit-for-bit equal.  Select with the environment variable
+NLAPHASE_BACKEND=numba|numpy (default: numba when importable, else numpy).
+`benchmarks/kernel_bench.py` checks the numpy backend against `uniform_stream`
+and compares the two.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import warnings
 
@@ -63,6 +71,11 @@ _R31 = np.uint64(31)
 _R11 = np.uint64(11)
 _U_ONE = np.uint64(1)
 _INV53 = 1.0 / 9007199254740992.0  # 2**-53
+_TWO53 = 9007199254740992.0  # 2**53
+
+# the numpy kernel hashes about this many trials per chunk, so that its buffers
+# (three uint64 and one bool per trial) stay in a core's L2 cache
+_BLOCK_TRIALS = 1 << 16
 
 
 def _mix64(z: int) -> int:
@@ -122,16 +135,54 @@ def _uniform_block(key: np.uint64, counters: np.ndarray) -> np.ndarray:
     return (z >> _R11) * _INV53
 
 
+def _thresholds(cdf):
+    # the hash threshold of each cdf entry c (module docstring): u >= c exactly
+    # when z >= threshold; None when no draw passes
+    out = []
+    for c in cdf.tolist():
+        level = math.ceil(c * _TWO53)
+        out.append(None if level >= 1 << 53 else np.uint64(level << 11))
+    return out
+
+
 def _counts_numpy(key, cdf, m, run0, runs, out):
-    k = out.shape[1]
-    chunk = max(1, (1 << 21) // max(m, 1))  # ~2M trials per block keeps memory modest
+    thresholds = _thresholds(cdf)
+    chunk = max(1, _BLOCK_TRIALS // m)
+    size = min(chunk, runs) * m
+    # trial i of a chunk whose first counter is c0 hashes key + (c0 + i + 1) * GOLDEN:
+    # step holds (i + 1) * GOLDEN, and each chunk adds key + c0 * GOLDEN, all mod 2**64
+    step = np.arange(1, size + 1, dtype=np.uint64)
+    np.multiply(step, _U_GOLDEN, out=step)
+    z = np.empty(size, dtype=np.uint64)
+    tmp = np.empty(size, dtype=np.uint64)
+    mask = np.empty(size, dtype=np.bool_)
     for lo in range(0, runs, chunk):
         hi = min(runs, lo + chunk)
-        counters = np.arange((run0 + lo) * m, (run0 + hi) * m, dtype=np.uint64)
-        u = _uniform_block(key, counters)
-        cat = np.searchsorted(cdf, u, side="right").astype(np.int64)
-        rows = np.repeat(np.arange(hi - lo, dtype=np.int64), m)
-        out[lo:hi] += np.bincount(rows * k + cat, minlength=(hi - lo) * k).reshape(hi - lo, k)
+        rows = hi - lo
+        n = rows * m
+        zz, tt, mm = z[:n], tmp[:n], mask[:n]
+        np.add(step[:n], np.uint64((key + (run0 + lo) * m * _GOLDEN) & _MASK64), out=zz)
+        np.right_shift(zz, _R30, out=tt)
+        np.bitwise_xor(zz, tt, out=zz)
+        np.multiply(zz, _U_MIX1, out=zz)
+        np.right_shift(zz, _R27, out=tt)
+        np.bitwise_xor(zz, tt, out=zz)
+        np.multiply(zz, _U_MIX2, out=zz)
+        np.right_shift(zz, _R31, out=tt)
+        np.bitwise_xor(zz, tt, out=zz)
+        passed = {}  # threshold -> per-row count of draws at or above it
+        above = m  # draws at or above the previous cdf entry: all of them before the first
+        for j, t in enumerate(thresholds):
+            if t is None:
+                now = 0
+            elif t in passed:
+                now = passed[t]
+            else:
+                np.greater_equal(zz, t, out=mm)
+                now = passed[t] = np.count_nonzero(mm.reshape(rows, m), axis=1)
+            out[lo:hi, j] = above - now
+            above = now
+        out[lo:hi, -1] = above
 
 
 def uniform_stream(key: int, start: int, count: int) -> np.ndarray:
@@ -174,7 +225,7 @@ def categorical_counts(
     if backend == "numba":
         _counts_numba(np.uint64(key), cdf, m, run0, runs, out)
     elif backend == "numpy":
-        _counts_numpy(np.uint64(key), cdf, m, run0, runs, out)
+        _counts_numpy(key, cdf, m, run0, runs, out)
     else:
         raise ValueError(f"unknown backend {backend!r}")
     return out

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from nlaphase import NlaParams, success_probability
+from nlaphase import NlaParams, fock, success_probability
 from nlaphase.cli import DEFAULTS, main
 
 
@@ -321,6 +321,24 @@ class TestExitCodes:
         out = tmp_path / "x.out"
         grid = ["--n0-list", 2, "--gains", 2] if command == "fisher-sweep" else ["--gain", 2, "--n0", 2]
         assert run(command, "--r", 40, *grid, "--output", out) == 2
+        assert "not a normal double" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["fisher-sweep", "cost", "simulate"])
+    def test_underflowing_vacuum_amplitude_refused_before_the_cutoff_scan(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        def no_scan(*args):
+            raise AssertionError("gammainc called")
+
+        monkeypatch.setattr(fock, "gammainc", no_scan)
+        out = tmp_path / "x.out"
+        grid = {
+            "fisher-sweep": ["--n0-list", 1, "--gains", 1],
+            "cost": ["--gain", 2, "--n0", 2],
+            "simulate": ["--gains", 1, "--n0-list", 1, "--m", 10, "--runs", 10],
+        }[command]
+        assert run(command, "--r", "1e6", *grid, "--output", out) == 2
         assert "not a normal double" in capsys.readouterr().err
         assert not out.exists()
 

@@ -14,6 +14,7 @@ from nlaphase import (
     apply_branch,
     choose_cutoff,
     coherent_state,
+    fock,
     inner_product,
     phase_derivative,
 )
@@ -64,6 +65,17 @@ class TestChooseCutoff:
             choose_cutoff(CoherentParams(r), 1, 1.0)
         with pytest.raises(ValueError, match="2\\*\\*53"):
             choose_cutoff(CoherentParams(r), 2, 8.0)
+
+    @pytest.mark.parametrize("r", [38.7, 40.0, 1e6])
+    def test_underflowing_vacuum_amplitude_rejected_before_the_scan(self, monkeypatch, r):
+        # coherent_state refuses such an r, so the cutoff scan (at r = 1e6 about
+        # 8 s of gammainc) must not run first
+        def no_scan(*args):
+            raise AssertionError("gammainc called")
+
+        monkeypatch.setattr(fock, "gammainc", no_scan)
+        with pytest.raises(ValueError, match="not a normal double"):
+            choose_cutoff(CoherentParams(r), 1, 1.0)
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):

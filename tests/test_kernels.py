@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlaphase import kernels
 from nlaphase.kernels import (
@@ -15,19 +17,20 @@ from nlaphase.kernels import (
 BACKENDS = ["numpy"] + (["numba"] if NUMBA_AVAILABLE else [])
 
 
+def reference_hash(key, counter):
+    """The 64-bit hash behind one draw, on masked python ints."""
+    mask = (1 << 64) - 1
+    z = (key + ((counter + 1) * 0x9E3779B97F4A7C15 & mask)) & mask
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & mask
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & mask
+    return z ^ (z >> 31)
+
+
 class TestMixer:
     def test_scalar_matches_vector_pipeline(self):
         key = derive_key(123456789, 3)
         got = uniform_stream(key, 0, 8)
-        # recompute with the masked python-int reference
-        mask = (1 << 64) - 1
-        want = []
-        for c in range(8):
-            z = (key + ((c + 1) * 0x9E3779B97F4A7C15 & mask)) & mask
-            z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & mask
-            z = (z ^ (z >> 27)) * 0x94D049BB133111EB & mask
-            z = z ^ (z >> 31)
-            want.append((z >> 11) * 2.0**-53)
+        want = [(reference_hash(key, c) >> 11) * 2.0**-53 for c in range(8)]
         np.testing.assert_array_equal(got, np.array(want))
 
     def test_derive_key_distinct_streams(self):
@@ -153,6 +156,100 @@ class TestCategoricalCounts:
     def test_empty_runs(self):
         counts = categorical_counts(derive_key(1, 0), 0, 0, 10, [0.5, 0.5])
         assert counts.shape == (0, 2)
+
+
+def reference_counts(key, run0, runs, m, probs):
+    """Per-row bincount of searchsorted over the raw uniforms: the float categorization."""
+    probs = np.asarray(probs, dtype=np.float64)
+    cdf = np.cumsum(probs[:-1])
+    cat = np.searchsorted(cdf, uniform_stream(key, run0 * m, runs * m), side="right")
+    out = np.zeros((runs, probs.size), dtype=np.int64)
+    for i, row in enumerate(cat.reshape(runs, m)):
+        out[i] = np.bincount(row, minlength=probs.size)
+    return out
+
+
+def assert_numpy_matches_reference(key, run0, runs, m, probs):
+    got = categorical_counts(key, run0, runs, m, probs, backend="numpy")
+    np.testing.assert_array_equal(got, reference_counts(key, run0, runs, m, probs))
+    return got
+
+
+class TestNumpyKernelMatchesReference:
+    """The numpy kernel compares raw hashes with integer thresholds; every draw must
+    land in the category that comparing its float uniform with the cdf gives."""
+
+    KEY = derive_key(20240607, 4)
+
+    @pytest.mark.parametrize(
+        "probs",
+        [
+            [0.0, 0.3, 0.0, 0.7],  # zero-width first and third categories: a cdf entry at 0
+            [0.2, 0.0, 0.0, 0.5, 0.3],
+            [0.0376, 0.0376, 0.4624, 0.4624, 0.0],  # five-outcome working point
+            [1.0, 0.0, 0.0],  # cdf = [1, 1]
+            [0.25, 0.75, 0.0],  # a cdf entry exactly 1
+            [0.5, 0.5 + 5e-10],  # sums above 1: the last cdf entry is 1 + 5e-10
+            [0.5, 0.5 + 5e-10, 0.0],
+            [0.5, 0.5 - 5e-10, 5e-10],
+            [1.0],
+        ],
+    )
+    @pytest.mark.parametrize("m", [1, 20, 97, 1000])
+    def test_fixed_vectors(self, probs, m):
+        got = assert_numpy_matches_reference(self.KEY, 3, 70, m, probs)
+        if probs[-1] == 0.0:
+            np.testing.assert_array_equal(got[:, -1], 0)
+
+    @pytest.mark.parametrize("nudge", [None, 0.0, 1.0])
+    def test_cdf_entries_on_and_next_to_drawn_uniforms(self, nudge):
+        # cdf entries k * 2**-53 equal to draws of the stream (nudge None), or the
+        # neighbouring double below (0.0) or above (1.0) them, so draws sit exactly
+        # at a boundary and a rounding slip in the thresholds moves them
+        m, runs, run0 = 50, 40, 5
+        u = uniform_stream(self.KEY, run0 * m, runs * m)
+        a, b = np.sort(u[u < 0.5])[[3, -3]]
+        if nudge is not None:
+            a, b = np.nextafter(a, nudge), np.nextafter(b, nudge)
+        probs = [a, b - a, 1.0 - b]
+        assert np.array_equal(np.cumsum(probs[:-1]), [a, b])
+        got = assert_numpy_matches_reference(self.KEY, run0, runs, m, probs)
+        assert got[:, 0].sum() == 3 + (nudge == 1.0)
+
+    def test_cdf_entry_at_a_draw_whose_hash_is_its_threshold(self):
+        # a hash with its low 11 bits clear equals the threshold of its own uniform,
+        # so that draw passes only under z >= threshold, not z > threshold
+        m, runs = 100, 60
+        exact = [c for c in range(runs * m) if reference_hash(self.KEY, c) & 0x7FF == 0]
+        assert exact, "no hash with clear low bits in the stream"
+        a = uniform_stream(self.KEY, exact[0], 1)[0]
+        assert_numpy_matches_reference(self.KEY, 0, runs, m, [a, 1.0 - a])
+
+    @pytest.mark.parametrize("m", [1, 20, 1000, kernels._BLOCK_TRIALS + 3])
+    def test_runs_across_chunk_boundaries(self, m):
+        # a run count that is no multiple of the chunk, from a run0 > 0, so the call's
+        # chunk boundaries fall inside the chunks of the same rows drawn from run 0
+        chunk = max(1, kernels._BLOCK_TRIALS // m)
+        runs = 2 * chunk + 3 if chunk > 1 else 3
+        run0 = chunk - 1 if chunk > 1 else 7
+        probs = [0.1, 0.0, 0.6, 0.3]
+        got = assert_numpy_matches_reference(self.KEY, run0, runs, m, probs)
+        whole = categorical_counts(self.KEY, 0, run0 + runs, m, probs, backend="numpy")
+        np.testing.assert_array_equal(whole[run0:], got)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        weights=st.lists(st.sampled_from([0.0]) | st.floats(1e-6, 1.0), min_size=2, max_size=5).filter(
+            lambda w: sum(w) > 0
+        ),
+        m=st.integers(1, 300),
+        runs=st.integers(0, 40),
+        run0=st.integers(0, 10**9),
+        key=st.integers(0, (1 << 64) - 1),
+    )
+    def test_random_vectors(self, weights, m, runs, run0, key):
+        probs = np.array(weights) / sum(weights)
+        assert_numpy_matches_reference(key, run0, runs, m, probs)
 
 
 class TestBackendSelection:
