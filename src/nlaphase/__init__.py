@@ -40,7 +40,6 @@ from .fisher import (
 from .fock import (
     CoherentParams,
     FockVector,
-    Tolerance,
     choose_cutoff,
     coherent_state,
     inner_product,
@@ -55,8 +54,6 @@ from .montecarlo import (
     simulate_nla,
 )
 from .nla import (
-    BranchOutcome,
-    DiagonalOperator,
     NlaParams,
     apply_branch,
     failure_operator,
@@ -70,14 +67,11 @@ __all__ = [
     "errors",
     "CoherentParams",
     "FockVector",
-    "Tolerance",
     "choose_cutoff",
     "coherent_state",
     "inner_product",
     "phase_derivative",
     "NlaParams",
-    "DiagonalOperator",
-    "BranchOutcome",
     "success_operator",
     "failure_operator",
     "success_probability",

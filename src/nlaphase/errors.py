@@ -2,7 +2,7 @@
 
 
 class DimensionMismatchError(ValueError):
-    """Two Fock vectors (or a vector and an operator) carry different cutoffs."""
+    """Two Fock vectors carry different cutoffs."""
 
 
 class DegenerateBranchError(ValueError):

@@ -92,12 +92,12 @@ def five_outcome_probs(
     """
     cutoff = obs_s.c_plus.cutoff
     alpha = coherent_state(input, cutoff)
-    projected_s = success_operator(params, cutoff).apply(alpha)
+    projected_s = FockVector(success_operator(params, cutoff) * alpha.amplitudes)
     p_s_plus = abs(inner_product(obs_s.c_plus, projected_s)) ** 2
     p_s_minus = abs(inner_product(obs_s.c_minus, projected_s)) ** 2
     p_f_plus = p_f_minus = 0.0
     if obs_f is not None:
-        projected_f = failure_operator(params, cutoff).apply(alpha)
+        projected_f = FockVector(failure_operator(params, cutoff) * alpha.amplitudes)
         p_f_plus = abs(inner_product(obs_f.c_plus, projected_f)) ** 2
         p_f_minus = abs(inner_product(obs_f.c_minus, projected_f)) ** 2
     p_null = max(0.0, 1.0 - p_s_plus - p_s_minus - p_f_plus - p_f_minus)

@@ -80,10 +80,10 @@ def branch_breakdown(r: float, params: NlaParams) -> FisherBreakdown:
     p_f = failure_probability(r, params)
 
     succ = apply_branch(input, params, "success", cutoff)
-    j_s = qfi_pure(succ.state, phase_derivative(succ.state))
+    j_s = qfi_pure(succ, phase_derivative(succ))
     if p_f > 0.0:
         fail = apply_branch(input, params, "failure", cutoff)
-        j_f = qfi_pure(fail.state, phase_derivative(fail.state))
+        j_f = qfi_pure(fail, phase_derivative(fail))
     else:
         j_f = 0.0
 

@@ -19,7 +19,6 @@ from .errors import DimensionMismatchError
 __all__ = [
     "CoherentParams",
     "FockVector",
-    "Tolerance",
     "choose_cutoff",
     "coherent_state",
     "inner_product",
@@ -32,6 +31,8 @@ _FIRST_CHUNK = 64
 _MAX_CHUNK = 1 << 16
 _MAX_LEVEL = 1 << 53
 _MAX_AMPLITUDE = math.sqrt(_MAX_LEVEL)
+# Poisson mass that a chosen cutoff may leave beyond its last level
+_TAIL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -46,21 +47,6 @@ class CoherentParams:
             raise ValueError(f"coherent amplitude r must be finite and >= 0, got {self.r}")
         if not math.isfinite(self.theta):
             raise ValueError(f"coherent phase theta must be finite, got {self.theta}")
-
-
-@dataclass(frozen=True)
-class Tolerance:
-    """Numerical tolerances: tail_tol bounds truncated Poisson mass, norm_tol bounds
-    acceptable deviation of squared norms from 1."""
-
-    tail_tol: float = 1e-12
-    norm_tol: float = 1e-10
-
-    def __post_init__(self):
-        for name in ("tail_tol", "norm_tol"):
-            v = getattr(self, name)
-            if not (0.0 < v < 1e-3):
-                raise ValueError(f"{name} must lie in (0, 1e-3), got {v}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,8 +83,11 @@ class FockVector:
 
 def _vacuum_amplitude(r: float) -> float:
     # e^{-r^2/2}, the first amplitude of a coherent state; raises when it is not a
-    # normal double (r above about 37.64)
-    vacuum = math.exp(-0.5 * r**2)
+    # normal double (r above about 37.64), including where r**2 overflows
+    try:
+        vacuum = math.exp(-0.5 * r**2)
+    except OverflowError:
+        vacuum = 0.0
     if vacuum < sys.float_info.min:
         raise ValueError(
             f"coherent amplitude r = {r:.6g} is too large: the vacuum amplitude "
@@ -107,23 +96,21 @@ def _vacuum_amplitude(r: float) -> float:
     return vacuum
 
 
-def choose_cutoff(params: CoherentParams, nla_n0: int, gain: float, tol: Tolerance | None = None) -> int:
-    """Smallest cutoff N >= nla_n0 + 1 whose truncated Poisson tail is below tail_tol.
+def choose_cutoff(params: CoherentParams, nla_n0: int, gain: float) -> int:
+    """Smallest cutoff N >= nla_n0 + 1 whose truncated Poisson tail is below 1e-12.
 
     The amplified amplitude gain*r bounds the photon distribution of the input and
     of both amplifier branches, so a single cutoff chosen against the Poisson tail
     of mean mu = (gain*r)^2 serves every vector in one calculation.
 
     The scan evaluates the tail on chunks of consecutive levels and returns the
-    first one below tail_tol, the same level a one-by-one scan finds.  It starts
+    first one below 1e-12, the same level a one-by-one scan finds.  It starts
     at int(mu) - 1: every level N skipped there has N + 1 <= mu - 1, below the
-    Poisson median (which is >= mu - ln 2), so its tail is >= 1/2 and above any
-    tail_tol that Tolerance admits.  Raises ValueError when the cutoff would
-    exceed 2**53, beyond which float64 no longer tells levels apart, and, before
-    any scan, for an r that `coherent_state` refuses, since no vector can be built
-    on the cutoff of such an r.
+    Poisson median (which is >= mu - ln 2), so its tail is >= 1/2.  Raises
+    ValueError when the cutoff would exceed 2**53, beyond which float64 no longer
+    tells levels apart, and, before any scan, for an r that `coherent_state`
+    refuses, since no vector can be built on the cutoff of such an r.
     """
-    tol = tol or Tolerance()
     if not (math.isfinite(gain) and gain >= 1.0):
         raise ValueError(f"gain must be finite and >= 1, got {gain}")
     if nla_n0 < 1:
@@ -138,7 +125,7 @@ def choose_cutoff(params: CoherentParams, nla_n0: int, gain: float, tol: Toleran
     while n < _MAX_LEVEL:
         levels = np.arange(n, min(n + chunk, _MAX_LEVEL))
         # regularized lower incomplete gamma P(N+1, mu) equals the Poisson tail beyond N
-        below = gammainc(levels + 1, mu) < tol.tail_tol
+        below = gammainc(levels + 1, mu) < _TAIL_TOL
         if below.any():
             return n + int(below.argmax())
         n += levels.size

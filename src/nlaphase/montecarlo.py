@@ -53,10 +53,9 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (math.isfinite(self.r) and self.r >= 0.0):
-            raise ValueError(f"r must be finite and >= 0, got {self.r}")
-        if not math.isfinite(self.theta_true):
-            raise ValueError("theta_true must be finite")
+        # the amplitude, phase, gain and n0 checks of the parameter types
+        CoherentParams(self.r, self.theta_true)
+        NlaParams(self.gain, self.n0)
         if self.m < 1:
             raise ValueError(f"m must be >= 1, got {self.m}")
         if self.runs < 1:
@@ -125,13 +124,13 @@ def _nla_setup(config: SimConfig):
     cutoff = choose_cutoff(input0, params.n0, params.gain)
 
     succ = apply_branch(input0, params, "success", cutoff)
-    obs_s = build_observable(succ.state, phase_derivative(succ.state))
+    obs_s = build_observable(succ, phase_derivative(succ))
 
     obs_f = None
     if failure_probability(config.r, params) > 0.0:
         fail = apply_branch(input0, params, "failure", cutoff)
         try:
-            obs_f = build_observable(fail.state, phase_derivative(fail.state))
+            obs_f = build_observable(fail, phase_derivative(fail))
         except DegenerateObservableError:
             obs_f = None  # n0 = 1: a vacuum failure state holds no phase
 

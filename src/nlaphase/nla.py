@@ -13,13 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateBranchError, DimensionMismatchError
+from .errors import DegenerateBranchError
 from .fock import CoherentParams, FockVector, coherent_state
 
 __all__ = [
     "NlaParams",
-    "DiagonalOperator",
-    "BranchOutcome",
     "success_operator",
     "failure_operator",
     "success_probability",
@@ -45,41 +43,6 @@ class NlaParams:
             raise ValueError(f"n0 must be an integer >= 1, got {self.n0}")
 
 
-@dataclass(frozen=True, eq=False)
-class DiagonalOperator:
-    """Fock-diagonal measurement operator with per-level weights in [0, 1] on levels
-    0..N; the cutoff N is the length - 1.  The weights are copied into a read-only
-    array on construction, like FockVector amplitudes."""
-
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = np.array(self.weights, dtype=np.float64)
-        if w.ndim != 1 or w.size < 1:
-            raise ValueError(f"weights must be a nonempty 1-d array, got shape {w.shape}")
-        if not np.all((w >= 0.0) & (w <= 1.0)):
-            raise ValueError("diagonal weights must lie in [0, 1]")
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-
-    @property
-    def cutoff(self) -> int:
-        return self.weights.shape[0] - 1
-
-    def apply(self, v: FockVector) -> FockVector:
-        if v.cutoff != self.cutoff:
-            raise DimensionMismatchError(f"cutoff mismatch: {self.cutoff} vs {v.cutoff}")
-        return FockVector(self.weights * v.amplitudes)
-
-
-@dataclass(frozen=True)
-class BranchOutcome:
-    """One heralded arm: heralding probability and the normalized state."""
-
-    probability: float
-    state: FockVector
-
-
 def _level_weights(params: NlaParams, cutoff: int, branch: str) -> np.ndarray:
     if cutoff < params.n0:
         raise ValueError(f"cutoff {cutoff} must be >= n0 = {params.n0}")
@@ -92,14 +55,14 @@ def _level_weights(params: NlaParams, cutoff: int, branch: str) -> np.ndarray:
     return np.where(n <= params.n0, np.sqrt(np.maximum(0.0, 1.0 - ratio**2)), 0.0)
 
 
-def success_operator(params: NlaParams, cutoff: int) -> DiagonalOperator:
-    """Success-arm weights: g^(n-n0) for n <= n0, then 1."""
-    return DiagonalOperator(_level_weights(params, cutoff, "success"))
+def success_operator(params: NlaParams, cutoff: int) -> np.ndarray:
+    """Success-arm level weights on 0..cutoff: g^(n-n0) for n <= n0, then 1."""
+    return _level_weights(params, cutoff, "success")
 
 
-def failure_operator(params: NlaParams, cutoff: int) -> DiagonalOperator:
-    """Failure-arm weights sqrt(1 - g^(2(n-n0))) for n <= n0, then 0."""
-    return DiagonalOperator(_level_weights(params, cutoff, "failure"))
+def failure_operator(params: NlaParams, cutoff: int) -> np.ndarray:
+    """Failure-arm level weights on 0..cutoff: sqrt(1 - g^(2(n-n0))) for n <= n0, then 0."""
+    return _level_weights(params, cutoff, "failure")
 
 
 def _head_sums(r: float, params: NlaParams) -> tuple[float, float, float]:
@@ -138,12 +101,13 @@ def failure_probability(r: float, params: NlaParams) -> float:
     return math.exp(-r * r) * _head_sums(r, params)[2]
 
 
-def apply_branch(input: CoherentParams, params: NlaParams, branch: str, cutoff: int) -> BranchOutcome:
-    """Project a coherent input onto one heralded arm and renormalize.
+def apply_branch(input: CoherentParams, params: NlaParams, branch: str, cutoff: int) -> FockVector:
+    """Project a coherent input onto one heralded arm and return the normalized state.
 
-    Renormalization divides by the square root of the closed-form probability, not
-    the numerically computed norm; with a cutoff from choose_cutoff the two agree
-    to within the truncation tolerance.
+    Renormalization divides by the square root of the closed-form probability
+    (success_probability or failure_probability), not the numerically computed
+    norm; with a cutoff from choose_cutoff the two agree to within the truncation
+    tolerance.
     """
     if branch not in ("success", "failure"):
         raise ValueError(f"branch must be 'success' or 'failure', got {branch!r}")
@@ -159,4 +123,4 @@ def apply_branch(input: CoherentParams, params: NlaParams, branch: str, cutoff: 
     # before anything of the cutoff's size is allocated
     alpha = coherent_state(input, cutoff)
     weights = _level_weights(params, cutoff, branch)
-    return BranchOutcome(p, FockVector(weights * alpha.amplitudes / math.sqrt(p)))
+    return FockVector(weights * alpha.amplitudes / math.sqrt(p))

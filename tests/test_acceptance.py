@@ -78,8 +78,8 @@ def test_criterion_02_probability_completeness():
         for r, g, n0 in product(GRID_R, GRID_G, GRID_N0):
             params = NlaParams(g, n0)
             assert abs(success_probability(r, params) + failure_probability(r, params) - 1.0) < 1e-12
-            es = success_operator(params, n0 + 3).weights
-            ef = failure_operator(params, n0 + 3).weights
+            es = success_operator(params, n0 + 3)
+            ef = failure_operator(params, n0 + 3)
             assert float(np.max(np.abs(es**2 + ef**2 - 1.0))) < 1e-14
 
 
@@ -89,7 +89,7 @@ def test_criterion_03_degenerate_failure():
             b = branch_breakdown(r, NlaParams(g, 1))
             assert b.j_f < 1e-12
             cutoff = choose_cutoff(CoherentParams(r), 1, g)
-            state = apply_branch(CoherentParams(r), NlaParams(g, 1), "failure", cutoff).state
+            state = apply_branch(CoherentParams(r), NlaParams(g, 1), "failure", cutoff)
             vacuum = np.zeros(cutoff + 1)
             vacuum[0] = 1.0
             assert float(np.max(np.abs(state.amplitudes - vacuum))) < 1e-12

@@ -46,12 +46,12 @@ def branch_observables(r, gain, n0):
     params = NlaParams(gain, n0)
     cutoff = choose_cutoff(CoherentParams(r), n0, gain)
     succ = apply_branch(CoherentParams(r), params, "success", cutoff)
-    obs_s = build_observable(succ.state, phase_derivative(succ.state))
+    obs_s = build_observable(succ, phase_derivative(succ))
     obs_f = None
     if failure_probability(r, params) > 0.0:
         fail = apply_branch(CoherentParams(r), params, "failure", cutoff)
         try:
-            obs_f = build_observable(fail.state, phase_derivative(fail.state))
+            obs_f = build_observable(fail, phase_derivative(fail))
         except DegenerateObservableError:
             obs_f = None
     return params, obs_s, obs_f
@@ -73,14 +73,14 @@ class TestBuildObservable:
             _, obs_s, obs_f = branch_observables(r, gain, n0)
             cutoff = choose_cutoff(CoherentParams(r), n0, gain)
             succ = apply_branch(CoherentParams(r), NlaParams(gain, n0), "success", cutoff)
-            j = qfi_pure(succ.state, phase_derivative(succ.state))
+            j = qfi_pure(succ, phase_derivative(succ))
             assert obs_s.lam**2 * j == pytest.approx(1.0, abs=1e-10)
 
     def test_degenerate_family_rejected(self):
         cutoff = choose_cutoff(CoherentParams(0.25), 1, 2.0)
         fail = apply_branch(CoherentParams(0.25), NlaParams(2.0, 1), "failure", cutoff)
         with pytest.raises(DegenerateObservableError):
-            build_observable(fail.state, phase_derivative(fail.state))
+            build_observable(fail, phase_derivative(fail))
 
     def test_eigenpair_orthonormal_and_phase_fixed(self):
         obs, psi0, _ = coherent_observable(0.25)
@@ -98,8 +98,8 @@ class TestBuildObservable:
         for gain, n0, branch in [(2.0, 2, "success"), (2.0, 2, "failure"), (4.0, 3, "failure")]:
             cutoff = choose_cutoff(CoherentParams(0.25), n0, gain)
             out = apply_branch(CoherentParams(0.25), NlaParams(gain, n0), branch, cutoff)
-            dstate = phase_derivative(out.state)
-            families.append((build_observable(out.state, dstate), out.state, dstate))
+            dstate = phase_derivative(out)
+            families.append((build_observable(out, dstate), out, dstate))
         for obs, psi0, dpsi0 in families:
             mat = rebuild_matrix(obs.lam, psi0, dpsi0)
             cp, cm = obs.c_plus.amplitudes, obs.c_minus.amplitudes
@@ -213,7 +213,7 @@ class TestFiveOutcomeProbs:
         assert obs_f is None
         five = five_outcome_probs(CoherentParams(0.25, theta), params, obs_s, None)
         succ = apply_branch(CoherentParams(0.25, theta), params, "success", obs_s.c_plus.cutoff)
-        null_s = succ.probability * (1.0 - outcome_probabilities(obs_s, succ.state)[:2].sum())
+        null_s = success_probability(0.25, params) * (1.0 - outcome_probabilities(obs_s, succ)[:2].sum())
         assert five[2] == 0.0
         assert five[3] == 0.0
         assert five[4] == pytest.approx(failure_probability(0.25, params) + null_s, abs=1e-12)
@@ -232,13 +232,13 @@ class TestFiveOutcomeProbs:
         succ = apply_branch(CoherentParams(0.25, theta), params, "success", cutoff)
         fail = apply_branch(CoherentParams(0.25, theta), params, "failure", cutoff)
         assert five[0] == pytest.approx(
-            succ.probability * abs(inner_product(obs_s.c_plus, succ.state)) ** 2, abs=1e-14
+            success_probability(0.25, params) * abs(inner_product(obs_s.c_plus, succ)) ** 2, abs=1e-14
         )
         assert five[1] == pytest.approx(
-            succ.probability * abs(inner_product(obs_s.c_minus, succ.state)) ** 2, abs=1e-14
+            success_probability(0.25, params) * abs(inner_product(obs_s.c_minus, succ)) ** 2, abs=1e-14
         )
         assert five[2] == pytest.approx(
-            fail.probability * abs(inner_product(obs_f.c_plus, fail.state)) ** 2, abs=1e-14
+            failure_probability(0.25, params) * abs(inner_product(obs_f.c_plus, fail)) ** 2, abs=1e-14
         )
 
 

@@ -190,3 +190,9 @@ class TestSimConfig:
             SimConfig(r=-0.2)
         with pytest.raises(ValueError):
             SimConfig(theta_true=math.inf)
+
+    @pytest.mark.parametrize("amplifier", [{"gain": 0.5}, {"n0": 0}, {"n0": 2.5}])
+    def test_invalid_amplifier_rejected_at_construction(self, amplifier):
+        # the same checks as NlaParams, before any setup or sampling runs
+        with pytest.raises(ValueError, match="gain must be|n0 must be"):
+            SimConfig(**amplifier)
