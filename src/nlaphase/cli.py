@@ -1,10 +1,12 @@
 """Command-line front end: figure datasets, Monte Carlo driving, cost reports.
 
-Every dataset-producing command writes a sidecar `<output>.manifest.json` holding
-the fully resolved parameter set; `nlaphase rerun --manifest <file>` re-executes
-it through the same parameter checks and reproduces the dataset byte for byte.
-Numeric CSV/JSON output uses the shortest representation that parses back to the
-exact double.
+Each `run_<command>` computes its rows from the checked parameters and nothing
+else.  `main` resolves and checks every value (flag, config or manifest) through
+one cast per field, writes the dataset, and picks the exit code.  Every dataset
+written to a file gets a sidecar `<output>.manifest.json` holding the fully
+resolved parameter set; `nlaphase rerun --manifest <file>` re-executes it through
+the same checks and reproduces the dataset byte for byte.  Numeric CSV/JSON
+output uses the shortest representation that parses back to the exact double.
 
 Exit codes: 0 success, 2 invalid configuration, 3 I/O failure, 4 numerical
 degeneracy under --strict.
@@ -18,12 +20,14 @@ import datetime
 import json
 import sys
 from contextlib import nullcontext
+from dataclasses import replace
 from itertools import product
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from . import __version__, kernels
+from . import __version__, fisher, kernels
 from .cost import CostParams, recommend_strategy
+from .errors import NoBreakevenError
 from .fisher import (
     branch_breakdown,
     default_gain_grid,
@@ -32,7 +36,7 @@ from .fisher import (
     sweep_gain,
 )
 from .montecarlo import SimConfig, simulate_direct, simulate_nla
-from .nla import NlaParams
+from .nla import NlaParams, failure_probability, success_probability
 
 DEFAULTS = {
     "r": 0.25,
@@ -131,44 +135,36 @@ def _bool(raw) -> bool:
     return raw
 
 
-_FORMATS = ("csv", "json")
-
-
 def _format(raw) -> str:
-    if raw not in _FORMATS:
+    if raw not in ("csv", "json"):
         raise ValueError(f"must be 'csv' or 'json', got {raw!r}")
     return raw
 
 
 class _Field(NamedTuple):
     flag: str
-    parse: dict  # argparse keywords of the flag
-    cast: Callable  # checks and converts a flag, config or manifest value
+    cast: Callable  # the one check and conversion of a flag, config or manifest value
     help: str
 
 
-_FLOAT = {"type": float}
-_INT = {"type": int}
 _FIELDS = {
-    "r": _Field("--r", _FLOAT, _float, "coherent amplitude"),
-    "theta_true": _Field("--theta-true", _FLOAT, _float, "true phase of the simulated state"),
-    "gain": _Field("--gain", _FLOAT, _float, "amplifier gain"),
-    "n0": _Field("--n0", _INT, _int, "amplifier working cutoff"),
-    "n0_list": _Field("--n0-list", {}, _nonempty_list(_int), "comma-separated n0 values"),
+    "r": _Field("--r", _float, "coherent amplitude"),
+    "theta_true": _Field("--theta-true", _float, "true phase of the simulated state"),
+    "gain": _Field("--gain", _float, "amplifier gain"),
+    "n0": _Field("--n0", _int, "amplifier working cutoff"),
+    "n0_list": _Field("--n0-list", _nonempty_list(_int), "comma-separated n0 values"),
     "gain_grid": _Field(
-        "--gains", {}, _nonempty_list(_float), "comma-separated gain grid (default: 40 log-spaced on [1,8])"
+        "--gains", _nonempty_list(_float), "comma-separated gain grid (default: 40 log-spaced on [1,8])"
     ),
-    "m": _Field("--m", _INT, _int, "samples per experiment"),
-    "runs": _Field("--runs", _INT, _int, "experiments per grid point"),
-    "x": _Field("--x", _FLOAT, _float, "cost per sample acquired"),
-    "y": _Field("--y", _FLOAT, _float, "cost per estimator measurement"),
-    "z": _Field("--z", _FLOAT, _float, "cost per amplification"),
-    "epsilon": _Field("--epsilon", _FLOAT, _float, "target information budget"),
-    "strict": _Field(
-        "--strict", {"action": "store_true"}, _bool, "treat no-breakeven as a hard error (exit 4)"
-    ),
-    "seed": _Field("--seed", _INT, _seed, "master 64-bit seed"),
-    "format": _Field("--format", {"choices": _FORMATS}, _format, "dataset format"),
+    "m": _Field("--m", _int, "samples per experiment"),
+    "runs": _Field("--runs", _int, "experiments per grid point"),
+    "x": _Field("--x", _float, "cost per sample acquired"),
+    "y": _Field("--y", _float, "cost per estimator measurement"),
+    "z": _Field("--z", _float, "cost per amplification"),
+    "epsilon": _Field("--epsilon", _float, "target information budget"),
+    "strict": _Field("--strict", _bool, "treat no-breakeven as a hard error (exit 4)"),
+    "seed": _Field("--seed", _seed, "master 64-bit seed"),
+    "format": _Field("--format", _format, "dataset format: csv or json"),
 }
 
 
@@ -310,9 +306,7 @@ def _write_sidecars(command: str, output: Path, fmt: str, params: dict, hints: b
 # ---------------------------------------------------------------------------
 
 
-def run_probabilities(params: dict, output: Path, fmt: str, hints: bool) -> int:
-    from .nla import failure_probability, success_probability
-
+def run_probabilities(params: dict) -> list[dict]:
     rows = []
     for n0 in params["n0_list"]:
         for g in params["gain_grid"]:
@@ -325,32 +319,23 @@ def run_probabilities(params: dict, output: Path, fmt: str, hints: bool) -> int:
                     "p_f": failure_probability(params["r"], nla),
                 }
             )
-    _write_rows(output, fmt, rows)
-    _write_sidecars("probabilities", output, fmt, params, hints)
-    return 0
+    return rows
 
 
-def run_fisher_sweep(params: dict, output: Path, fmt: str, hints: bool) -> int:
-    rows = sweep_gain(params["r"], params["n0_list"], params["gain_grid"])
-    _write_rows(output, fmt, rows)
-    _write_sidecars("fisher-sweep", output, fmt, params, hints)
-    return 0
+def run_fisher_sweep(params: dict) -> list[dict]:
+    return sweep_gain(params["r"], params["n0_list"], params["gain_grid"])
 
 
-def run_fraction(params: dict, output: Path, fmt: str, hints: bool) -> int:
-    from .fisher import binomial_tail
-
+def run_fraction(params: dict) -> list[dict]:
     breakdown = branch_breakdown(params["r"], NlaParams(params["gain"], params["n0"]))
     rows = sweep_fraction(params["m"], breakdown)
     for row in rows:
         # chance of seeing at least this many successes in one experiment
-        row["p_ns_or_more"] = binomial_tail(params["m"], breakdown.p_s, row["n_s"])
-    _write_rows(output, fmt, rows)
-    _write_sidecars("fraction", output, fmt, params, hints)
-    return 0
+        row["p_ns_or_more"] = fisher.binomial_tail(params["m"], breakdown.p_s, row["n_s"])
+    return rows
 
 
-def run_simulate(params: dict, output: Path, fmt: str, hints: bool) -> int:
+def run_simulate(params: dict) -> list[dict]:
     j_alpha = qfi_coherent(params["r"])
     if j_alpha <= 0.0:
         raise ConfigError("r: must be > 0 for a precision simulation")
@@ -363,24 +348,20 @@ def run_simulate(params: dict, output: Path, fmt: str, hints: bool) -> int:
         runs=params["runs"],
         seed=params["seed"],
     )
+    # every grid point is checked before any experiment runs; each gets one
+    # independent sub-seed derived from the master seed
+    points = [
+        replace(base, gain=float(g), n0=int(n0), seed=kernels.derive_key(params["seed"], idx + 1))
+        for idx, (n0, g) in enumerate(product(params["n0_list"], params["gain_grid"]))
+    ]
     direct = simulate_direct(base)
     rows = []
-    for idx, (n0, g) in enumerate(product(params["n0_list"], params["gain_grid"])):
-        # one independent sub-seed per grid point, derived from the master seed
-        point = SimConfig(
-            r=params["r"],
-            theta_true=params["theta_true"],
-            gain=float(g),
-            n0=int(n0),
-            m=params["m"],
-            runs=params["runs"],
-            seed=kernels.derive_key(params["seed"], idx + 1),
-        )
+    for point in points:
         nla = simulate_nla(point)
         rows.append(
             {
-                "gain": float(g),
-                "n0": int(n0),
+                "gain": point.gain,
+                "n0": point.n0,
                 "precision_direct": direct.precision / j_alpha,
                 "stderr_direct": direct.stderr_precision / j_alpha,
                 "runs_used_direct": direct.runs_used,
@@ -389,19 +370,16 @@ def run_simulate(params: dict, output: Path, fmt: str, hints: bool) -> int:
                 "runs_used_nla": nla.runs_used,
             }
         )
-    _write_rows(output, fmt, rows)
-    _write_sidecars("simulate", output, fmt, params, hints)
-    return 0
+    return rows
 
 
-def run_cost(params: dict, output: Path | None, fmt: str, hints: bool) -> int:
+def run_cost(params: dict) -> dict:
     costs = CostParams(params["x"], params["y"], params["z"], params["epsilon"])
     breakdown = branch_breakdown(params["r"], NlaParams(params["gain"], params["n0"]))
     rec = recommend_strategy(costs, breakdown)
     if params["strict"] and rec.breakeven_y is None:
-        print("numerical degeneracy: no break-even cost; post-selection cannot win", file=sys.stderr)
-        return 4
-    report = {
+        raise NoBreakevenError("no break-even cost; post-selection cannot win")
+    return {
         "x": params["x"],
         "y": params["y"],
         "z": params["z"],
@@ -418,10 +396,6 @@ def run_cost(params: dict, output: Path | None, fmt: str, hints: bool) -> int:
         "breakeven_y": rec.breakeven_y,
         "recommendation": rec.strategy,
     }
-    _write_rows(output, fmt, report)
-    if output is not None:
-        _write_sidecars("cost", output, fmt, params, hints)
-    return 0
 
 
 _RUNNERS = {
@@ -452,7 +426,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = subs.add_parser(command, help=spec.help)
         for name in spec.params + ("format",):
             field = _FIELDS[name]
-            p.add_argument(field.flag, dest=name, default=None, help=field.help, **field.parse)
+            # values stay strings here: _gather casts them like config values
+            action = "store_true" if name == "strict" else "store"
+            p.add_argument(field.flag, dest=name, default=None, action=action, help=field.help)
         p.add_argument("--config", help="JSON config file; flags override its values")
         p.add_argument("--output", help="output dataset path")
         p.add_argument("--gnuplot-hints", action="store_true", help=hints_help)
@@ -478,7 +454,14 @@ def main(argv=None) -> int:
         output = args.output or output
         if command != "cost" and not output:
             raise ConfigError("output: required")
-        return _RUNNERS[command](params, Path(output) if output else None, fmt, args.gnuplot_hints)
+        path = Path(output) if output else None
+        _write_rows(path, fmt, _RUNNERS[command](params))
+        if path is not None:
+            _write_sidecars(command, path, fmt, params, args.gnuplot_hints)
+        return 0
+    except NoBreakevenError as e:
+        print(f"numerical degeneracy: {e}", file=sys.stderr)
+        return 4
     except ValueError as e:  # ConfigError included
         print(f"invalid configuration: {e}", file=sys.stderr)
         return 2

@@ -65,10 +65,18 @@ def failure_operator(params: NlaParams, cutoff: int) -> np.ndarray:
     return _level_weights(params, cutoff, "failure")
 
 
-def _head_sums(r: float, params: NlaParams) -> tuple[float, float, float]:
-    """Sums over n <= n0 of t_n g^{2(n-n0)}, t_n and t_n (1 - g^{2(n-n0)}), t_n = r^{2n}/n!."""
+def _head_sums(r: float, params: NlaParams) -> tuple[float, float, float, float]:
+    """e^{-r^2} and the sums over n <= n0 of t_n g^{2(n-n0)}, t_n and t_n (1 - g^{2(n-n0)}),
+    t_n = r^{2n}/n!.
+
+    Where e^{-r^2} underflows to 0 the sums are returned as 0: a term may overflow
+    there, and 0 * inf would turn p_s and p_f into NaN.
+    """
     if not (math.isfinite(r) and r >= 0.0):
         raise ValueError(f"r must be finite and >= 0, got {r}")
+    w = math.exp(-r * r)
+    if w == 0.0:
+        return w, 0.0, 0.0, 0.0
     g2 = params.gain**2
     term = 1.0  # r^{2n}/n! running term
     gfac = g2 ** (-params.n0)  # g^{2(n-n0)} running factor
@@ -81,7 +89,7 @@ def _head_sums(r: float, params: NlaParams) -> tuple[float, float, float]:
         fail += term * (1.0 - gfac)
         term *= r * r / (n + 1)
         gfac *= g2
-    return head, plain, fail
+    return w, head, plain, fail
 
 
 def success_probability(r: float, params: NlaParams) -> float:
@@ -91,14 +99,14 @@ def success_probability(r: float, params: NlaParams) -> float:
     The infinite tail is evaluated through the complement of the finite Poisson
     sum, so no truncation error enters.
     """
-    head, plain, _ = _head_sums(r, params)
-    w = math.exp(-r * r)
+    w, head, plain, _ = _head_sums(r, params)
     return w * head + (1.0 - w * plain)
 
 
 def failure_probability(r: float, params: NlaParams) -> float:
     """Heralding probability of the failure arm; p_s + p_f = 1 by completeness."""
-    return math.exp(-r * r) * _head_sums(r, params)[2]
+    w, _, _, fail = _head_sums(r, params)
+    return w * fail
 
 
 def apply_branch(input: CoherentParams, params: NlaParams, branch: str, cutoff: int) -> FockVector:

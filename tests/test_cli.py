@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from nlaphase import NlaParams, fock, success_probability
+from nlaphase import NlaParams, cli, fock, success_probability
 from nlaphase.cli import DEFAULTS, main
 
 
@@ -49,6 +49,13 @@ class TestProbabilities:
         row = read_csv(out)[0]
         # shortest-repr text parses back to the exact double
         assert float(row["p_s"]) == success_probability(0.25, NlaParams(2.0, 2))
+
+    def test_no_amplitude_limit(self, tmp_path):
+        # a head term r^{2n}/n! overflows here while e^{-r^2} is 0.0
+        out = tmp_path / "probs.csv"
+        assert run("probabilities", "--r", "1e80", "--n0-list", "2", "--gains", "2",
+                   "--output", out) == 0
+        assert out.read_text().splitlines()[1] == "2.0,2,1.0,0.0"
 
 
 class TestFisherSweep:
@@ -119,10 +126,21 @@ class TestCost:
         second = json.loads(capsys.readouterr().out)
         assert first["recommendation"] == second["recommendation"]
 
-    def test_strict_no_breakeven_exits_4(self, tmp_path):
+    def test_strict_no_breakeven_exits_4(self, tmp_path, capsys):
         # gain 1 leaves j_s = j_alpha, so no break-even exists
         assert run("cost", "--gain", 1, "--strict") == 4
         assert run("cost", "--gain", 1) == 0
+        capsys.readouterr()
+        out = tmp_path / "cost.json"
+        manifest = tmp_path / "cost.json.manifest.json"
+        assert run("cost", "--gain", 1, "--strict", "--output", out) == 4
+        assert capsys.readouterr().err == (
+            "numerical degeneracy: no break-even cost; post-selection cannot win\n"
+        )
+        assert not out.exists() and not manifest.exists()
+        assert run("cost", "--gain", 1, "--output", out) == 0
+        assert json.loads(out.read_text())["breakeven_y"] is None
+        assert manifest.exists()
 
     def test_strict_from_config_and_manifest_exits_4(self, tmp_path):
         config = tmp_path / "config.json"
@@ -167,12 +185,22 @@ class TestManifests:
         assert manifest["output"] == str(out)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_rerun_reproduces_bytes(self, tmp_path, fmt):
-        out = tmp_path / f"sim.{fmt}"
-        run("simulate", "--gains", "1,2", "--n0-list", "2", "--runs", 2000, "--seed", 31,
-            "--format", fmt, "--output", out)
+    @pytest.mark.parametrize(
+        "command, args",
+        [
+            ("probabilities", ["--gains", "1,2", "--n0-list", "1,2"]),
+            ("fisher-sweep", ["--gains", "1,2", "--n0-list", "1,2"]),
+            ("fraction", ["--m", 50, "--gain", 1.5]),
+            ("simulate", ["--gains", "1,2", "--n0-list", "2", "--runs", 2000, "--seed", 31]),
+            ("cost", ["--y", 50, "--r", 0.3]),
+        ],
+        ids=["probabilities", "fisher-sweep", "fraction", "simulate", "cost"],
+    )
+    def test_rerun_reproduces_bytes(self, tmp_path, command, args, fmt):
+        out = tmp_path / f"data.{fmt}"
+        assert run(command, *args, "--format", fmt, "--output", out) == 0
         copy = tmp_path / f"copy.{fmt}"
-        assert run("rerun", "--manifest", tmp_path / f"sim.{fmt}.manifest.json",
+        assert run("rerun", "--manifest", tmp_path / f"data.{fmt}.manifest.json",
                    "--output", copy) == 0
         assert copy.read_bytes() == out.read_bytes()
 
@@ -267,6 +295,36 @@ class TestExitCodes:
         assert run("simulate", "--runs", 0, "--gains", "1", "--n0-list", "1",
                    "--output", tmp_path / "x.csv") == 2
         assert run("probabilities", "--gains", "0.5", "--output", tmp_path / "x.csv") == 2
+
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [("--m", "x", "m"), ("--r", "abc", "r"), ("--seed", "1e3", "seed"),
+         ("--format", "xml", "format")],
+        ids=["m", "r", "seed", "format"],
+    )
+    def test_invalid_flag_value(self, tmp_path, capsys, flag, value, field):
+        out = tmp_path / "x.csv"
+        assert run("fraction", flag, value, "--output", out) == 2
+        assert f"invalid configuration: {field}:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "grid, message",
+        [(["--gains", "0.5", "--n0-list", 2], "gain must be"),
+         (["--gains", 2, "--n0-list", 0], "n0 must be")],
+        ids=["gain", "n0"],
+    )
+    def test_simulate_grid_checked_before_any_experiment(
+        self, tmp_path, capsys, monkeypatch, grid, message
+    ):
+        def no_run(*args):
+            raise AssertionError("simulate_direct called")
+
+        monkeypatch.setattr(cli, "simulate_direct", no_run)
+        out = tmp_path / "x.csv"
+        assert run("simulate", *grid, "--m", 10, "--runs", 10, "--output", out) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unparsable_list_value(self, tmp_path):
         assert run("probabilities", "--n0-list", "a,b", "--output", tmp_path / "x.csv") == 2

@@ -132,11 +132,21 @@ class TestProbabilities:
         n1_norm = FockVector(op * coherent_state(CoherentParams(r, 1.0), cutoff).amplitudes).norm_sq
         assert abs(n0_norm - n1_norm) < 1e-14
 
+    @pytest.mark.parametrize("r", [30.0, 1e78, 1e80, 1e155, 1e300])
+    @pytest.mark.parametrize("g, n0", [(1.0, 1), (2.0, 2), (8.0, 6), (1.5, 40)])
+    def test_large_amplitude_heralds_success(self, r, g, n0):
+        # e^{-r^2} is 0.0 here; from r near 1e78 a head term r^{2n}/n! overflows too
+        params = NlaParams(g, n0)
+        assert success_probability(r, params) == 1.0
+        assert failure_probability(r, params) == 0.0
+
     def test_invalid_r(self):
-        with pytest.raises(ValueError):
-            success_probability(-0.1, NlaParams(2.0, 2))
-        with pytest.raises(ValueError):
-            failure_probability(math.nan, NlaParams(2.0, 2))
+        # -1e80 and inf also have e^{-r^2} = 0.0, which must not pass for a large r
+        for r in (-0.1, -1e80, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                success_probability(r, NlaParams(2.0, 2))
+            with pytest.raises(ValueError):
+                failure_probability(r, NlaParams(2.0, 2))
 
 
 class TestApplyBranch:
