@@ -33,6 +33,8 @@ _MAX_LEVEL = 1 << 53
 _MAX_AMPLITUDE = math.sqrt(_MAX_LEVEL)
 # Poisson mass that a chosen cutoff may leave beyond its last level
 _TAIL_TOL = 1e-12
+# (key, amplitudes) of the state coherent_state built last; never leaves this module
+_last_amplitudes: tuple[tuple[str, ...], np.ndarray] = ((), np.zeros(0, dtype=np.complex128))
 
 
 @dataclass(frozen=True)
@@ -140,16 +142,33 @@ def coherent_state(params: CoherentParams, cutoff: int) -> FockVector:
     never touch a factorial.  The recurrence starts at c_0 = e^{-r^2/2}, so r must
     keep that a normal double (r below about 37.64); a larger r raises ValueError,
     since a subnormal c_0 loses precision and a zero one loses every amplitude.
+
+    The longest amplitude array built for the most recent state (one state, 16
+    bytes per level) is kept, keyed by the bits of c_0 and alpha, the only inputs
+    of the recurrence; `float.hex` tells -0.0 from 0.0 where `==` would not.  A
+    call for the same state returns a prefix of it, and a call for a longer
+    cutoff extends it from its last amplitude.  Each c_n depends only on c_{n-1},
+    alpha and n, and the extension runs the same operations in the same order, so
+    every amplitude is the double a call on an empty cache computes.
     """
+    global _last_amplitudes
     if cutoff < 0:
         raise ValueError(f"cutoff must be >= 0, got {cutoff}")
     vacuum = _vacuum_amplitude(params.r)
     alpha = params.r * np.exp(1j * params.theta)
-    amps = np.zeros(cutoff + 1, dtype=np.complex128)
-    amps[0] = vacuum
-    for n in range(cutoff):
-        amps[n + 1] = amps[n] * alpha / math.sqrt(n + 1)
-    return FockVector(amps)
+    key = (vacuum.hex(), alpha.real.hex(), alpha.imag.hex())
+    last_key, amps = _last_amplitudes
+    if last_key != key:
+        amps = np.array([vacuum], dtype=np.complex128)
+    if amps.size <= cutoff:
+        built = amps.size
+        amps = np.concatenate([amps, np.zeros(cutoff + 1 - built, dtype=np.complex128)])
+        for n in range(built - 1, cutoff):
+            amps[n + 1] = amps[n] * alpha / math.sqrt(n + 1)
+    # replaced whole, never written in place, so a concurrent call never sees a
+    # half-built array
+    _last_amplitudes = (key, amps)
+    return FockVector(amps[: cutoff + 1])
 
 
 def inner_product(a: FockVector, b: FockVector) -> complex:

@@ -5,6 +5,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlaphase import (
     CoherentParams,
@@ -15,7 +17,9 @@ from nlaphase import (
     coherent_state,
     fock,
     inner_product,
+    nla,
     phase_derivative,
+    sweep_gain,
 )
 from nlaphase.errors import DimensionMismatchError
 
@@ -134,6 +138,92 @@ class TestCoherentState:
         # amplitude would silently be zero
         with pytest.raises(ValueError, match="not a normal double"):
             coherent_state(CoherentParams(r), 10)
+
+
+def coherent_reference(r, theta, cutoff):
+    """The recurrence as one call ran it before amplitudes were reused across calls."""
+    vacuum = math.exp(-0.5 * r**2)
+    alpha = r * np.exp(1j * theta)
+    amps = np.zeros(cutoff + 1, dtype=np.complex128)
+    amps[0] = vacuum
+    for n in range(cutoff):
+        amps[n + 1] = amps[n] * alpha / math.sqrt(n + 1)
+    return amps
+
+
+REUSE_R = [0.0, -0.0, 0.25, 16.0]
+REUSE_THETA = [0.0, -0.0, 1.1]
+
+
+class TestCoherentStateReuse:
+    """coherent_state reuses the amplitudes of its last state; every double must stay."""
+
+    def assert_calls_match_reference(self, calls):
+        for r, theta, cutoff in calls:
+            got = coherent_state(CoherentParams(r, theta), cutoff).amplitudes
+            assert got.tobytes() == coherent_reference(r, theta, cutoff).tobytes(), (r, theta, cutoff)
+
+    @pytest.mark.parametrize(
+        "cutoffs",
+        [[0, 1, 5, 40, 300], [300, 40, 5, 1, 0], [40, 40, 40], [0, 0], [7, 300, 3, 300, 120]],
+        ids=["rising", "falling", "repeated", "zero", "mixed"],
+    )
+    @pytest.mark.parametrize("r", REUSE_R)
+    @pytest.mark.parametrize("theta", REUSE_THETA)
+    def test_cutoff_sequences(self, cutoffs, r, theta):
+        self.assert_calls_match_reference([(r, theta, c) for c in cutoffs])
+
+    def test_alternating_keys(self):
+        keys = [(r, theta) for r in REUSE_R for theta in REUSE_THETA]
+        calls = [(r, theta, c) for c in (3, 60, 0, 200) for r, theta in keys + keys[::-1]]
+        self.assert_calls_match_reference(calls)
+
+    def test_earlier_vector_unchanged_by_a_longer_call(self):
+        params = CoherentParams(16.0, 1.1)
+        short = coherent_state(params, 10)
+        before = short.amplitudes.tobytes()
+        long = coherent_state(params, 400)
+        assert short.amplitudes.tobytes() == before
+        assert long.amplitudes[:11].tobytes() == before
+
+    def test_one_state_kept(self):
+        coherent_state(CoherentParams(16.0), 400)
+        coherent_state(CoherentParams(0.25), 5)
+        _, kept = fock._last_amplitudes
+        assert kept.size == 6
+
+    @pytest.mark.parametrize("cutoff", [0, 10, 400])
+    def test_unrepresentable_amplitude_raises_after_a_cached_call(self, cutoff):
+        coherent_state(CoherentParams(16.0), 400)
+        with pytest.raises(ValueError, match="not a normal double"):
+            coherent_state(CoherentParams(38.7), cutoff)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(REUSE_R),
+                st.sampled_from(REUSE_THETA),
+                st.integers(min_value=0, max_value=400),
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    def test_any_call_sequence_matches_reference(self, calls):
+        self.assert_calls_match_reference(calls)
+
+    def test_sweep_rows_match_the_reference_loop(self, monkeypatch):
+        def hex_rows(rows):
+            return [{k: float.hex(v) if isinstance(v, float) else v for k, v in row.items()} for row in rows]
+
+        reused = hex_rows(sweep_gain(16, [1, 6], gains=[1, 2.5, 8]))
+        monkeypatch.setattr(
+            nla,
+            "coherent_state",
+            lambda params, cutoff: FockVector(coherent_reference(params.r, params.theta, cutoff)),
+        )
+        assert reused == hex_rows(sweep_gain(16, [1, 6], gains=[1, 2.5, 8]))
 
 
 class TestInnerProduct:

@@ -1,10 +1,13 @@
 """Tests for the amplifier measurement pair and branch projections."""
 
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlaphase import (
     CoherentParams,
@@ -13,6 +16,7 @@ from nlaphase import (
     apply_branch,
     choose_cutoff,
     coherent_state,
+    default_gain_grid,
     failure_operator,
     failure_probability,
     phase_derivative,
@@ -37,6 +41,34 @@ def success_probability_oracle(r, g, n0, dps=50):
         head = mp.fsum([g ** (2 * (n - n0)) * r ** (2 * n) / mp.factorial(n) for n in range(n0 + 1)])
         tail = mp.e ** (r**2) - mp.fsum([r ** (2 * n) / mp.factorial(n) for n in range(n0 + 1)])
         return float(mp.e ** (-(r**2)) * (head + tail))
+
+
+def branch_probabilities_oracle(r, g, n0, dps=60):
+    """(p_s, p_f) from the head sum over n <= n0 of Poisson(r^2) terms and mpmath's tail."""
+    with mp.workdps(dps):
+        r, g = mp.mpf(r), mp.mpf(g)
+        mu = r * r
+        terms = [mp.e ** (-mu) * mu**n / mp.factorial(n) for n in range(n0 + 1)]
+        ratio = [g ** (2 * (n - n0)) for n in range(n0 + 1)]
+        head = mp.fsum(t * w for t, w in zip(terms, ratio))
+        fail = mp.fsum(t * (1 - w) for t, w in zip(terms, ratio))
+        tail = mp.gammainc(n0 + 1, 0, mu, regularized=True)
+        return float(head + tail), float(fail)
+
+
+def looped_branch_probabilities(r, g, n0):
+    """The running-term loop that the probabilities are kept bit-identical to."""
+    w = math.exp(-r * r)
+    g2 = g**2
+    term, gfac = 1.0, g2 ** (-n0)
+    head = plain = fail = 0.0
+    for n in range(n0 + 1):
+        head += term * gfac
+        plain += term
+        fail += term * (1.0 - gfac)
+        term *= r * r / (n + 1)
+        gfac *= g2
+    return w * head + (1.0 - w * plain), w * fail
 
 
 class TestOperators:
@@ -139,6 +171,62 @@ class TestProbabilities:
         params = NlaParams(g, n0)
         assert success_probability(r, params) == 1.0
         assert failure_probability(r, params) == 0.0
+
+    @pytest.mark.parametrize(
+        "r, g, n0",
+        [(16.0, 8.0, 256), (22.0, 2.0, 540), (1.0, 8.0, 200), (28.0, 1.5, 900), (27.0, 2.0, 800)],
+    )
+    def test_starting_factor_out_of_range_against_oracle(self, r, g, n0):
+        # e^{-r^2} or g^{-2 n0} is not a normal double here: the running-term loop
+        # lost the head sum (p_s = 0.4834 for 0.5087 at the first point), went
+        # negative, or turned into nan and inf
+        exact_s, exact_f = branch_probabilities_oracle(r, g, n0)
+        params = NlaParams(g, n0)
+        assert success_probability(r, params) == pytest.approx(exact_s, rel=1e-11, abs=1e-300)
+        assert failure_probability(r, params) == pytest.approx(exact_f, rel=1e-11, abs=1e-300)
+
+    def test_loop_doubles_kept_where_its_factors_are_normal(self):
+        # every point the benchmark evaluates (r <= 16, n0 <= 6) and a wider grid
+        # of points whose e^{-r^2} and g^{-2 n0} are normal doubles
+        points = [(r, float(g), n0) for r in (0.25, 16.0) for g in default_gain_grid() for n0 in range(1, 7)]
+        points += [
+            (r, g, n0)
+            for r in (0.0, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 26.0)
+            for g in (1.0, 1.5, 2.0, 4.0, 8.0)
+            for n0 in (1, 2, 3, 6, 10, 40, 100)
+            if math.exp(-r * r) >= sys.float_info.min and g ** (-2 * n0) >= sys.float_info.min
+        ]
+        for r, g, n0 in points:
+            want = looped_branch_probabilities(r, g, n0)
+            got = (success_probability(r, NlaParams(g, n0)), failure_probability(r, NlaParams(g, n0)))
+            if all(0.0 <= p <= 1.0 for p in want):
+                assert [p.hex() for p in got] == [p.hex() for p in want], (r, g, n0)
+            else:
+                # the loop's e^{-r^2} * sum t_n rounded above 1 here
+                assert got == (0.0, 1.0) and n0 > r * r, (r, g, n0, want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.floats(min_value=0.0, max_value=40.0),
+        st.floats(min_value=1.0, max_value=8.0),
+        st.integers(min_value=1, max_value=1000),
+    )
+    def test_probabilities_in_range_and_complete(self, r, g, n0):
+        p_s = success_probability(r, NlaParams(g, n0))
+        p_f = failure_probability(r, NlaParams(g, n0))
+        assert 0.0 <= p_s <= 1.0 and 0.0 <= p_f <= 1.0
+        assert abs(p_s + p_f - 1.0) <= 1e-12
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.floats(min_value=0.0, max_value=40.0),
+        st.floats(min_value=1.0, max_value=8.0),
+        st.integers(min_value=1, max_value=1000),
+    )
+    def test_probabilities_match_oracle(self, r, g, n0):
+        exact_s, exact_f = branch_probabilities_oracle(r, g, n0)
+        assert success_probability(r, NlaParams(g, n0)) == pytest.approx(exact_s, rel=1e-10, abs=1e-12)
+        assert failure_probability(r, NlaParams(g, n0)) == pytest.approx(exact_f, rel=1e-10, abs=1e-12)
 
     def test_invalid_r(self):
         # -1e80 and inf also have e^{-r^2} = 0.0, which must not pass for a large r
