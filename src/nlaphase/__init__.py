@@ -56,10 +56,8 @@ from .montecarlo import (
 from .nla import (
     NlaParams,
     apply_branch,
-    failure_operator,
-    failure_probability,
-    success_operator,
-    success_probability,
+    arm_weights,
+    heralding_probabilities,
 )
 
 __all__ = [
@@ -72,10 +70,8 @@ __all__ = [
     "inner_product",
     "phase_derivative",
     "NlaParams",
-    "success_operator",
-    "failure_operator",
-    "success_probability",
-    "failure_probability",
+    "arm_weights",
+    "heralding_probabilities",
     "apply_branch",
     "FisherBreakdown",
     "qfi_pure",

@@ -36,7 +36,7 @@ from .fisher import (
     sweep_gain,
 )
 from .montecarlo import SimConfig, simulate_direct, simulate_nla
-from .nla import NlaParams, failure_probability, success_probability
+from .nla import NlaParams, heralding_probabilities
 
 DEFAULTS = {
     "r": 0.25,
@@ -221,6 +221,9 @@ def _load_config(path: str | None) -> dict:
 def _load_manifest(path: str) -> tuple[str, dict, str | None]:
     """Command, config (the recorded parameters plus the format) and output of a manifest."""
     manifest = _read_object(path, "manifest")
+    version = manifest.get("artifact_version")
+    if version != __version__:
+        raise ConfigError(f"artifact_version: manifest has {version!r}, this is {__version__!r}")
     command, parameters, output = (manifest.get(k) for k in ("command", "parameters", "output"))
     if command not in _COMMANDS:
         raise ConfigError(f"unknown command {command!r} in manifest")
@@ -310,15 +313,8 @@ def run_probabilities(params: dict) -> list[dict]:
     rows = []
     for n0 in params["n0_list"]:
         for g in params["gain_grid"]:
-            nla = NlaParams(float(g), int(n0))
-            rows.append(
-                {
-                    "gain": float(g),
-                    "n0": int(n0),
-                    "p_s": success_probability(params["r"], nla),
-                    "p_f": failure_probability(params["r"], nla),
-                }
-            )
+            p_s, p_f = heralding_probabilities(params["r"], NlaParams(float(g), int(n0)))
+            rows.append({"gain": float(g), "n0": int(n0), "p_s": p_s, "p_f": p_f})
     return rows
 
 

@@ -5,10 +5,6 @@ class DimensionMismatchError(ValueError):
     """Two Fock vectors carry different cutoffs."""
 
 
-class DegenerateBranchError(ValueError):
-    """A heralded branch with zero probability cannot produce a normalized state."""
-
-
 class DegenerateObservableError(ValueError):
     """The state family carries no phase information (zero Fisher information)."""
 

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import DegenerateObservableError, NoDataError
 from .fock import CoherentParams, FockVector, coherent_state, inner_product
 from .fisher import qfi_pure
-from .nla import NlaParams, failure_operator, success_operator
+from .nla import NlaParams, arm_weights
 
 __all__ = [
     "EstimatorObservable",
@@ -92,12 +92,13 @@ def five_outcome_probs(
     """
     cutoff = obs_s.c_plus.cutoff
     alpha = coherent_state(input, cutoff)
-    projected_s = FockVector(success_operator(params, cutoff) * alpha.amplitudes)
+    w_s, w_f = arm_weights(params, cutoff)
+    projected_s = FockVector(w_s * alpha.amplitudes)
     p_s_plus = abs(inner_product(obs_s.c_plus, projected_s)) ** 2
     p_s_minus = abs(inner_product(obs_s.c_minus, projected_s)) ** 2
     p_f_plus = p_f_minus = 0.0
     if obs_f is not None:
-        projected_f = FockVector(failure_operator(params, cutoff) * alpha.amplitudes)
+        projected_f = FockVector(w_f * alpha.amplitudes)
         p_f_plus = abs(inner_product(obs_f.c_plus, projected_f)) ** 2
         p_f_minus = abs(inner_product(obs_f.c_minus, projected_f)) ** 2
     p_null = max(0.0, 1.0 - p_s_plus - p_s_minus - p_f_plus - p_f_minus)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import NoCrossingError
 from .fock import CoherentParams, FockVector, choose_cutoff, inner_product, phase_derivative
-from .nla import NlaParams, apply_branch, failure_probability, success_probability
+from .nla import NlaParams, apply_branch, heralding_probabilities
 
 __all__ = [
     "FisherBreakdown",
@@ -76,16 +76,11 @@ def branch_breakdown(r: float, params: NlaParams) -> FisherBreakdown:
     """
     input = CoherentParams(r, 0.0)
     cutoff = choose_cutoff(input, params.n0, params.gain)
-    p_s = success_probability(r, params)
-    p_f = failure_probability(r, params)
+    p_s, p_f = heralding_probabilities(r, params)
 
-    succ = apply_branch(input, params, "success", cutoff)
+    succ, fail = apply_branch(input, params, cutoff)
     j_s = qfi_pure(succ, phase_derivative(succ))
-    if p_f > 0.0:
-        fail = apply_branch(input, params, "failure", cutoff)
-        j_f = qfi_pure(fail, phase_derivative(fail))
-    else:
-        j_f = 0.0
+    j_f = 0.0 if fail is None else qfi_pure(fail, phase_derivative(fail))
 
     return FisherBreakdown(
         j_alpha=qfi_coherent(r),

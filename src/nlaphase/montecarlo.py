@@ -25,7 +25,7 @@ from .estimator import (
     outcome_probabilities,
 )
 from .fock import CoherentParams, choose_cutoff, coherent_state, phase_derivative
-from .nla import NlaParams, apply_branch, failure_probability
+from .nla import NlaParams, apply_branch
 
 __all__ = [
     "SimConfig",
@@ -123,12 +123,11 @@ def _nla_setup(config: SimConfig):
     input0 = CoherentParams(config.r, 0.0)
     cutoff = choose_cutoff(input0, params.n0, params.gain)
 
-    succ = apply_branch(input0, params, "success", cutoff)
+    succ, fail = apply_branch(input0, params, cutoff)
     obs_s = build_observable(succ, phase_derivative(succ))
 
     obs_f = None
-    if failure_probability(config.r, params) > 0.0:
-        fail = apply_branch(input0, params, "failure", cutoff)
+    if fail is not None:
         try:
             obs_f = build_observable(fail, phase_derivative(fail))
         except DegenerateObservableError:

@@ -15,15 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammainc, gammaincc
 
-from .errors import DegenerateBranchError
 from .fock import CoherentParams, FockVector, coherent_state
 
 __all__ = [
     "NlaParams",
-    "success_operator",
-    "failure_operator",
-    "success_probability",
-    "failure_probability",
+    "arm_weights",
+    "heralding_probabilities",
     "apply_branch",
 ]
 
@@ -45,40 +42,40 @@ class NlaParams:
             raise ValueError(f"n0 must be an integer >= 1, got {self.n0}")
 
 
-def _level_weights(params: NlaParams, cutoff: int, branch: str) -> np.ndarray:
+def arm_weights(params: NlaParams, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """(w_s, w_f): the level weights of both arms on 0..cutoff.
+
+    w_s is g^(n-n0) for n <= n0, then 1; w_f is sqrt(1 - g^(2(n-n0))) for n <= n0,
+    then 0, so w_s^2 + w_f^2 = 1 on every level.
+    """
     if cutoff < params.n0:
         raise ValueError(f"cutoff {cutoff} must be >= n0 = {params.n0}")
     n = np.arange(cutoff + 1, dtype=np.float64)
     # g^(n-n0) with the exponent clamped at 0: levels above n0 take weight 1/0
     # anyway, and the clamp keeps g^positive from ever overflowing
     ratio = np.power(params.gain, np.minimum(n - params.n0, 0.0))
-    if branch == "success":
-        return np.where(n <= params.n0, ratio, 1.0)
-    return np.where(n <= params.n0, np.sqrt(np.maximum(0.0, 1.0 - ratio**2)), 0.0)
+    head = n <= params.n0
+    return np.where(head, ratio, 1.0), np.where(head, np.sqrt(np.maximum(0.0, 1.0 - ratio**2)), 0.0)
 
 
-def success_operator(params: NlaParams, cutoff: int) -> np.ndarray:
-    """Success-arm level weights on 0..cutoff: g^(n-n0) for n <= n0, then 1."""
-    return _level_weights(params, cutoff, "success")
+def heralding_probabilities(r: float, params: NlaParams) -> tuple[float, float]:
+    """(p_s, p_f): the heralding probabilities of both arms for input amplitude r.
 
-
-def failure_operator(params: NlaParams, cutoff: int) -> np.ndarray:
-    """Failure-arm level weights on 0..cutoff: sqrt(1 - g^(2(n-n0))) for n <= n0, then 0."""
-    return _level_weights(params, cutoff, "failure")
-
-
-def _branch_probabilities(r: float, params: NlaParams) -> tuple[float, float]:
-    """(p_s, p_f) for input amplitude r; see success_probability for the formula.
-
-    Sums the terms t_n = r^{2n}/n! in a loop and scales the sums by e^{-r^2}.
-    Where e^{-r^2} or the starting factor g^{-2 n0} is not a normal double, or
-    the result is not finite, that loses the head sums, and
-    `_scaled_branch_probabilities` computes both values instead.
+    p_s = e^{-r^2} * sum_{n<=n0} g^{2(n-n0)} r^{2n}/n!  +  P[Poisson(r^2) > n0] and
+    p_s + p_f = 1 by completeness.  The infinite tail is evaluated through the
+    complement of the finite Poisson sum, so no truncation error enters.  Where
+    e^{-r^2} or the starting factor g^{-2 n0} is not a normal double, or the result
+    is not finite, the running-term loop loses the head sums, and
+    `_scaled_branch_probabilities` computes both values instead.  Both are clamped
+    to [0, 1], and p_f is 0.0 where P[N <= n0] is below the smallest normal double.
     """
     if not (math.isfinite(r) and r >= 0.0):
         raise ValueError(f"r must be finite and >= 0, got {r}")
     w = math.exp(-r * r)
-    g2 = params.gain**2
+    try:
+        g2 = params.gain**2
+    except OverflowError:  # g above about 1.3e154: g^{-2 n0} is 0.0, the scaled path runs
+        g2 = math.inf
     gfac = g2 ** (-params.n0)  # g^{2(n-n0)} running factor
     p_s = p_f = math.nan
     if w >= sys.float_info.min and gfac >= sys.float_info.min:
@@ -127,45 +124,23 @@ def _scaled_branch_probabilities(mu: float, params: NlaParams) -> tuple[float, f
     return float(above + scale * (u @ ratio)), float(scale * (u @ fail))
 
 
-def success_probability(r: float, params: NlaParams) -> float:
-    """Heralding probability of the success arm for input amplitude r.
+def apply_branch(
+    input: CoherentParams, params: NlaParams, cutoff: int
+) -> tuple[FockVector, FockVector | None]:
+    """Project a coherent input onto both heralded arms: (success state, failure state).
 
-    p_s = e^{-r^2} * sum_{n<=n0} g^{2(n-n0)} r^{2n}/n!  +  P[Poisson(r^2) > n0].
-    The infinite tail is evaluated through the complement of the finite Poisson
-    sum, so no truncation error enters.  Where e^{-r^2} or g^{-2 n0} is not a
-    normal double, the head is the Poisson mass P[N <= n0] times a weighted mean
-    of scaled terms and the tail is gammainc(n0 + 1, r^2).  Both probabilities
-    are clamped to [0, 1], and p_f is 0.0 where P[N <= n0] is below the
-    smallest normal double.
+    Each state is normalized by the square root of its closed-form probability from
+    heralding_probabilities, not by the numerically computed norm; with a cutoff
+    from choose_cutoff the two agree to within the truncation tolerance.  The
+    failure state is None where p_f is 0.0: at g = 1, or where failure is too rare
+    for a double.
     """
-    return _branch_probabilities(r, params)[0]
-
-
-def failure_probability(r: float, params: NlaParams) -> float:
-    """Heralding probability of the failure arm; p_s + p_f = 1 by completeness."""
-    return _branch_probabilities(r, params)[1]
-
-
-def apply_branch(input: CoherentParams, params: NlaParams, branch: str, cutoff: int) -> FockVector:
-    """Project a coherent input onto one heralded arm and return the normalized state.
-
-    Renormalization divides by the square root of the closed-form probability
-    (success_probability or failure_probability), not the numerically computed
-    norm; with a cutoff from choose_cutoff the two agree to within the truncation
-    tolerance.
-    """
-    if branch not in ("success", "failure"):
-        raise ValueError(f"branch must be 'success' or 'failure', got {branch!r}")
-    if branch == "success":
-        p = success_probability(input.r, params)
-    else:
-        p = failure_probability(input.r, params)
-        if p <= 0.0:
-            raise DegenerateBranchError(
-                f"failure branch has zero probability at gain {params.gain}"
-            )
+    p_s, p_f = heralding_probabilities(input.r, params)
     # the state before the weights: coherent_state refuses an r it cannot represent
     # before anything of the cutoff's size is allocated
     alpha = coherent_state(input, cutoff)
-    weights = _level_weights(params, cutoff, branch)
-    return FockVector(weights * alpha.amplitudes / math.sqrt(p))
+    w_s, w_f = arm_weights(params, cutoff)
+    succ = FockVector(w_s * alpha.amplitudes / math.sqrt(p_s))
+    if p_f == 0.0:
+        return succ, None
+    return succ, FockVector(w_f * alpha.amplitudes / math.sqrt(p_f))

@@ -19,6 +19,7 @@ from nlaphase import (
     NlaParams,
     SimConfig,
     apply_branch,
+    arm_weights,
     binomial_tail,
     branch_breakdown,
     breakeven_y,
@@ -28,8 +29,7 @@ from nlaphase import (
     cost_direct,
     cost_postselect,
     derive_key,
-    failure_operator,
-    failure_probability,
+    heralding_probabilities,
     min_ns_exceeding,
     outcome_probabilities,
     phase_derivative,
@@ -37,8 +37,6 @@ from nlaphase import (
     qfi_pure,
     simulate_direct,
     simulate_nla,
-    success_operator,
-    success_probability,
 )
 from nlaphase import kernels
 from nlaphase.cli import main as cli_main
@@ -77,9 +75,9 @@ def test_criterion_02_probability_completeness():
     with criterion(2, "p_s + p_f = 1 (1e-12) and E_s^2 + E_f^2 = 1 (1e-14) on the grid", 1.0):
         for r, g, n0 in product(GRID_R, GRID_G, GRID_N0):
             params = NlaParams(g, n0)
-            assert abs(success_probability(r, params) + failure_probability(r, params) - 1.0) < 1e-12
-            es = success_operator(params, n0 + 3)
-            ef = failure_operator(params, n0 + 3)
+            p_s, p_f = heralding_probabilities(r, params)
+            assert abs(p_s + p_f - 1.0) < 1e-12
+            es, ef = arm_weights(params, n0 + 3)
             assert float(np.max(np.abs(es**2 + ef**2 - 1.0))) < 1e-14
 
 
@@ -89,7 +87,7 @@ def test_criterion_03_degenerate_failure():
             b = branch_breakdown(r, NlaParams(g, 1))
             assert b.j_f < 1e-12
             cutoff = choose_cutoff(CoherentParams(r), 1, g)
-            state = apply_branch(CoherentParams(r), NlaParams(g, 1), "failure", cutoff)
+            _, state = apply_branch(CoherentParams(r), NlaParams(g, 1), cutoff)
             vacuum = np.zeros(cutoff + 1)
             vacuum[0] = 1.0
             assert float(np.max(np.abs(state.amplitudes - vacuum))) < 1e-12

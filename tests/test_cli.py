@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from nlaphase import NlaParams, cli, fock, success_probability
+from nlaphase import NlaParams, __version__, cli, fock, heralding_probabilities
 from nlaphase.cli import DEFAULTS, main
 
 
@@ -48,7 +48,7 @@ class TestProbabilities:
         run("probabilities", "--r", 0.25, "--n0-list", "2", "--gains", "2", "--output", out)
         row = read_csv(out)[0]
         # shortest-repr text parses back to the exact double
-        assert float(row["p_s"]) == success_probability(0.25, NlaParams(2.0, 2))
+        assert (float(row["p_s"]), float(row["p_f"])) == heralding_probabilities(0.25, NlaParams(2.0, 2))
 
     def test_no_amplitude_limit(self, tmp_path):
         # a head term r^{2n}/n! overflows here while e^{-r^2} is 0.0
@@ -56,6 +56,13 @@ class TestProbabilities:
         assert run("probabilities", "--r", "1e80", "--n0-list", "2", "--gains", "2",
                    "--output", out) == 0
         assert out.read_text().splitlines()[1] == "2.0,2,1.0,0.0"
+
+    def test_gain_too_large_to_square(self, tmp_path):
+        out = tmp_path / "probs.csv"
+        assert run("probabilities", "--r", 0.5, "--gains", "1e200", "--n0-list", 2,
+                   "--output", out) == 0
+        row = read_csv(out)[0]
+        assert float(row["p_s"]) == pytest.approx(0.0264990211607439147, rel=1e-14)
 
 
 class TestFisherSweep:
@@ -164,14 +171,6 @@ class TestCost:
         assert out.read_bytes() == stdout
         if fmt == "json":
             assert isinstance(json.loads(stdout), dict)
-
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_rerun_reproduces_bytes(self, tmp_path, fmt):
-        out = tmp_path / f"cost.{fmt}"
-        assert run("cost", "--y", 50, "--r", 0.3, "--format", fmt, "--output", out) == 0
-        copy = tmp_path / f"copy.{fmt}"
-        assert run("rerun", "--manifest", f"{out}.manifest.json", "--output", copy) == 0
-        assert copy.read_bytes() == out.read_bytes()
 
 
 class TestManifests:
@@ -367,6 +366,24 @@ class TestExitCodes:
         again = tmp_path / "again.csv"
         assert run("rerun", "--manifest", edited, "--output", again) == 2
         assert f"invalid configuration: {field}:" in capsys.readouterr().err
+        assert not again.exists()
+
+    @pytest.mark.parametrize(
+        "edit, recorded",
+        [
+            (lambda m: m.update(artifact_version="0.0.1"), "'0.0.1'"),
+            (lambda m: m.pop("artifact_version"), "None"),
+        ],
+        ids=["other", "missing"],
+    )
+    def test_rerun_refuses_another_artifact_version(self, tmp_path, capsys, edit, recorded):
+        edited = edited_fraction_manifest(tmp_path, edit)
+        again = tmp_path / "again.csv"
+        assert run("rerun", "--manifest", edited, "--output", again) == 2
+        assert capsys.readouterr().err == (
+            f"invalid configuration: artifact_version: manifest has {recorded}, "
+            f"this is {__version__!r}\n"
+        )
         assert not again.exists()
 
     def test_rerun_with_invalid_parameters(self, tmp_path, capsys):

@@ -13,8 +13,8 @@ from nlaphase import (
     build_observable,
     choose_cutoff,
     coherent_state,
-    failure_probability,
     five_outcome_probs,
+    heralding_probabilities,
     inner_product,
     mle_direct,
     mle_nla,
@@ -23,7 +23,6 @@ from nlaphase import (
     qfi_pure,
     simulate_direct,
     simulate_nla,
-    success_probability,
 )
 from nlaphase import kernels, montecarlo
 from nlaphase.errors import DegenerateObservableError, DimensionMismatchError, NoDataError
@@ -45,11 +44,10 @@ def coherent_observable(r=0.25):
 def branch_observables(r, gain, n0):
     params = NlaParams(gain, n0)
     cutoff = choose_cutoff(CoherentParams(r), n0, gain)
-    succ = apply_branch(CoherentParams(r), params, "success", cutoff)
+    succ, fail = apply_branch(CoherentParams(r), params, cutoff)
     obs_s = build_observable(succ, phase_derivative(succ))
     obs_f = None
-    if failure_probability(r, params) > 0.0:
-        fail = apply_branch(CoherentParams(r), params, "failure", cutoff)
+    if fail is not None:
         try:
             obs_f = build_observable(fail, phase_derivative(fail))
         except DegenerateObservableError:
@@ -72,13 +70,13 @@ class TestBuildObservable:
         for r, gain, n0 in [(0.25, 1.0, 1), (0.25, 2.0, 2), (0.5, 4.0, 3), (0.1, 1.5, 2)]:
             _, obs_s, obs_f = branch_observables(r, gain, n0)
             cutoff = choose_cutoff(CoherentParams(r), n0, gain)
-            succ = apply_branch(CoherentParams(r), NlaParams(gain, n0), "success", cutoff)
+            succ, _ = apply_branch(CoherentParams(r), NlaParams(gain, n0), cutoff)
             j = qfi_pure(succ, phase_derivative(succ))
             assert obs_s.lam**2 * j == pytest.approx(1.0, abs=1e-10)
 
     def test_degenerate_family_rejected(self):
         cutoff = choose_cutoff(CoherentParams(0.25), 1, 2.0)
-        fail = apply_branch(CoherentParams(0.25), NlaParams(2.0, 1), "failure", cutoff)
+        _, fail = apply_branch(CoherentParams(0.25), NlaParams(2.0, 1), cutoff)
         with pytest.raises(DegenerateObservableError):
             build_observable(fail, phase_derivative(fail))
 
@@ -95,9 +93,9 @@ class TestBuildObservable:
     def test_sandwich_reconstruction(self):
         # rebuild the operator from scratch and sandwich the claimed eigenvectors
         families = [coherent_observable(0.25)]
-        for gain, n0, branch in [(2.0, 2, "success"), (2.0, 2, "failure"), (4.0, 3, "failure")]:
+        for gain, n0, arm in [(2.0, 2, 0), (2.0, 2, 1), (4.0, 3, 1)]:
             cutoff = choose_cutoff(CoherentParams(0.25), n0, gain)
-            out = apply_branch(CoherentParams(0.25), NlaParams(gain, n0), branch, cutoff)
+            out = apply_branch(CoherentParams(0.25), NlaParams(gain, n0), cutoff)[arm]
             dstate = phase_derivative(out)
             families.append((build_observable(out, dstate), out, dstate))
         for obs, psi0, dpsi0 in families:
@@ -182,8 +180,7 @@ class TestFiveOutcomeProbs:
         # n0 = 1 is the degenerate four-outcome structure, covered separately
         params, obs_s, obs_f = branch_observables(r, gain, n0)
         five = five_outcome_probs(CoherentParams(r, 0.0), params, obs_s, obs_f)
-        p_s = success_probability(r, params)
-        p_f = failure_probability(r, params)
+        p_s, p_f = heralding_probabilities(r, params)
         assert five[0] == pytest.approx(p_s / 2, abs=1e-12)
         assert five[1] == pytest.approx(p_s / 2, abs=1e-12)
         assert five[2] == pytest.approx(p_f / 2, abs=1e-12)
@@ -212,11 +209,12 @@ class TestFiveOutcomeProbs:
         params, obs_s, obs_f = branch_observables(0.25, 2.0, 1)
         assert obs_f is None
         five = five_outcome_probs(CoherentParams(0.25, theta), params, obs_s, None)
-        succ = apply_branch(CoherentParams(0.25, theta), params, "success", obs_s.c_plus.cutoff)
-        null_s = success_probability(0.25, params) * (1.0 - outcome_probabilities(obs_s, succ)[:2].sum())
+        succ, _ = apply_branch(CoherentParams(0.25, theta), params, obs_s.c_plus.cutoff)
+        p_s, p_f = heralding_probabilities(0.25, params)
+        null_s = p_s * (1.0 - outcome_probabilities(obs_s, succ)[:2].sum())
         assert five[2] == 0.0
         assert five[3] == 0.0
-        assert five[4] == pytest.approx(failure_probability(0.25, params) + null_s, abs=1e-12)
+        assert five[4] == pytest.approx(p_f + null_s, abs=1e-12)
 
     def test_sums_to_one(self):
         params, obs_s, obs_f = branch_observables(0.25, 2.0, 2)
@@ -229,17 +227,11 @@ class TestFiveOutcomeProbs:
         params, obs_s, obs_f = branch_observables(0.25, 2.0, 2)
         five = five_outcome_probs(CoherentParams(0.25, theta), params, obs_s, obs_f)
         cutoff = obs_s.c_plus.cutoff
-        succ = apply_branch(CoherentParams(0.25, theta), params, "success", cutoff)
-        fail = apply_branch(CoherentParams(0.25, theta), params, "failure", cutoff)
-        assert five[0] == pytest.approx(
-            success_probability(0.25, params) * abs(inner_product(obs_s.c_plus, succ)) ** 2, abs=1e-14
-        )
-        assert five[1] == pytest.approx(
-            success_probability(0.25, params) * abs(inner_product(obs_s.c_minus, succ)) ** 2, abs=1e-14
-        )
-        assert five[2] == pytest.approx(
-            failure_probability(0.25, params) * abs(inner_product(obs_f.c_plus, fail)) ** 2, abs=1e-14
-        )
+        succ, fail = apply_branch(CoherentParams(0.25, theta), params, cutoff)
+        p_s, p_f = heralding_probabilities(0.25, params)
+        assert five[0] == pytest.approx(p_s * abs(inner_product(obs_s.c_plus, succ)) ** 2, abs=1e-14)
+        assert five[1] == pytest.approx(p_s * abs(inner_product(obs_s.c_minus, succ)) ** 2, abs=1e-14)
+        assert five[2] == pytest.approx(p_f * abs(inner_product(obs_f.c_plus, fail)) ** 2, abs=1e-14)
 
 
 class TestMleDirect:

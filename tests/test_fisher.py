@@ -372,7 +372,7 @@ class TestSweeps:
             assert row["j_s_norm"] == pytest.approx(1.0, abs=1e-9)
             assert row["pf_jf"] == 0.0
 
-    def test_monotone_success_probability(self):
+    def test_p_s_monotone_in_gain(self):
         rows = sweep_gain(0.25, [2])
         ps = [row["p_s"] for row in rows]
         assert all(a >= b - 1e-15 for a, b in zip(ps, ps[1:]))

@@ -2,6 +2,7 @@
 
 import math
 import sys
+from itertools import product
 
 import mpmath as mp
 import numpy as np
@@ -14,16 +15,13 @@ from nlaphase import (
     FockVector,
     NlaParams,
     apply_branch,
+    arm_weights,
     choose_cutoff,
     coherent_state,
     default_gain_grid,
-    failure_operator,
-    failure_probability,
+    heralding_probabilities,
     phase_derivative,
-    success_operator,
-    success_probability,
 )
-from nlaphase.errors import DegenerateBranchError
 
 # frozen from the high-precision series oracle below (r=0.25, g=2, n0=2)
 P_S_PAPER_POINT = 0.075265266292984773
@@ -34,7 +32,7 @@ GRID_G = [1.0, 1.5, 2.0, 4.0, 8.0]
 GRID_N0 = [1, 2, 3, 4, 5]
 
 
-def success_probability_oracle(r, g, n0, dps=50):
+def success_series_oracle(r, g, n0, dps=50):
     """Independent high-precision evaluation by explicit series summation."""
     with mp.workdps(dps):
         r, g = mp.mpf(r), mp.mpf(g)
@@ -73,76 +71,72 @@ def looped_branch_probabilities(r, g, n0):
 
 class TestOperators:
     def test_identity_gain_success(self):
-        op = success_operator(NlaParams(1.0, 2), 4)
+        op, _ = arm_weights(NlaParams(1.0, 2), 4)
         np.testing.assert_array_equal(op, np.ones(5))
 
     def test_paper_weights(self):
-        op = success_operator(NlaParams(2.0, 2), 4)
+        op, _ = arm_weights(NlaParams(2.0, 2), 4)
         np.testing.assert_allclose(op, [0.25, 0.5, 1.0, 1.0, 1.0], atol=0)
 
     def test_success_weight_at_n0_is_one(self):
         for g in GRID_G:
-            assert success_operator(NlaParams(g, 3), 6)[3] == 1.0
+            assert arm_weights(NlaParams(g, 3), 6)[0][3] == 1.0
 
     def test_identity_gain_failure_is_zero(self):
-        op = failure_operator(NlaParams(1.0, 2), 4)
+        _, op = arm_weights(NlaParams(1.0, 2), 4)
         np.testing.assert_array_equal(op, np.zeros(5))
 
     def test_failure_weights_by_substitution(self):
-        op = failure_operator(NlaParams(2.0, 2), 4)
+        _, op = arm_weights(NlaParams(2.0, 2), 4)
         np.testing.assert_allclose(
             op, [math.sqrt(15) / 4, math.sqrt(3) / 2, 0.0, 0.0, 0.0], atol=1e-15
         )
 
     def test_failure_weight_at_n0_is_zero(self):
         for g in GRID_G:
-            assert failure_operator(NlaParams(g, 3), 6)[3] == 0.0
+            assert arm_weights(NlaParams(g, 3), 6)[1][3] == 0.0
 
     def test_cutoff_below_n0_rejected(self):
         with pytest.raises(ValueError):
-            success_operator(NlaParams(2.0, 3), 2)
-        with pytest.raises(ValueError):
-            failure_operator(NlaParams(2.0, 3), 2)
+            arm_weights(NlaParams(2.0, 3), 2)
 
     @pytest.mark.parametrize("g", GRID_G)
     @pytest.mark.parametrize("n0", GRID_N0)
     def test_completeness(self, g, n0):
         params = NlaParams(g, n0)
-        es = success_operator(params, n0 + 4)
-        ef = failure_operator(params, n0 + 4)
+        es, ef = arm_weights(params, n0 + 4)
         np.testing.assert_allclose(es**2 + ef**2, np.ones(n0 + 5), atol=1e-14)
 
 
 class TestProbabilities:
     def test_identity_gain(self):
-        assert success_probability(0.7, NlaParams(1.0, 3)) == pytest.approx(1.0, abs=1e-15)
-        assert failure_probability(0.7, NlaParams(1.0, 3)) == 0.0
+        p_s, p_f = heralding_probabilities(0.7, NlaParams(1.0, 3))
+        assert p_s == pytest.approx(1.0, abs=1e-15)
+        assert p_f == 0.0
 
     def test_paper_point_against_series_oracle(self):
-        got = success_probability(0.25, NlaParams(2.0, 2))
-        assert got == pytest.approx(P_S_PAPER_POINT, abs=1e-12)
-        assert got == pytest.approx(success_probability_oracle(0.25, 2, 2), abs=1e-12)
-        assert failure_probability(0.25, NlaParams(2.0, 2)) == pytest.approx(
-            P_F_PAPER_POINT, abs=1e-12
-        )
+        p_s, p_f = heralding_probabilities(0.25, NlaParams(2.0, 2))
+        assert p_s == pytest.approx(P_S_PAPER_POINT, abs=1e-12)
+        assert p_s == pytest.approx(success_series_oracle(0.25, 2, 2), abs=1e-12)
+        assert p_f == pytest.approx(P_F_PAPER_POINT, abs=1e-12)
 
     def test_vacuum_input(self):
         # only the n = 0 term survives at r = 0
-        assert success_probability(0.0, NlaParams(2.0, 2)) == pytest.approx(1 / 16, abs=1e-15)
-        assert failure_probability(0.0, NlaParams(2.0, 2)) == pytest.approx(15 / 16, abs=1e-15)
+        p_s, p_f = heralding_probabilities(0.0, NlaParams(2.0, 2))
+        assert p_s == pytest.approx(1 / 16, abs=1e-15)
+        assert p_f == pytest.approx(15 / 16, abs=1e-15)
 
     @pytest.mark.parametrize("r", GRID_R)
     @pytest.mark.parametrize("g", GRID_G)
     @pytest.mark.parametrize("n0", GRID_N0)
     def test_sum_to_one(self, r, g, n0):
-        params = NlaParams(g, n0)
-        assert abs(success_probability(r, params) + failure_probability(r, params) - 1.0) < 1e-12
+        p_s, p_f = heralding_probabilities(r, NlaParams(g, n0))
+        assert abs(p_s + p_f - 1.0) < 1e-12
 
     @pytest.mark.parametrize("n0", [1, 2, 3])
     def test_monotone_in_gain(self, n0):
         gains = np.linspace(1.0, 8.0, 30)
-        ps = [success_probability(0.25, NlaParams(g, n0)) for g in gains]
-        pf = [failure_probability(0.25, NlaParams(g, n0)) for g in gains]
+        ps, pf = zip(*(heralding_probabilities(0.25, NlaParams(g, n0)) for g in gains))
         assert all(a >= b - 1e-15 for a, b in zip(ps, ps[1:]))
         assert all(a <= b + 1e-15 for a, b in zip(pf, pf[1:]))
 
@@ -153,13 +147,13 @@ class TestProbabilities:
         n0 = 2
         cutoff = choose_cutoff(CoherentParams(r), n0, g)
         alpha = coherent_state(CoherentParams(r), cutoff)
-        projected = FockVector(success_operator(NlaParams(g, n0), cutoff) * alpha.amplitudes)
-        assert abs(projected.norm_sq - success_probability(r, NlaParams(g, n0))) < 1e-12
+        projected = FockVector(arm_weights(NlaParams(g, n0), cutoff)[0] * alpha.amplitudes)
+        assert abs(projected.norm_sq - heralding_probabilities(r, NlaParams(g, n0))[0]) < 1e-12
 
     def test_theta_independence(self):
         n0, g, r = 2, 2.0, 0.25
         cutoff = choose_cutoff(CoherentParams(r), n0, g)
-        op = success_operator(NlaParams(g, n0), cutoff)
+        op, _ = arm_weights(NlaParams(g, n0), cutoff)
         n0_norm = FockVector(op * coherent_state(CoherentParams(r, 0.0), cutoff).amplitudes).norm_sq
         n1_norm = FockVector(op * coherent_state(CoherentParams(r, 1.0), cutoff).amplitudes).norm_sq
         assert abs(n0_norm - n1_norm) < 1e-14
@@ -168,9 +162,7 @@ class TestProbabilities:
     @pytest.mark.parametrize("g, n0", [(1.0, 1), (2.0, 2), (8.0, 6), (1.5, 40)])
     def test_large_amplitude_heralds_success(self, r, g, n0):
         # e^{-r^2} is 0.0 here; from r near 1e78 a head term r^{2n}/n! overflows too
-        params = NlaParams(g, n0)
-        assert success_probability(r, params) == 1.0
-        assert failure_probability(r, params) == 0.0
+        assert heralding_probabilities(r, NlaParams(g, n0)) == (1.0, 0.0)
 
     @pytest.mark.parametrize(
         "r, g, n0",
@@ -181,9 +173,16 @@ class TestProbabilities:
         # lost the head sum (p_s = 0.4834 for 0.5087 at the first point), went
         # negative, or turned into nan and inf
         exact_s, exact_f = branch_probabilities_oracle(r, g, n0)
-        params = NlaParams(g, n0)
-        assert success_probability(r, params) == pytest.approx(exact_s, rel=1e-11, abs=1e-300)
-        assert failure_probability(r, params) == pytest.approx(exact_f, rel=1e-11, abs=1e-300)
+        p_s, p_f = heralding_probabilities(r, NlaParams(g, n0))
+        assert p_s == pytest.approx(exact_s, rel=1e-11, abs=1e-300)
+        assert p_f == pytest.approx(exact_f, rel=1e-11, abs=1e-300)
+
+    def test_gain_too_large_to_square(self):
+        # g^2 overflows a double; g^{-2 n0} is then 0.0 and the scaled path runs
+        exact_s, exact_f = branch_probabilities_oracle(0.5, 1e200, 2)
+        p_s, p_f = heralding_probabilities(0.5, NlaParams(1e200, 2))
+        assert p_s == pytest.approx(exact_s, rel=1e-14)
+        assert p_f == pytest.approx(exact_f, rel=1e-14)
 
     def test_loop_doubles_kept_where_its_factors_are_normal(self):
         # every point the benchmark evaluates (r <= 16, n0 <= 6) and a wider grid
@@ -198,7 +197,7 @@ class TestProbabilities:
         ]
         for r, g, n0 in points:
             want = looped_branch_probabilities(r, g, n0)
-            got = (success_probability(r, NlaParams(g, n0)), failure_probability(r, NlaParams(g, n0)))
+            got = heralding_probabilities(r, NlaParams(g, n0))
             if all(0.0 <= p <= 1.0 for p in want):
                 assert [p.hex() for p in got] == [p.hex() for p in want], (r, g, n0)
             else:
@@ -212,8 +211,7 @@ class TestProbabilities:
         st.integers(min_value=1, max_value=1000),
     )
     def test_probabilities_in_range_and_complete(self, r, g, n0):
-        p_s = success_probability(r, NlaParams(g, n0))
-        p_f = failure_probability(r, NlaParams(g, n0))
+        p_s, p_f = heralding_probabilities(r, NlaParams(g, n0))
         assert 0.0 <= p_s <= 1.0 and 0.0 <= p_f <= 1.0
         assert abs(p_s + p_f - 1.0) <= 1e-12
 
@@ -225,69 +223,93 @@ class TestProbabilities:
     )
     def test_probabilities_match_oracle(self, r, g, n0):
         exact_s, exact_f = branch_probabilities_oracle(r, g, n0)
-        assert success_probability(r, NlaParams(g, n0)) == pytest.approx(exact_s, rel=1e-10, abs=1e-12)
-        assert failure_probability(r, NlaParams(g, n0)) == pytest.approx(exact_f, rel=1e-10, abs=1e-12)
+        p_s, p_f = heralding_probabilities(r, NlaParams(g, n0))
+        assert p_s == pytest.approx(exact_s, rel=1e-10, abs=1e-12)
+        assert p_f == pytest.approx(exact_f, rel=1e-10, abs=1e-12)
 
     def test_invalid_r(self):
         # -1e80 and inf also have e^{-r^2} = 0.0, which must not pass for a large r
         for r in (-0.1, -1e80, math.nan, math.inf):
             with pytest.raises(ValueError):
-                success_probability(r, NlaParams(2.0, 2))
-            with pytest.raises(ValueError):
-                failure_probability(r, NlaParams(2.0, 2))
+                heralding_probabilities(r, NlaParams(2.0, 2))
+
+
+def per_arm(input, params, branch, cutoff):
+    """One arm's weights and state from the single-arm formula, one arm per call.
+
+    The state is None where the arm's probability is 0.
+    """
+    p = heralding_probabilities(input.r, params)[branch == "failure"]
+    alpha = coherent_state(input, cutoff)
+    n = np.arange(cutoff + 1, dtype=np.float64)
+    ratio = np.power(params.gain, np.minimum(n - params.n0, 0.0))
+    if branch == "success":
+        weights = np.where(n <= params.n0, ratio, 1.0)
+    else:
+        weights = np.where(n <= params.n0, np.sqrt(np.maximum(0.0, 1.0 - ratio**2)), 0.0)
+    return weights, (weights * alpha.amplitudes / math.sqrt(p) if p > 0.0 else None)
 
 
 class TestApplyBranch:
     def test_identity_gain_success_is_input(self):
         cutoff = choose_cutoff(CoherentParams(0.25), 2, 1.0)
-        out = apply_branch(CoherentParams(0.25), NlaParams(1.0, 2), "success", cutoff)
+        out, _ = apply_branch(CoherentParams(0.25), NlaParams(1.0, 2), cutoff)
         expected = coherent_state(CoherentParams(0.25), cutoff)
         np.testing.assert_array_equal(out.amplitudes, expected.amplitudes)
-        assert success_probability(0.25, NlaParams(1.0, 2)) == pytest.approx(1.0, abs=1e-15)
+        assert heralding_probabilities(0.25, NlaParams(1.0, 2))[0] == pytest.approx(1.0, abs=1e-15)
 
     @pytest.mark.parametrize("g", [1.5, 2.0, 4.0])
     def test_failure_with_n0_one_is_vacuum(self, g):
         # the single surviving level n = 0 makes the failure output exactly vacuum
         cutoff = choose_cutoff(CoherentParams(0.25), 1, g)
-        out = apply_branch(CoherentParams(0.25), NlaParams(g, 1), "failure", cutoff)
+        _, out = apply_branch(CoherentParams(0.25), NlaParams(g, 1), cutoff)
         expected = np.zeros(cutoff + 1)
         expected[0] = 1.0
         np.testing.assert_allclose(out.amplitudes, expected, atol=1e-15)
 
     def test_success_state_normalized(self):
         cutoff = choose_cutoff(CoherentParams(0.25), 2, 2.0)
-        out = apply_branch(CoherentParams(0.25), NlaParams(2.0, 2), "success", cutoff)
+        out, _ = apply_branch(CoherentParams(0.25), NlaParams(2.0, 2), cutoff)
         assert abs(out.norm_sq - 1.0) < 1e-10
 
-    def test_degenerate_failure_branch_raises(self):
-        with pytest.raises(DegenerateBranchError):
-            apply_branch(CoherentParams(0.25), NlaParams(1.0, 2), "failure", 6)
+    def test_degenerate_failure_branch_is_none(self):
+        assert apply_branch(CoherentParams(0.25), NlaParams(1.0, 2), 6)[1] is None
 
     def test_unrepresentable_amplitude_rejected_before_the_weights(self):
         # cutoff 1 < n0 would fail in the weights; coherent_state must refuse r = 40 first,
         # so a huge cutoff from choose_cutoff never reaches an allocation
         with pytest.raises(ValueError, match="not a normal double"):
-            apply_branch(CoherentParams(40.0), NlaParams(2.0, 3), "success", 1)
+            apply_branch(CoherentParams(40.0), NlaParams(2.0, 3), 1)
 
-    def test_unknown_branch_rejected(self):
-        with pytest.raises(ValueError):
-            apply_branch(CoherentParams(0.25), NlaParams(2.0, 2), "both", 6)
+    def test_pair_bytes_match_the_single_arm_formula(self):
+        # r = 30 gives p_f = 0.0 at every gain, and g = 1 at every r
+        for r, g, n0 in product((0.0, 0.25, 16.0, 30.0), (1.0, 1.5, 8.0), (1, 2, 6)):
+            params, input = NlaParams(g, n0), CoherentParams(r)
+            cutoff = choose_cutoff(input, n0, g)
+            states = apply_branch(input, params, cutoff)
+            p_f = heralding_probabilities(r, params)[1]
+            assert (states[1] is None) == (p_f == 0.0), (r, g, n0)
+            for branch, weights, state in zip(("success", "failure"), arm_weights(params, cutoff), states):
+                want_weights, want_state = per_arm(input, params, branch, cutoff)
+                assert weights.tobytes() == want_weights.tobytes(), (r, g, n0, branch)
+                if state is not None:
+                    assert state.amplitudes.tobytes() == want_state.tobytes(), (r, g, n0, branch)
 
 
 class TestDiagonalOperator:
     def test_cutoff_is_length_minus_one(self):
-        assert success_operator(NlaParams(2.0, 2), 4).size == 5
+        assert [w.size for w in arm_weights(NlaParams(2.0, 2), 4)] == [5, 5]
 
 
 class TestBranchDerivative:
     def test_vacuum_failure_has_zero_derivative(self):
         cutoff = choose_cutoff(CoherentParams(0.25), 1, 2.0)
-        out = apply_branch(CoherentParams(0.25), NlaParams(2.0, 1), "failure", cutoff)
+        _, out = apply_branch(CoherentParams(0.25), NlaParams(2.0, 1), cutoff)
         np.testing.assert_array_equal(phase_derivative(out).amplitudes, np.zeros(cutoff + 1))
 
     def test_identity_gain_matches_coherent_derivative(self):
         cutoff = choose_cutoff(CoherentParams(0.25), 2, 1.0)
-        out = apply_branch(CoherentParams(0.25), NlaParams(1.0, 2), "success", cutoff)
+        out, _ = apply_branch(CoherentParams(0.25), NlaParams(1.0, 2), cutoff)
         expected = phase_derivative(coherent_state(CoherentParams(0.25), cutoff))
         np.testing.assert_array_equal(phase_derivative(out).amplitudes, expected.amplitudes)
 
@@ -295,9 +317,11 @@ class TestBranchDerivative:
         r, g, n0, h = 0.25, 2.0, 2, 1e-6
         cutoff = choose_cutoff(CoherentParams(r), n0, g)
         params = NlaParams(g, n0)
-        for branch in ("success", "failure"):
-            out = apply_branch(CoherentParams(r), params, branch, cutoff)
-            plus = apply_branch(CoherentParams(r, h), params, branch, cutoff).amplitudes
-            minus = apply_branch(CoherentParams(r, -h), params, branch, cutoff).amplitudes
-            fd = (plus - minus) / (2 * h)
+        arms = zip(
+            apply_branch(CoherentParams(r), params, cutoff),
+            apply_branch(CoherentParams(r, h), params, cutoff),
+            apply_branch(CoherentParams(r, -h), params, cutoff),
+        )
+        for out, plus, minus in arms:
+            fd = (plus.amplitudes - minus.amplitudes) / (2 * h)
             assert np.linalg.norm(fd - phase_derivative(out).amplitudes) < 1e-6
