@@ -265,25 +265,40 @@ def _jsonable(value):
     return value
 
 
+# json's C encoder, with the separators that put each item of a row on its own line
+# at depth 2: a row's values are scalars, and a JSON string escapes its newlines, so
+# ",\n    " appears only between items.  Floats, np.float64 included, go through
+# float.__repr__, as in json.dump; other numpy scalars go through .item().
+_ITEM_SEP = ",\n    "
+_ROW_ENCODER = json.JSONEncoder(separators=(_ITEM_SEP, ": "), default=lambda value: value.item())
+
+
 def _write_rows(output: Path | None, fmt: str, rows: list[dict] | dict) -> None:
     """Write rows as CSV or JSON to output, or to stdout when output is None.
 
-    A single report dict is one CSV row, or one JSON object.
+    A single report dict is one CSV row, or one JSON object.  The JSON bytes are
+    those of json.dump(..., indent=2) plus a newline, written one record at a time.
     """
     single = isinstance(rows, dict)
-    records = [{k: _jsonable(v) for k, v in row.items()} for row in ([rows] if single else rows)]
     if output is None:
         sink = nullcontext(sys.stdout)
     else:
         sink = open(output, "w", newline="" if fmt == "csv" else None)
     with sink as fh:
         if fmt == "csv":
+            records = [{k: _jsonable(v) for k, v in row.items()} for row in ([rows] if single else rows)]
             writer = csv.DictWriter(fh, fieldnames=list(records[0]))
             writer.writeheader()
             writer.writerows(records)
+        elif single:
+            items = _ROW_ENCODER.encode(rows)[1:-1].replace(_ITEM_SEP, ",\n  ")
+            fh.write("{\n  " + items + "\n}\n")
         else:
-            json.dump(records[0] if single else records, fh, indent=2)
-            fh.write("\n")
+            sep = "["
+            for row in rows:
+                fh.write(sep + "\n  {\n    " + _ROW_ENCODER.encode(row)[1:-1] + "\n  }")
+                sep = ","
+            fh.write("\n]\n" if rows else "[]\n")
 
 
 def _write_sidecars(command: str, output: Path, fmt: str, params: dict, hints: bool) -> None:
@@ -323,11 +338,19 @@ def run_fisher_sweep(params: dict) -> list[dict]:
 
 
 def run_fraction(params: dict) -> list[dict]:
+    m = params["m"]
     breakdown = branch_breakdown(params["r"], NlaParams(params["gain"], params["n0"]))
-    rows = sweep_fraction(params["m"], breakdown)
+    rows = sweep_fraction(m, breakdown)
+    # chance of seeing at least this many successes in one experiment.  Above the
+    # mode binomial_tail is 0.0 exactly where its lgamma anchor underflows, and the
+    # anchor falls with n_s there, so after the first such 0.0 every row is 0.0.
+    mode = (m + 1) * breakdown.p_s
+    underflowed = False
     for row in rows:
-        # chance of seeing at least this many successes in one experiment
-        row["p_ns_or_more"] = fisher.binomial_tail(params["m"], breakdown.p_s, row["n_s"])
+        if not underflowed:
+            tail = fisher.binomial_tail(m, breakdown.p_s, row["n_s"])
+            underflowed = tail == 0.0 and row["n_s"] > mode
+        row["p_ns_or_more"] = tail
     return rows
 
 

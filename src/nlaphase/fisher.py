@@ -248,21 +248,22 @@ def sweep_fraction(m: int, breakdown: FisherBreakdown) -> list[dict]:
         crossing = min_ns_exceeding(m, breakdown)
     except NoCrossingError:
         crossing = None
+    # column by column, with the double operations of j_nla_conditional: every
+    # operand is an integer below 2**53 or a double, so each value is the same double
+    ns = np.arange(m + 1)
+    ns_js = ns * breakdown.j_s
+    nf_jf = (m - ns) * breakdown.j_f
+    j = (ns_js + nf_jf) / m
     ja = breakdown.j_alpha
-    rows = []
-    for n_s in range(m + 1):
-        n_f = m - n_s
-        j = j_nla_conditional(n_s, n_f, breakdown)
-        rows.append(
-            {
-                "n_s": n_s,
-                "fraction": n_s / m,
-                "ns_js_over_m": n_s * breakdown.j_s / m,
-                "nf_jf_over_m": n_f * breakdown.j_f / m,
-                "j_nla": j,
-                "j_nla_norm": j / ja if ja > 0.0 else float("nan"),
-                "is_most_likely": int(n_s == most_likely),
-                "is_crossing": int(crossing is not None and n_s == crossing),
-            }
-        )
-    return rows
+    columns = {
+        "n_s": ns,
+        "fraction": ns / m,
+        "ns_js_over_m": ns_js / m,
+        "nf_jf_over_m": nf_jf / m,
+        "j_nla": j,
+        "j_nla_norm": j / ja if ja > 0.0 else np.full(m + 1, math.nan),
+        "is_most_likely": (ns == most_likely).astype(int),
+        "is_crossing": (ns == (-1 if crossing is None else crossing)).astype(int),
+    }
+    names = list(columns)
+    return [dict(zip(names, values)) for values in zip(*(c.tolist() for c in columns.values()))]

@@ -19,8 +19,11 @@ u = (z >> 11) * 2**-53 is exact, so u >= c holds exactly when the integer
 z >> 11 is at least ceil(c * 2**53), that is when z >= ceil(c * 2**53) << 11.
 When ceil(c * 2**53) >= 2**53 (c >= 1, including a cdf entry that rounding puts
 above 1) no draw passes.  The cdf is nondecreasing, so the count of category j
-in a run is #(u >= c_{j-1}) - #(u >= c_j).  The two backends' outputs are
-therefore bit-for-bit equal.  Select with the environment variable
+in a run is #(u >= c_{j-1}) - #(u >= c_j).  The numpy backend counts each run's
+passing draws as a matrix-vector product of a 1.0/0.0 mask with ones, in float32
+(float64 for runs of 2**24 trials or more): every partial sum is an integer no
+larger than m, so the count is exact in any summation order.  The two backends'
+outputs are therefore bit-for-bit equal.  Select with the environment variable
 NLAPHASE_BACKEND=numba|numpy (default: numba when importable, else numpy).
 `benchmarks/kernel_bench.py` checks the numpy backend against `uniform_stream`
 and compares the two.
@@ -74,8 +77,12 @@ _INV53 = 1.0 / 9007199254740992.0  # 2**-53
 _TWO53 = 9007199254740992.0  # 2**53
 
 # the numpy kernel hashes about this many trials per chunk, so that its buffers
-# (three uint64 and one bool per trial) stay in a core's L2 cache
+# (three uint64 and one float mask per trial) stay in a core's L2 cache
 _BLOCK_TRIALS = 1 << 16
+
+# row counts below this are summed in float32: every partial sum of 1.0/0.0 mask
+# entries is an integer no larger than the count, which float32 holds exactly
+_FLOAT32_EXACT = 1 << 24
 
 
 def _mix64(z: int) -> int:
@@ -155,7 +162,10 @@ def _counts_numpy(key, cdf, m, run0, runs, out):
     np.multiply(step, _U_GOLDEN, out=step)
     z = np.empty(size, dtype=np.uint64)
     tmp = np.empty(size, dtype=np.uint64)
-    mask = np.empty(size, dtype=np.bool_)
+    # 1.0 where a draw passes a threshold; a product with ones counts each row
+    dtype = np.float32 if m < _FLOAT32_EXACT else np.float64
+    mask = np.empty(size, dtype=dtype)
+    ones = np.ones(m, dtype=dtype)
     for lo in range(0, runs, chunk):
         hi = min(runs, lo + chunk)
         rows = hi - lo
@@ -179,7 +189,7 @@ def _counts_numpy(key, cdf, m, run0, runs, out):
                 now = passed[t]
             else:
                 np.greater_equal(zz, t, out=mm)
-                now = passed[t] = np.count_nonzero(mm.reshape(rows, m), axis=1)
+                now = passed[t] = (mm.reshape(rows, m) @ ones).astype(np.int64)
             out[lo:hi, j] = above - now
             above = now
         out[lo:hi, -1] = above

@@ -133,9 +133,15 @@ def apply_branch(
     heralding_probabilities, not by the numerically computed norm; with a cutoff
     from choose_cutoff the two agree to within the truncation tolerance.  The
     failure state is None where p_f is 0.0: at g = 1, or where failure is too rare
-    for a double.
+    for a double.  Raises ValueError where p_s is 0.0, which no state can be
+    normalized by.
     """
     p_s, p_f = heralding_probabilities(input.r, params)
+    if p_s == 0.0:
+        raise ValueError(
+            f"success probability underflows to 0.0 at r={input.r}, gain={params.gain}, "
+            f"n0={params.n0}"
+        )
     # the state before the weights: coherent_state refuses an r it cannot represent
     # before anything of the cutoff's size is allocated
     alpha = coherent_state(input, cutoff)

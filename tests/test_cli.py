@@ -1,12 +1,16 @@
 """Tests for the command-line front end: datasets, manifests, exit codes."""
 
 import csv
+import io
 import json
 import math
+import warnings
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from nlaphase import NlaParams, __version__, cli, fock, heralding_probabilities
+from nlaphase import NlaParams, __version__, branch_breakdown, cli, fisher, fock, heralding_probabilities
 from nlaphase.cli import DEFAULTS, main
 
 
@@ -27,6 +31,80 @@ def edited_fraction_manifest(tmp_path, edit):
     edited = tmp_path / "edited.json"
     edited.write_text(json.dumps(manifest))
     return edited
+
+
+def indented_json(rows):
+    """The dataset as json.dump(indent=2) writes it with the pure-Python encoder,
+    after numpy scalars are converted by .item(), plus a newline."""
+
+    def jsonable(value):
+        return value.item() if hasattr(value, "item") else value
+
+    single = isinstance(rows, dict)
+    records = [{k: jsonable(v) for k, v in row.items()} for row in ([rows] if single else rows)]
+    buf = io.StringIO()
+    json.dump(records[0] if single else records, buf, indent=2)
+    return buf.getvalue() + "\n"
+
+
+def captured_rows(monkeypatch, command):
+    """A list that receives the rows the command's runner hands to the writer."""
+    runner, produced = cli._RUNNERS[command], []
+
+    def recorded(params):
+        produced.append(runner(params))
+        return produced[-1]
+
+    monkeypatch.setitem(cli._RUNNERS, command, recorded)
+    return produced
+
+
+class TestJsonBytes:
+    """The streamed JSON writer gives the bytes of json.dump(indent=2), row for row."""
+
+    @pytest.mark.parametrize(
+        "command, args",
+        [
+            ("probabilities", ["--gains", "1,2,1e200", "--n0-list", "1,2"]),
+            ("fisher-sweep", ["--gains", "1,2", "--n0-list", "1,2"]),
+            ("fisher-sweep", ["--r", 0, "--gains", "1,2", "--n0-list", "2"]),  # NaN norms
+            ("fraction", ["--m", 50, "--gain", 1.5]),
+            ("fraction", ["--r", 0, "--m", 30]),  # NaN norms
+            ("simulate", ["--gains", "1,2", "--n0-list", "2", "--m", 20, "--runs", 500]),
+            ("cost", ["--y", 50, "--r", 0.3]),
+        ],
+        ids=["probabilities", "fisher-sweep", "fisher-sweep-r0", "fraction", "fraction-r0",
+             "simulate", "cost"],
+    )
+    def test_file_matches_indented_dump(self, tmp_path, monkeypatch, command, args):
+        produced = captured_rows(monkeypatch, command)
+        out = tmp_path / "data.json"
+        assert run(command, *args, "--format", "json", "--output", out) == 0
+        assert out.read_text() == indented_json(produced[0])
+
+    def test_cost_report_on_stdout(self, monkeypatch, capsys):
+        # gain 1 has no break-even: the report holds a None beside its string
+        produced = captured_rows(monkeypatch, "cost")
+        assert run("cost", "--gain", 1) == 0
+        assert produced[0]["breakeven_y"] is None and isinstance(produced[0]["recommendation"], str)
+        assert capsys.readouterr().out == indented_json(produced[0])
+
+    def test_numpy_scalars_and_special_values(self, tmp_path):
+        row = {
+            "count": np.int64(7),
+            "value": np.float64(0.1),
+            "flag": np.bool_(True),
+            "tiny": 5e-324,
+            "missing": float("nan"),
+            "low": -math.inf,
+            "none": None,
+            "text": 'a,\n    "b": c',  # the item separator, escaped inside a string
+        }
+        other = {**row, "count": np.int64(-1), "flag": np.bool_(False), "value": np.float64(math.inf)}
+        out = tmp_path / "rows.json"
+        for rows in ([row, other], [row], row, []):
+            cli._write_rows(out, "json", rows)
+            assert out.read_text() == indented_json(rows)
 
 
 class TestProbabilities:
@@ -90,6 +168,29 @@ class TestFraction:
         assert float(crossing[0]["p_ns_or_more"]) == pytest.approx(0.0468, abs=0.0005)
         marked = [r for r in rows if r["is_most_likely"] == "1"][0]
         assert float(marked["j_nla_norm"]) < 1.0
+
+
+    @pytest.mark.parametrize("m", [1, 2, 50, 10000, 100000])
+    def test_tails_match_binomial_tail_on_every_row(self, monkeypatch, m):
+        # run_fraction stops calling binomial_tail after its first 0.0 above the mode;
+        # every row it skips must be one where binomial_tail gives 0.0
+        paper = branch_breakdown(0.25, NlaParams(2.0, 2))
+        tail, calls = fisher.binomial_tail, {}
+
+        def recorded(m, p, k):
+            calls[k] = tail(m, p, k)
+            return calls[k]
+
+        monkeypatch.setattr(fisher, "binomial_tail", recorded)
+        params = {"m": m, "r": 0.25, "gain": 2.0, "n0": 2, "seed": 4}
+        for p in (1e-300, 1e-6, 0.5, 1.0 - 1e-9, 1.0, paper.p_s):
+            calls.clear()
+            monkeypatch.setattr(cli, "branch_breakdown", lambda r, params: replace(paper, p_s=p))
+            got = [row["p_ns_or_more"] for row in cli.run_fraction(params)]
+            want = [calls[k] if k in calls else tail(m, p, k) for k in range(m + 1)]
+            assert [v.hex() for v in got] == [v.hex() for v in want], p
+        if m == 10000:  # at the paper point (the last p), every tail from n_s = 1952 on is 0.0
+            assert len(calls) == 1952
 
 
 class TestSimulate:
@@ -323,6 +424,17 @@ class TestExitCodes:
         out = tmp_path / "x.csv"
         assert run("simulate", *grid, "--m", 10, "--runs", 10, "--output", out) == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_gain_with_underflowing_success_probability(self, tmp_path, capsys):
+        # at r = 0, p_s = g^(-2 n0) is 0.0 for g = 1e100, n0 = 2: no state can be
+        # normalized by it, and the message names the gain, not the amplitudes
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run("fisher-sweep", "--r", 0, "--gains", "1e100", "--n0-list", 2,
+                       "--output", out) == 2
+        assert "gain=1e+100" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unparsable_list_value(self, tmp_path):

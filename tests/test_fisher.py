@@ -405,6 +405,41 @@ class TestSweeps:
         assert len(crossing) == 1
         assert crossing[0]["n_s"] == min_ns_exceeding(m, b)
 
+    @pytest.mark.parametrize(
+        "r, g, n0", [(0.25, 2.0, 2), (0.0, 2.0, 2), (0.25, 1.0, 2), (1.0, 8.0, 1), (0.25, 8.0, 6)]
+    )
+    def test_fraction_rows_match_the_per_row_formula(self, r, g, n0):
+        b = branch_breakdown(r, NlaParams(g, n0))
+        for m in (1, 2, 50, 1000):
+            most_likely = int(round(m * b.p_s))
+            try:
+                crossing = min_ns_exceeding(m, b)
+            except NoCrossingError:
+                crossing = None
+            want = []
+            for n_s in range(m + 1):
+                j = j_nla_conditional(n_s, m - n_s, b)
+                want.append(
+                    {
+                        "n_s": n_s,
+                        "fraction": n_s / m,
+                        "ns_js_over_m": n_s * b.j_s / m,
+                        "nf_jf_over_m": (m - n_s) * b.j_f / m,
+                        "j_nla": j,
+                        "j_nla_norm": j / b.j_alpha if b.j_alpha > 0.0 else float("nan"),
+                        "is_most_likely": int(n_s == most_likely),
+                        "is_crossing": int(n_s == crossing),
+                    }
+                )
+
+            def exact(rows):
+                return [
+                    [(k, type(v), v.hex() if isinstance(v, float) else v) for k, v in row.items()]
+                    for row in rows
+                ]
+
+            assert exact(sweep_fraction(m, b)) == exact(want), (r, g, n0, m)
+
     def test_fraction_without_crossing(self):
         b = branch_breakdown(0.25, NlaParams(1.0, 2))
         rows = sweep_fraction(50, b)

@@ -237,6 +237,16 @@ class TestNumpyKernelMatchesReference:
         whole = categorical_counts(self.KEY, 0, run0 + runs, m, probs, backend="numpy")
         np.testing.assert_array_equal(whole[run0:], got)
 
+    @pytest.mark.parametrize("float32_exact", [kernels._FLOAT32_EXACT, 1], ids=["float32", "float64"])
+    @pytest.mark.parametrize("m", [1, 2, 20, 1000, kernels._BLOCK_TRIALS + 1])
+    def test_row_counts_at_every_row_width(self, monkeypatch, m, float32_exact):
+        # rows are counted by a matrix-vector product of the 0/1 mask with ones; counts
+        # sit at 0, near m and in between, over more than two chunks.  A limit of 1
+        # sums every width in float64, as rows of 2**24 or more trials are.
+        monkeypatch.setattr(kernels, "_FLOAT32_EXACT", float32_exact)
+        runs = 2 * max(1, kernels._BLOCK_TRIALS // m) + 1
+        assert_numpy_matches_reference(self.KEY, 5, runs, m, [0.0, 1e-5, 0.3, 0.7 - 2e-5, 1e-5])
+
     @settings(max_examples=200, deadline=None)
     @given(
         weights=st.lists(st.sampled_from([0.0]) | st.floats(1e-6, 1.0), min_size=2, max_size=5).filter(
