@@ -25,7 +25,7 @@ from itertools import product
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from . import __version__, fisher, kernels
+from . import __version__, kernels
 from .cost import CostParams, recommend_strategy
 from .errors import NoBreakevenError
 from .fisher import (
@@ -37,58 +37,6 @@ from .fisher import (
 )
 from .montecarlo import SimConfig, simulate_direct, simulate_nla
 from .nla import NlaParams, heralding_probabilities
-
-DEFAULTS = {
-    "r": 0.25,
-    "theta_true": 0.01,
-    "gain": 2.0,
-    "n0": 2,
-    "n0_list": [1, 2, 3],
-    "gain_grid": [float(g) for g in default_gain_grid()],
-    "m": 1000,
-    "runs": 100_000,
-    "seed": 4,
-    "x": 1.0,
-    "y": 0.0,
-    "z": 1.0,
-    "epsilon": 1.0,
-    "strict": False,
-}
-
-_HINTS = {
-    "probabilities": (
-        "Heralding probabilities versus gain.\n"
-        "x axis: gain (log scale recommended); y axis: probability in [0, 1].\n"
-        "Plot p_s (decreasing) and p_f (increasing) per n0; the two sum to 1.\n"
-        "gnuplot: plot 'FILE' using 'gain':'p_s' with lines, '' using 'gain':'p_f' with lines\n"
-    ),
-    "fisher-sweep": (
-        "Branch Fisher information versus gain, one block per n0.\n"
-        "x axis: gain; y axis: *_norm columns are scaled so j_alpha = 1.\n"
-        "At moderate amplitude j_s_norm >= 1 >= j_f_norm; j_ideal_norm = gain^2;\n"
-        "j_nla_asymptotic_norm = p_s*j_s + p_f*j_f over j_alpha stays <= 1.\n"
-    ),
-    "fraction": (
-        "Count-conditioned information versus success fraction at fixed gain/n0.\n"
-        "x axis: fraction = n_s/m; y axis: j_nla_norm (j_alpha = 1 reference line).\n"
-        "is_most_likely marks n_s = round(m*p_s); is_crossing marks the first row\n"
-        "with j_nla > j_alpha; p_ns_or_more is the chance of at least that many\n"
-        "successes in one experiment.\n"
-    ),
-    "simulate": (
-        "Monte Carlo estimator precision versus gain, one block per n0.\n"
-        "x axis: gain; y axis: precision columns are scaled so the asymptotic\n"
-        "no-amplifier precision is 1 (precision = 1/(m*MSE*j_alpha)).\n"
-        "Error bars: stderr_* columns.  precision_direct is gain-independent.\n"
-        "Asymptotic reference lines: the j_nla_asymptotic_norm column of the\n"
-        "fisher-sweep command evaluated on the same gain grid.\n"
-    ),
-    "cost": (
-        "Single cost report: route costs, break-even measurement cost, and the\n"
-        "recommended strategy for the given (x, y, z, epsilon) and working point.\n"
-    ),
-}
-
 
 class ConfigError(ValueError):
     """Invalid configuration; message names the offending field."""
@@ -145,25 +93,29 @@ class _Field(NamedTuple):
     flag: str
     cast: Callable  # the one check and conversion of a flag, config or manifest value
     help: str
+    default: object = None  # None: no default (format's comes from its command)
 
 
 _FIELDS = {
-    "r": _Field("--r", _float, "coherent amplitude"),
-    "theta_true": _Field("--theta-true", _float, "true phase of the simulated state"),
-    "gain": _Field("--gain", _float, "amplifier gain"),
-    "n0": _Field("--n0", _int, "amplifier working cutoff"),
-    "n0_list": _Field("--n0-list", _nonempty_list(_int), "comma-separated n0 values"),
+    "r": _Field("--r", _float, "coherent amplitude", 0.25),
+    "theta_true": _Field("--theta-true", _float, "true phase of the simulated state", 0.01),
+    "gain": _Field("--gain", _float, "amplifier gain", 2.0),
+    "n0": _Field("--n0", _int, "amplifier working cutoff", 2),
+    "n0_list": _Field("--n0-list", _nonempty_list(_int), "comma-separated n0 values", [1, 2, 3]),
     "gain_grid": _Field(
-        "--gains", _nonempty_list(_float), "comma-separated gain grid (default: 40 log-spaced on [1,8])"
+        "--gains",
+        _nonempty_list(_float),
+        "comma-separated gain grid (default: 40 log-spaced on [1,8])",
+        [float(g) for g in default_gain_grid()],
     ),
-    "m": _Field("--m", _int, "samples per experiment"),
-    "runs": _Field("--runs", _int, "experiments per grid point"),
-    "x": _Field("--x", _float, "cost per sample acquired"),
-    "y": _Field("--y", _float, "cost per estimator measurement"),
-    "z": _Field("--z", _float, "cost per amplification"),
-    "epsilon": _Field("--epsilon", _float, "target information budget"),
-    "strict": _Field("--strict", _bool, "treat no-breakeven as a hard error (exit 4)"),
-    "seed": _Field("--seed", _seed, "master 64-bit seed"),
+    "m": _Field("--m", _int, "samples per experiment", 1000),
+    "runs": _Field("--runs", _int, "experiments per grid point", 100_000),
+    "x": _Field("--x", _float, "cost per sample acquired", 1.0),
+    "y": _Field("--y", _float, "cost per estimator measurement", 0.0),
+    "z": _Field("--z", _float, "cost per amplification", 1.0),
+    "epsilon": _Field("--epsilon", _float, "target information budget", 1.0),
+    "strict": _Field("--strict", _bool, "treat no-breakeven as a hard error (exit 4)", False),
+    "seed": _Field("--seed", _seed, "master 64-bit seed", 4),
     "format": _Field("--format", _format, "dataset format: csv or json"),
 }
 
@@ -171,23 +123,52 @@ _FIELDS = {
 class _Command(NamedTuple):
     help: str
     params: tuple[str, ...]  # in manifest order
+    hints: str  # the --gnuplot-hints text
     format: str = "csv"  # default format
 
 
 _GRID_PARAMS = ("r", "n0_list", "gain_grid", "seed")
 _COMMANDS = {
-    "probabilities": _Command("heralding probabilities over a gain grid", _GRID_PARAMS),
-    "fisher-sweep": _Command("branch Fisher information over a gain grid", _GRID_PARAMS),
+    "probabilities": _Command(
+        "heralding probabilities over a gain grid",
+        _GRID_PARAMS,
+        "Heralding probabilities versus gain.\n"
+        "x axis: gain (log scale recommended); y axis: probability in [0, 1].\n"
+        "Plot p_s (decreasing) and p_f (increasing) per n0; the two sum to 1.\n"
+        "gnuplot: plot 'FILE' using 'gain':'p_s' with lines, '' using 'gain':'p_f' with lines\n",
+    ),
+    "fisher-sweep": _Command(
+        "branch Fisher information over a gain grid",
+        _GRID_PARAMS,
+        "Branch Fisher information versus gain, one block per n0.\n"
+        "x axis: gain; y axis: *_norm columns are scaled so j_alpha = 1.\n"
+        "At moderate amplitude j_s_norm >= 1 >= j_f_norm; j_ideal_norm = gain^2;\n"
+        "j_nla_asymptotic_norm = p_s*j_s + p_f*j_f over j_alpha stays <= 1.\n",
+    ),
     "fraction": _Command(
-        "count-conditioned information versus success fraction", ("m", "r", "gain", "n0", "seed")
+        "count-conditioned information versus success fraction",
+        ("m", "r", "gain", "n0", "seed"),
+        "Count-conditioned information versus success fraction at fixed gain/n0.\n"
+        "x axis: fraction = n_s/m; y axis: j_nla_norm (j_alpha = 1 reference line).\n"
+        "is_most_likely marks n_s = round(m*p_s); is_crossing marks the first row\n"
+        "with j_nla > j_alpha; p_ns_or_more is the chance of at least that many\n"
+        "successes in one experiment.\n",
     ),
     "simulate": _Command(
         "Monte Carlo estimator precision over a gain grid",
         ("r", "n0_list", "gain_grid", "theta_true", "m", "runs", "seed"),
+        "Monte Carlo estimator precision versus gain, one block per n0.\n"
+        "x axis: gain; y axis: precision columns are scaled so the asymptotic\n"
+        "no-amplifier precision is 1 (precision = 1/(m*MSE*j_alpha)).\n"
+        "Error bars: stderr_* columns.  precision_direct is gain-independent.\n"
+        "Asymptotic reference lines: the j_nla_asymptotic_norm column of the\n"
+        "fisher-sweep command evaluated on the same gain grid.\n",
     ),
     "cost": _Command(
         "strategy cost report for one working point",
         ("x", "y", "z", "epsilon", "r", "gain", "n0", "strict", "seed"),
+        "Single cost report: route costs, break-even measurement cost, and the\n"
+        "recommended strategy for the given (x, y, z, epsilon) and working point.\n",
         "json",
     ),
 }
@@ -257,20 +238,12 @@ def _utc_now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).replace(microsecond=0).isoformat()
 
 
-def _jsonable(value):
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if hasattr(value, "item"):  # numpy scalar
-        return value.item()
-    return value
-
-
 # json's C encoder, with the separators that put each item of a row on its own line
-# at depth 2: a row's values are scalars, and a JSON string escapes its newlines, so
-# ",\n    " appears only between items.  Floats, np.float64 included, go through
-# float.__repr__, as in json.dump; other numpy scalars go through .item().
+# at depth 2: a row's values are Python scalars, and a JSON string escapes its
+# newlines, so ",\n    " appears only between items.  Floats go through
+# float.__repr__, as in json.dump.
 _ITEM_SEP = ",\n    "
-_ROW_ENCODER = json.JSONEncoder(separators=(_ITEM_SEP, ": "), default=lambda value: value.item())
+_ROW_ENCODER = json.JSONEncoder(separators=(_ITEM_SEP, ": "))
 
 
 def _write_rows(output: Path | None, fmt: str, rows: list[dict] | dict) -> None:
@@ -286,7 +259,7 @@ def _write_rows(output: Path | None, fmt: str, rows: list[dict] | dict) -> None:
         sink = open(output, "w", newline="" if fmt == "csv" else None)
     with sink as fh:
         if fmt == "csv":
-            records = [{k: _jsonable(v) for k, v in row.items()} for row in ([rows] if single else rows)]
+            records = [rows] if single else rows
             writer = csv.DictWriter(fh, fieldnames=list(records[0]))
             writer.writeheader()
             writer.writerows(records)
@@ -307,7 +280,7 @@ def _write_sidecars(command: str, output: Path, fmt: str, params: dict, hints: b
         "command": command,
         "format": fmt,
         "seed": params.get("seed"),
-        "parameters": {k: _jsonable(v) for k, v in params.items()},
+        "parameters": params,
         "output": str(output),
         "created_utc": _utc_now(),
     }
@@ -316,7 +289,7 @@ def _write_sidecars(command: str, output: Path, fmt: str, params: dict, hints: b
         fh.write("\n")
     if hints:
         with open(str(output) + ".hints.txt", "w") as fh:
-            fh.write(_HINTS[command])
+            fh.write(_COMMANDS[command].hints)
 
 
 # ---------------------------------------------------------------------------
@@ -338,20 +311,8 @@ def run_fisher_sweep(params: dict) -> list[dict]:
 
 
 def run_fraction(params: dict) -> list[dict]:
-    m = params["m"]
     breakdown = branch_breakdown(params["r"], NlaParams(params["gain"], params["n0"]))
-    rows = sweep_fraction(m, breakdown)
-    # chance of seeing at least this many successes in one experiment.  Above the
-    # mode binomial_tail is 0.0 exactly where its lgamma anchor underflows, and the
-    # anchor falls with n_s there, so after the first such 0.0 every row is 0.0.
-    mode = (m + 1) * breakdown.p_s
-    underflowed = False
-    for row in rows:
-        if not underflowed:
-            tail = fisher.binomial_tail(m, breakdown.p_s, row["n_s"])
-            underflowed = tail == 0.0 and row["n_s"] > mode
-        row["p_ns_or_more"] = tail
-    return rows
+    return sweep_fraction(params["m"], breakdown)
 
 
 def run_simulate(params: dict) -> list[dict]:
@@ -468,7 +429,8 @@ def main(argv=None) -> int:
         else:
             command, config, output = args.command, _load_config(args.config), None
             flags = {k: v for k, v in vars(args).items() if v is not None}
-            defaults = {**DEFAULTS, "format": _COMMANDS[command].format}
+            defaults = {name: f.default for name, f in _FIELDS.items() if f.default is not None}
+            defaults["format"] = _COMMANDS[command].format
         params, fmt = _gather(command, flags, config, defaults)
         output = args.output or output
         if command != "cost" and not output:

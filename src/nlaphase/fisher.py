@@ -202,44 +202,45 @@ def sweep_gain(r: float, n0_list, gains=None) -> list[dict]:
     gains = default_gain_grid() if gains is None else np.asarray(gains, dtype=float)
     if gains.size == 0:
         raise ValueError("gain grid must be nonempty")
-    if np.any(gains < 1.0):
-        raise ValueError("all gains must be >= 1")
+    # NlaParams checks every point before the first breakdown runs
+    points = [NlaParams(float(g), int(n0)) for n0 in n0_list for g in gains]
     rows = []
-    for n0 in n0_list:
-        for g in gains:
-            b = branch_breakdown(r, NlaParams(float(g), int(n0)))
-            ja = b.j_alpha
-            norm = (lambda v: v / ja) if ja > 0.0 else (lambda v: float("nan"))
-            rows.append(
-                {
-                    "gain": float(g),
-                    "n0": int(n0),
-                    "j_alpha": b.j_alpha,
-                    "j_s": b.j_s,
-                    "j_f": b.j_f,
-                    "j_ideal": b.j_ideal,
-                    "p_s": b.p_s,
-                    "p_f": b.p_f,
-                    "ps_js": b.p_s * b.j_s,
-                    "pf_jf": b.p_f * b.j_f,
-                    "j_nla_asymptotic": b.j_nla_asymptotic,
-                    "j_s_norm": norm(b.j_s),
-                    "j_f_norm": norm(b.j_f),
-                    "j_ideal_norm": norm(b.j_ideal),
-                    "ps_js_norm": norm(b.p_s * b.j_s),
-                    "pf_jf_norm": norm(b.p_f * b.j_f),
-                    "j_nla_asymptotic_norm": norm(b.j_nla_asymptotic),
-                }
-            )
+    for params in points:
+        b = branch_breakdown(r, params)
+        ja = b.j_alpha
+        norm = (lambda v: v / ja) if ja > 0.0 else (lambda v: float("nan"))
+        rows.append(
+            {
+                "gain": params.gain,
+                "n0": params.n0,
+                "j_alpha": b.j_alpha,
+                "j_s": b.j_s,
+                "j_f": b.j_f,
+                "j_ideal": b.j_ideal,
+                "p_s": b.p_s,
+                "p_f": b.p_f,
+                "ps_js": b.p_s * b.j_s,
+                "pf_jf": b.p_f * b.j_f,
+                "j_nla_asymptotic": b.j_nla_asymptotic,
+                "j_s_norm": norm(b.j_s),
+                "j_f_norm": norm(b.j_f),
+                "j_ideal_norm": norm(b.j_ideal),
+                "ps_js_norm": norm(b.p_s * b.j_s),
+                "pf_jf_norm": norm(b.p_f * b.j_f),
+                "j_nla_asymptotic_norm": norm(b.j_nla_asymptotic),
+            }
+        )
     return rows
 
 
 def sweep_fraction(m: int, breakdown: FisherBreakdown) -> list[dict]:
-    """Conditional information for every success count n_s = 0..m.
+    """The fraction figure: one row per success count n_s = 0..m.
 
-    Marker columns flag the most likely count round(m * p_s) and the first count
-    whose conditional information exceeds j_alpha (all zero when there is no
-    crossing).
+    Each row holds the conditional information at n_s and, last, p_ns_or_more =
+    binomial_tail(m, p_s, n_s), the chance of at least n_s successes in one
+    experiment.  Marker columns flag the most likely count round(m * p_s) and the
+    first count whose conditional information exceeds j_alpha (all zero when there
+    is no crossing).
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
@@ -265,5 +266,15 @@ def sweep_fraction(m: int, breakdown: FisherBreakdown) -> list[dict]:
         "is_most_likely": (ns == most_likely).astype(int),
         "is_crossing": (ns == (-1 if crossing is None else crossing)).astype(int),
     }
-    names = list(columns)
-    return [dict(zip(names, values)) for values in zip(*(c.tolist() for c in columns.values()))]
+    # above the mode binomial_tail is 0.0 exactly where its lgamma anchor underflows,
+    # and the anchor falls with n_s there, so after the first such 0.0 every row is 0.0
+    mode = (m + 1) * breakdown.p_s
+    tails = []
+    for n_s in range(m + 1):
+        tails.append(binomial_tail(m, breakdown.p_s, n_s))
+        if tails[-1] == 0.0 and n_s > mode:
+            tails += [0.0] * (m - n_s)
+            break
+    names = [*columns, "p_ns_or_more"]
+    values = [c.tolist() for c in columns.values()] + [tails]
+    return [dict(zip(names, row)) for row in zip(*values)]

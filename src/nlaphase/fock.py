@@ -26,10 +26,13 @@ __all__ = [
 ]
 
 # choose_cutoff scans levels in chunks that double from _FIRST_CHUNK up to _MAX_CHUNK,
-# so its memory stays bounded; float64 holds every integer level up to _MAX_LEVEL
+# so its memory stays bounded.  No cutoff goes above _MAX_LEVEL (g*r of about 4000):
+# coherent_state fills 16 bytes per level in a Python loop, and apply_branch builds a
+# few more arrays of that size, so 2**24 levels already mean 256 MiB per array; a
+# larger cutoff is refused at once instead of failing in an allocation or not finishing
 _FIRST_CHUNK = 64
 _MAX_CHUNK = 1 << 16
-_MAX_LEVEL = 1 << 53
+_MAX_LEVEL = 1 << 24
 _MAX_AMPLITUDE = math.sqrt(_MAX_LEVEL)
 # Poisson mass that a chosen cutoff may leave beyond its last level
 _TAIL_TOL = 1e-12
@@ -109,8 +112,8 @@ def choose_cutoff(params: CoherentParams, nla_n0: int, gain: float) -> int:
     first one below 1e-12, the same level a one-by-one scan finds.  It starts
     at int(mu) - 1: every level N skipped there has N + 1 <= mu - 1, below the
     Poisson median (which is >= mu - ln 2), so its tail is >= 1/2.  Raises
-    ValueError when the cutoff would exceed 2**53, beyond which float64 no longer
-    tells levels apart, and, before any scan, for an r that `coherent_state`
+    ValueError when the cutoff would exceed 2**24, the largest state this package
+    builds (g*r of about 4000), and, before any scan, for an r that `coherent_state`
     refuses, since no vector can be built on the cutoff of such an r.
     """
     if not (math.isfinite(gain) and gain >= 1.0):
@@ -119,7 +122,7 @@ def choose_cutoff(params: CoherentParams, nla_n0: int, gain: float) -> int:
         raise ValueError(f"nla_n0 must be >= 1, got {nla_n0}")
     amplitude = gain * params.r
     if not amplitude < _MAX_AMPLITUDE:
-        raise ValueError(f"amplified amplitude {amplitude:.6g} needs a cutoff above 2**53")
+        raise ValueError(f"amplified amplitude {amplitude:.6g} needs a cutoff above 2**24")
     _vacuum_amplitude(params.r)
     mu = amplitude**2
     n = max(nla_n0 + 1, int(mu) - 1)
@@ -132,7 +135,7 @@ def choose_cutoff(params: CoherentParams, nla_n0: int, gain: float) -> int:
             return n + int(below.argmax())
         n += levels.size
         chunk = min(2 * chunk, _MAX_CHUNK)
-    raise ValueError(f"no cutoff up to 2**53 bounds the Poisson tail of mean {mu:.6g}")
+    raise ValueError(f"no cutoff up to 2**24 bounds the Poisson tail of mean {mu:.6g}")
 
 
 def coherent_state(params: CoherentParams, cutoff: int) -> FockVector:

@@ -24,6 +24,11 @@ __all__ = [
     "apply_branch",
 ]
 
+# The running-term loop takes the tail as 1 - e^{-r^2} * sum, which carries an absolute
+# error of a few ulps of 1.0 (2**-52 each).  Below p_s = 2**-16 that error can exceed
+# about 1e-11 of p_s, so there `_scaled_branch_probabilities` computes both values.
+_LOOP_MIN_P_S = 2.0**-16
+
 
 @dataclass(frozen=True)
 class NlaParams:
@@ -65,7 +70,8 @@ def heralding_probabilities(r: float, params: NlaParams) -> tuple[float, float]:
     p_s + p_f = 1 by completeness.  The infinite tail is evaluated through the
     complement of the finite Poisson sum, so no truncation error enters.  Where
     e^{-r^2} or the starting factor g^{-2 n0} is not a normal double, or the result
-    is not finite, the running-term loop loses the head sums, and
+    is not finite, the running-term loop loses the head sums; where its p_s is below
+    2**-16, the complement's rounding error is above about 1e-11 of p_s.  In both cases
     `_scaled_branch_probabilities` computes both values instead.  Both are clamped
     to [0, 1], and p_f is 0.0 where P[N <= n0] is below the smallest normal double.
     """
@@ -90,7 +96,7 @@ def heralding_probabilities(r: float, params: NlaParams) -> tuple[float, float]:
             term *= r * r / (n + 1)
             gfac *= g2
         p_s, p_f = w * head + (1.0 - w * plain), w * fail
-    if not (math.isfinite(p_s) and math.isfinite(p_f)):
+    if not (math.isfinite(p_s) and math.isfinite(p_f) and p_s >= _LOOP_MIN_P_S):
         p_s, p_f = _scaled_branch_probabilities(r * r, params)
     # rounding can leave a value an ulp outside [0, 1]: where n0 is far above r^2,
     # e^{-r^2} * sum t_n rounds above 1

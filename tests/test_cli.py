@@ -7,11 +7,10 @@ import math
 import warnings
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from nlaphase import NlaParams, __version__, branch_breakdown, cli, fisher, fock, heralding_probabilities
-from nlaphase.cli import DEFAULTS, main
+from nlaphase.cli import main
 
 
 def read_csv(path):
@@ -34,16 +33,9 @@ def edited_fraction_manifest(tmp_path, edit):
 
 
 def indented_json(rows):
-    """The dataset as json.dump(indent=2) writes it with the pure-Python encoder,
-    after numpy scalars are converted by .item(), plus a newline."""
-
-    def jsonable(value):
-        return value.item() if hasattr(value, "item") else value
-
-    single = isinstance(rows, dict)
-    records = [{k: jsonable(v) for k, v in row.items()} for row in ([rows] if single else rows)]
+    """The dataset as json.dump(indent=2) writes it with the pure-Python encoder, plus a newline."""
     buf = io.StringIO()
-    json.dump(records[0] if single else records, buf, indent=2)
+    json.dump(rows, buf, indent=2)
     return buf.getvalue() + "\n"
 
 
@@ -89,22 +81,48 @@ class TestJsonBytes:
         assert produced[0]["breakeven_y"] is None and isinstance(produced[0]["recommendation"], str)
         assert capsys.readouterr().out == indented_json(produced[0])
 
-    def test_numpy_scalars_and_special_values(self, tmp_path):
+    def test_special_values(self, tmp_path):
         row = {
-            "count": np.int64(7),
-            "value": np.float64(0.1),
-            "flag": np.bool_(True),
+            "count": 7,
+            "value": 0.1,
+            "flag": True,
             "tiny": 5e-324,
             "missing": float("nan"),
             "low": -math.inf,
             "none": None,
             "text": 'a,\n    "b": c',  # the item separator, escaped inside a string
         }
-        other = {**row, "count": np.int64(-1), "flag": np.bool_(False), "value": np.float64(math.inf)}
+        other = {**row, "count": -1, "flag": False, "value": math.inf}
         out = tmp_path / "rows.json"
         for rows in ([row, other], [row], row, []):
             cli._write_rows(out, "json", rows)
             assert out.read_text() == indented_json(rows)
+
+    @pytest.mark.parametrize(
+        "command, args",
+        [
+            ("probabilities", ["--gains", "1,2,1e200", "--n0-list", "1,2"]),
+            ("probabilities", ["--r", 0, "--gains", "1,2", "--n0-list", "2"]),
+            ("fisher-sweep", ["--gains", "1,2", "--n0-list", "1,2"]),
+            ("fisher-sweep", ["--r", 0, "--gains", "1,2", "--n0-list", "2"]),
+            ("fraction", ["--m", 50, "--gain", 1.5]),
+            ("fraction", ["--r", 0, "--m", 30]),
+            ("simulate", ["--gains", "1,2", "--n0-list", "2", "--m", 20, "--runs", 500]),
+            ("cost", ["--y", 50, "--r", 0.3]),
+            ("cost", ["--gain", 1]),  # no break-even: None
+        ],
+        ids=["probabilities", "probabilities-r0", "fisher-sweep", "fisher-sweep-r0", "fraction",
+             "fraction-r0", "simulate", "cost", "cost-no-breakeven"],
+    )
+    def test_runners_return_python_scalars(self, tmp_path, monkeypatch, command, args):
+        # the writers and the manifest take rows and parameters as they are, so no
+        # numpy scalar may reach them; simulate and cost refuse r = 0
+        produced = captured_rows(monkeypatch, command)
+        assert run(command, *args, "--output", tmp_path / "data.out") == 0
+        rows = produced[0] if isinstance(produced[0], list) else [produced[0]]
+        for row in rows:
+            for key, value in row.items():
+                assert type(value) in (int, float, str, bool, type(None)), (key, type(value))
 
 
 class TestProbabilities:
@@ -144,6 +162,14 @@ class TestProbabilities:
 
 
 class TestFisherSweep:
+    def test_success_probability_below_the_loop_threshold(self, tmp_path):
+        # p_s = 1.7687e-16 here, where the running-term loop's 1 - e^{-r^2} * sum gives
+        # 0.0, which no success state can be normalized by
+        out = tmp_path / "fisher.csv"
+        assert run("fisher-sweep", "--r", 0.1, "--gains", 16, "--n0-list", 7, "--output", out) == 0
+        row = read_csv(out)[0]
+        assert float(row["p_s"]) == pytest.approx(1.7687007647144885e-16, rel=1e-13)
+
     def test_normalized_columns(self, tmp_path):
         out = tmp_path / "fisher.csv"
         assert run("fisher-sweep", "--r", 0.25, "--n0-list", "1,2", "--gains", "1,1.5,2",
@@ -281,7 +307,7 @@ class TestManifests:
         manifest = json.loads((tmp_path / "probs.csv.manifest.json").read_text())
         assert manifest["command"] == "probabilities"
         assert manifest["parameters"]["r"] == 0.1
-        assert manifest["parameters"]["seed"] == DEFAULTS["seed"]
+        assert manifest["parameters"]["seed"] == cli._FIELDS["seed"].default
         assert manifest["output"] == str(out)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -525,8 +551,20 @@ class TestExitCodes:
             "cost": ["--gain", 2, "--n0", 2],
             "simulate": ["--gains", 1, "--n0-list", 1, "--m", 10, "--runs", 10],
         }[command]
-        assert run(command, "--r", "1e6", *grid, "--output", out) == 2
+        assert run(command, "--r", 1000, *grid, "--output", out) == 2
         assert "not a normal double" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_cutoff_above_the_cap_refused_before_the_scan(self, tmp_path, capsys, monkeypatch):
+        # the cutoff for g*r = 1e7 is near 1e14 levels: scanning to it takes about a
+        # minute, and a state on it would need 1.42 PiB
+        def no_scan(*args):
+            raise AssertionError("gammainc called")
+
+        monkeypatch.setattr(fock, "gammainc", no_scan)
+        out = tmp_path / "x.csv"
+        assert run("fisher-sweep", "--r", 1, "--gains", "1e7", "--n0-list", 1, "--output", out) == 2
+        assert "needs a cutoff above 2**24" in capsys.readouterr().err
         assert not out.exists()
 
     def test_amplitude_without_representable_cutoff(self, tmp_path):

@@ -18,6 +18,7 @@ from nlaphase import (
     choose_cutoff,
     coherent_state,
     default_gain_grid,
+    fisher,
     j_nla_conditional,
     min_ns_exceeding,
     phase_derivative,
@@ -391,6 +392,16 @@ class TestSweeps:
         with pytest.raises(ValueError):
             sweep_gain(0.25, [2], gains=[0.5, 2.0])
 
+    @pytest.mark.parametrize("bad", [0.5, math.nan, math.inf])
+    def test_bad_last_gain_refused_before_any_breakdown(self, monkeypatch, bad):
+        # NlaParams checks every grid point, NaN included, before the first breakdown
+        def no_breakdown(*args):
+            raise AssertionError("branch_breakdown called")
+
+        monkeypatch.setattr(fisher, "branch_breakdown", no_breakdown)
+        with pytest.raises(ValueError, match=f"gain must be finite and >= 1, got {bad}"):
+            sweep_gain(0.25, [1, 2], gains=[1.0, 2.0, bad])
+
     def test_fraction_rows(self):
         b = paper_breakdown()
         m = 1000
@@ -429,6 +440,7 @@ class TestSweeps:
                         "j_nla_norm": j / b.j_alpha if b.j_alpha > 0.0 else float("nan"),
                         "is_most_likely": int(n_s == most_likely),
                         "is_crossing": int(n_s == crossing),
+                        "p_ns_or_more": binomial_tail(m, b.p_s, n_s),
                     }
                 )
 

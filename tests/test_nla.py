@@ -186,7 +186,9 @@ class TestProbabilities:
 
     def test_loop_doubles_kept_where_its_factors_are_normal(self):
         # every point the benchmark evaluates (r <= 16, n0 <= 6) and a wider grid
-        # of points whose e^{-r^2} and g^{-2 n0} are normal doubles
+        # of points whose e^{-r^2} and g^{-2 n0} are normal doubles.  The loop's
+        # doubles are kept where its p_s is at least 2**-16, which covers every
+        # benchmark point; below, the scaled path runs
         points = [(r, float(g), n0) for r in (0.25, 16.0) for g in default_gain_grid() for n0 in range(1, 7)]
         points += [
             (r, g, n0)
@@ -198,11 +200,33 @@ class TestProbabilities:
         for r, g, n0 in points:
             want = looped_branch_probabilities(r, g, n0)
             got = heralding_probabilities(r, NlaParams(g, n0))
-            if all(0.0 <= p <= 1.0 for p in want):
+            if want[0] >= 2**-16:
                 assert [p.hex() for p in got] == [p.hex() for p in want], (r, g, n0)
             else:
-                # the loop's e^{-r^2} * sum t_n rounded above 1 here
-                assert got == (0.0, 1.0) and n0 > r * r, (r, g, n0, want)
+                exact = branch_probabilities_oracle(r, g, n0)
+                assert got == pytest.approx(exact, rel=1e-11, abs=0), (r, g, n0)
+
+    @pytest.mark.parametrize(
+        "r, g, n0, loop_rel_error",
+        [(0.1, 16.0, 7, 1.26), (0.1, 16.0, 5, 2.4e-5), (0.1, 8.0, 6, 8.2e-6), (0.25, 8.0, 6, 2.4e-7)],
+    )
+    def test_small_success_probability_against_oracle(self, r, g, n0, loop_rel_error):
+        # the loop's 1 - e^{-r^2} * sum cancels here, with the relative error in p_s
+        # given; at the first point it gives 0.0 for 1.7687e-16
+        exact_s, exact_f = branch_probabilities_oracle(r, g, n0)
+        loop_s = looped_branch_probabilities(r, g, n0)[0]
+        assert abs(loop_s - exact_s) / exact_s == pytest.approx(loop_rel_error, rel=0.05)
+        p_s, p_f = heralding_probabilities(r, NlaParams(g, n0))
+        assert p_s == pytest.approx(exact_s, rel=1e-14, abs=0)
+        assert p_f == pytest.approx(exact_f, rel=1e-14, abs=0)
+
+    def test_relative_error_on_a_small_amplitude_grid(self):
+        # the loop above 2**-16 and the scaled path below stay within 2e-11 of p_s
+        for r, g, n0 in product((0.0, 0.1, 0.25, 0.5, 1.0, 2.0), (1.0, 2.0, 16.0, 1e4), (1, 2, 5, 8, 12)):
+            exact_s, exact_f = branch_probabilities_oracle(r, g, n0)
+            p_s, p_f = heralding_probabilities(r, NlaParams(g, n0))
+            assert p_s == pytest.approx(exact_s, rel=2e-11, abs=0), (r, g, n0)
+            assert p_f == pytest.approx(exact_f, rel=2e-11, abs=1e-300), (r, g, n0)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -271,6 +295,14 @@ class TestApplyBranch:
         cutoff = choose_cutoff(CoherentParams(0.25), 2, 2.0)
         out, _ = apply_branch(CoherentParams(0.25), NlaParams(2.0, 2), cutoff)
         assert abs(out.norm_sq - 1.0) < 1e-10
+
+    @pytest.mark.parametrize("r, g, n0", [(0.1, 16.0, 5), (0.1, 8.0, 6), (0.25, 8.0, 6), (0.1, 16.0, 7)])
+    def test_success_state_normalized_at_small_success_probability(self, r, g, n0):
+        # normalized by the loop's cancelled p_s, norm_sq - 1 would be 2.4e-5, 8.2e-6 and
+        # 2.4e-7 on the first three points, and p_s = 0.0 at the last
+        cutoff = choose_cutoff(CoherentParams(r), n0, g)
+        out, _ = apply_branch(CoherentParams(r), NlaParams(g, n0), cutoff)
+        assert abs(out.norm_sq - 1.0) < 1e-14
 
     def test_degenerate_failure_branch_is_none(self):
         assert apply_branch(CoherentParams(0.25), NlaParams(1.0, 2), 6)[1] is None
