@@ -7,6 +7,7 @@ truncation mistakes surface immediately.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -112,20 +113,32 @@ def choose_cutoff(params: CoherentParams, nla_n0: int, gain: float) -> int:
     first one below 1e-12, the same level a one-by-one scan finds.  It starts
     at int(mu) - 1: every level N skipped there has N + 1 <= mu - 1, below the
     Poisson median (which is >= mu - ln 2), so its tail is >= 1/2.  Raises
-    ValueError when the cutoff would exceed 2**24, the largest state this package
-    builds (g*r of about 4000), and, before any scan, for an r that `coherent_state`
-    refuses, since no vector can be built on the cutoff of such an r.
+    ValueError for an nla_n0 that is not an int >= 1 (bools included), when the
+    cutoff would exceed 2**24, the largest state this package builds (g*r of
+    about 4000), and, before any scan, for an r that `coherent_state` refuses,
+    since no vector can be built on the cutoff of such an r.
+
+    Every check runs on each call; the scan itself is a pure function of its
+    start level and mu, so `_scan_cutoff` keeps the results of recent scans and
+    a repeated (start, mu) returns the int a first scan computes.  At large r the
+    start int(mu) - 1 does not depend on nla_n0, so one scan serves every n0.
     """
     if not (math.isfinite(gain) and gain >= 1.0):
         raise ValueError(f"gain must be finite and >= 1, got {gain}")
-    if nla_n0 < 1:
-        raise ValueError(f"nla_n0 must be >= 1, got {nla_n0}")
+    if not (isinstance(nla_n0, int) and not isinstance(nla_n0, bool) and nla_n0 >= 1):
+        raise ValueError(f"nla_n0 must be an integer >= 1, got {nla_n0!r}")
     amplitude = gain * params.r
     if not amplitude < _MAX_AMPLITUDE:
         raise ValueError(f"amplified amplitude {amplitude:.6g} needs a cutoff above 2**24")
     _vacuum_amplitude(params.r)
     mu = amplitude**2
-    n = max(nla_n0 + 1, int(mu) - 1)
+    return _scan_cutoff(max(nla_n0 + 1, int(mu) - 1), mu)
+
+
+@functools.lru_cache(maxsize=256)
+def _scan_cutoff(start: int, mu: float) -> int:
+    # the first level n >= start whose Poisson(mu) tail beyond n is below _TAIL_TOL
+    n = start
     chunk = _FIRST_CHUNK
     while n < _MAX_LEVEL:
         levels = np.arange(n, min(n + chunk, _MAX_LEVEL))

@@ -43,24 +43,27 @@ class NlaParams:
     def __post_init__(self):
         if not (math.isfinite(self.gain) and self.gain >= 1.0):
             raise ValueError(f"gain must be finite and >= 1, got {self.gain}")
-        if not (isinstance(self.n0, int) and self.n0 >= 1):
-            raise ValueError(f"n0 must be an integer >= 1, got {self.n0}")
+        if not (isinstance(self.n0, int) and not isinstance(self.n0, bool) and self.n0 >= 1):
+            raise ValueError(f"n0 must be an integer >= 1, got {self.n0!r}")
 
 
 def arm_weights(params: NlaParams, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
-    """(w_s, w_f): the level weights of both arms on 0..cutoff.
+    """(w_s, w_f): the level weights of both arms on 0..cutoff, two new float64 arrays.
 
     w_s is g^(n-n0) for n <= n0, then 1; w_f is sqrt(1 - g^(2(n-n0))) for n <= n0,
-    then 0, so w_s^2 + w_f^2 = 1 on every level.
+    then 0, so w_s^2 + w_f^2 = 1 on every level.  Only the head 0..n0 is computed;
+    the levels above it are filled with 1.0 and 0.0.
     """
-    if cutoff < params.n0:
-        raise ValueError(f"cutoff {cutoff} must be >= n0 = {params.n0}")
-    n = np.arange(cutoff + 1, dtype=np.float64)
-    # g^(n-n0) with the exponent clamped at 0: levels above n0 take weight 1/0
-    # anyway, and the clamp keeps g^positive from ever overflowing
-    ratio = np.power(params.gain, np.minimum(n - params.n0, 0.0))
-    head = n <= params.n0
-    return np.where(head, ratio, 1.0), np.where(head, np.sqrt(np.maximum(0.0, 1.0 - ratio**2)), 0.0)
+    n0 = params.n0
+    if cutoff < n0:
+        raise ValueError(f"cutoff {cutoff} must be >= n0 = {n0}")
+    # g^(n-n0) on the head: exponents <= 0, so g^positive never overflows
+    ratio = np.power(params.gain, np.arange(n0 + 1, dtype=np.float64) - n0)
+    w_s = np.ones(cutoff + 1)
+    w_f = np.zeros(cutoff + 1)
+    w_s[: n0 + 1] = ratio
+    w_f[: n0 + 1] = np.sqrt(np.maximum(0.0, 1.0 - ratio**2))
+    return w_s, w_f
 
 
 def heralding_probabilities(r: float, params: NlaParams) -> tuple[float, float]:

@@ -87,6 +87,37 @@ class TestChooseCutoff:
         with pytest.raises(ValueError):
             CoherentParams(0.1, math.nan)
 
+    @pytest.mark.parametrize("n0", [2.5, 2.0, True])
+    def test_non_integer_n0_rejected(self, n0):
+        # 2.5 once gave the cutoff 14.5; 2.0 and 2 are one key of the scan's memo,
+        # so an accepted 2.0 would make the type of the result depend on call order
+        assert type(choose_cutoff(CoherentParams(1.0), 2, 1.0)) is int
+        for _ in range(2):
+            with pytest.raises(ValueError, match=f"nla_n0 .*{n0!r}"):
+                choose_cutoff(CoherentParams(1.0), n0, 1.0)
+
+    @pytest.mark.parametrize(
+        "good, bad, message",
+        [
+            # same mu = 0.0625 on both sides
+            ((0.25, 2, 1.0), (0.5, 2, 0.5), "gain"),
+            ((0.25, 1, 2.0), (0.25, 0, 2.0), "nla_n0"),
+            # the scan itself raises: mu = 4095**2 leaves 2 standard deviations below 2**24
+            ((1.0, 1, 4090.0), (1.0, 1, 4095.0), "no cutoff up to 2\\*\\*24"),
+            ((1.0, 1, 4090.0), (1.0, 1, 4097.0), "needs a cutoff above 2\\*\\*24"),
+            # same mu = 1600 on both sides
+            ((20.0, 1, 2.0), (40.0, 1, 1.0), "not a normal double"),
+        ],
+    )
+    def test_errors_raise_again_after_a_success(self, good, bad, message):
+        # exceptions are not memoized: every repeat runs the checks and the scan again
+        r, n0, g = good
+        assert choose_cutoff(CoherentParams(r), n0, g) > n0
+        r, n0, g = bad
+        for _ in range(3):
+            with pytest.raises(ValueError, match=message):
+                choose_cutoff(CoherentParams(r), n0, g)
+
 
 class TestCoherentState:
     def test_vacuum(self):

@@ -96,9 +96,40 @@ class TestOperators:
         for g in GRID_G:
             assert arm_weights(NlaParams(g, 3), 6)[1][3] == 0.0
 
+    @pytest.mark.parametrize("n0", [0, 2.5, 2.0, True])
+    def test_non_integer_n0_rejected(self, n0):
+        with pytest.raises(ValueError, match=f"n0 must be an integer >= 1, got {n0!r}"):
+            NlaParams(2.0, n0)
+
     def test_cutoff_below_n0_rejected(self):
         with pytest.raises(ValueError):
             arm_weights(NlaParams(2.0, 3), 2)
+
+    @pytest.mark.parametrize("g", [1.0, 1.0 + 2.0**-52, 1.5, 2.0, 8.0, 16.0, 1e100, 1e200])
+    @pytest.mark.parametrize("n0", [1, 2, 7, 900])
+    def test_weights_equal_whole_array_formula(self, g, n0):
+        # the weights are computed on the head 0..n0 only; every level must be the
+        # double the formula over all levels gives
+        def whole_array(cutoff):
+            n = np.arange(cutoff + 1, dtype=np.float64)
+            ratio = np.power(g, np.minimum(n - n0, 0.0))
+            head = n <= n0
+            return (
+                np.where(head, ratio, 1.0),
+                np.where(head, np.sqrt(np.maximum(0.0, 1.0 - ratio**2)), 0.0),
+            )
+
+        params = NlaParams(g, n0)
+        for cutoff in (n0, n0 + 1, n0 + 3, 20000):
+            got, again = arm_weights(params, cutoff), arm_weights(params, cutoff)
+            for w, want in zip(got, whole_array(cutoff)):
+                assert w.dtype == np.float64 and w.shape == (cutoff + 1,)
+                assert w.flags.writeable
+                assert [v.hex() for v in w.tolist()] == [v.hex() for v in want.tolist()]
+            arrays = got + again
+            for i, a in enumerate(arrays):
+                for b in arrays[i + 1:]:
+                    assert not np.shares_memory(a, b)
 
     @pytest.mark.parametrize("g", GRID_G)
     @pytest.mark.parametrize("n0", GRID_N0)
