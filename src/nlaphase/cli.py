@@ -240,17 +240,19 @@ def _utc_now() -> str:
 
 # json's C encoder, with the separators that put each item of a row on its own line
 # at depth 2: a row's values are Python scalars, and a JSON string escapes its
-# newlines, so ",\n    " appears only between items.  Floats go through
-# float.__repr__, as in json.dump.
+# newlines, so ",\n    " appears only between items, and "}" + ",\n    " + "{" only
+# between the rows of a batch.  Floats go through float.__repr__, as in json.dump.
 _ITEM_SEP = ",\n    "
 _ROW_ENCODER = json.JSONEncoder(separators=(_ITEM_SEP, ": "))
+_ROWS_PER_ENCODE = 128  # a whole dataset in one call would hold its text twice in memory
 
 
 def _write_rows(output: Path | None, fmt: str, rows: list[dict] | dict) -> None:
     """Write rows as CSV or JSON to output, or to stdout when output is None.
 
     A single report dict is one CSV row, or one JSON object.  The JSON bytes are
-    those of json.dump(..., indent=2) plus a newline, written one record at a time.
+    those of json.dump(..., indent=2) plus a newline, encoded _ROWS_PER_ENCODE rows
+    per call.
     """
     single = isinstance(rows, dict)
     if output is None:
@@ -268,8 +270,10 @@ def _write_rows(output: Path | None, fmt: str, rows: list[dict] | dict) -> None:
             fh.write("{\n  " + items + "\n}\n")
         else:
             sep = "["
-            for row in rows:
-                fh.write(sep + "\n  {\n    " + _ROW_ENCODER.encode(row)[1:-1] + "\n  }")
+            for lo in range(0, len(rows), _ROWS_PER_ENCODE):
+                batch = _ROW_ENCODER.encode(rows[lo : lo + _ROWS_PER_ENCODE])[2:-2]
+                batch = batch.replace("}" + _ITEM_SEP + "{", "\n  },\n  {\n    ")
+                fh.write(sep + "\n  {\n    " + batch + "\n  }")
                 sep = ","
             fh.write("\n]\n" if rows else "[]\n")
 

@@ -30,6 +30,12 @@ __all__ = [
 ]
 
 _IMAG_OVERLAP_TOL = 1e-10
+# entries per 2-d block of the binomial tail walk, so its memory stays flat at any m;
+# the first block walks about _FIRST_TERMS entries, at least _FIRST_WIDTH per row,
+# so a single row (a scalar k) needs few blocks and a whole column starts narrow
+_BLOCK_TERMS = 1 << 16
+_FIRST_TERMS = 1 << 10
+_FIRST_WIDTH = 16
 
 
 @dataclass(frozen=True)
@@ -125,68 +131,119 @@ def min_ns_exceeding(m: int, breakdown: FisherBreakdown) -> int:
     return n
 
 
-def binomial_tail(m: int, p: float, k: int) -> float:
-    """Upper tail P[X >= k] of a Binomial(m, p) count.
+def binomial_tail(m: int, p: float, k):
+    """Upper tail P[X >= k] of a Binomial(m, p) count at one level or at many.
 
-    The sum starts from an lgamma-based anchor term and walks with the exact
-    term-ratio recurrence.  Sums that start deep in a tail are taken on the side
-    where the anchor term is representable: above the mode directly, below the
-    mode through the complement.  The walk stops once a term falls below 1e-18
-    of the running sum or reaches exactly 0.0.  Far from the mode the anchor
-    term underflows to 0.0; every later term is then 0.0 times a finite ratio,
-    so the sum cannot change and stopping returns the same double as walking
-    on to the end.
+    k is an int, giving a float, or a 1-d integer array of levels in [0, m], giving
+    a float64 array; a scalar is the one-row case of the same code.  m must be
+    below 2**53.  Each row sums
+    from an lgamma-based anchor term with the exact term-ratio recurrence, on the
+    side where the anchor is representable: above the mode (m + 1) p directly,
+    below it through the complement.  A row stops once a term falls below 1e-18 of
+    its running sum or is exactly 0.0.  All rows walk at once in numpy blocks (see
+    `_tail_sums`) that keep a scalar loop's operation order, so each value is the
+    double that walking the row alone gives.  Far from the mode the anchor
+    underflows to 0.0 and stays 0.0 further out, so those rows are 0.0 sums
+    without a walk: an upper tail of 0.0, or a complement of exactly 1.0.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
-    if not 0 <= k <= m:
-        raise ValueError(f"k must lie in [0, m], got k={k}, m={m}")
-    if k == 0:
-        return 1.0
+    if not m < 2**53:  # above it int64 levels no longer convert to exact doubles
+        raise ValueError(f"m must be below 2**53, got {m}")
+    ks = np.asarray(k)
+    if ks.ndim > 1 or ks.dtype.kind not in "iu":
+        raise ValueError(f"k must be an integer or a 1-d integer array, got {ks.dtype} {ks.shape}")
+    levels = ks.reshape(-1)
+    order = levels.argsort()
+    levels = levels[order]
+    for level in levels[:1].tolist() + levels[-1:].tolist():  # the smallest and largest
+        if not 0 <= level <= m:
+            raise ValueError(f"k must lie in [0, m], got k={level}, m={m}")
+    levels = levels.astype(np.int64)
+    tails = np.ones(levels.size)  # k = 0, and every level when p = 1
+    low = int(levels.searchsorted(0, side="right"))  # levels from here on are above 0
     if p == 0.0:
-        return 0.0
-    if p == 1.0:
-        return 1.0
-    mode = (m + 1) * p
-    if k > mode:
-        return min(1.0, _binom_sum_up(m, p, k))
-    return max(0.0, 1.0 - _binom_sum_down(m, p, k - 1))
+        tails[low:] = 0.0
+    elif p < 1.0:
+        # levels above the mode sum upward; those at or below it through the complement
+        high = max(low, int(levels.searchsorted((m + 1) * p, side="right")))
+        if high < levels.size:
+            tails[high:] = np.minimum(1.0, _tail_sums(m, p, levels[high:], 1))
+        if low < high:
+            below = _tail_sums(m, p, levels[low:high][::-1] - 1, -1)[::-1]
+            tails[low:high] = np.maximum(0.0, 1.0 - below)
+    if ks.ndim == 0:
+        return float(tails[0])
+    out = np.empty(levels.size)
+    out[order] = tails
+    return out
 
 
-def _binom_log_pmf(m: int, p: float, j: int) -> float:
-    return (
-        math.lgamma(m + 1)
-        - math.lgamma(j + 1)
-        - math.lgamma(m - j + 1)
-        + j * math.log(p)
-        + (m - j) * math.log1p(-p)
-    )
+def _tail_sums(m: int, p: float, starts: np.ndarray, step: int) -> np.ndarray:
+    """pmf sums from each start level outward: up to m (step 1) or down to 0 (step -1).
 
+    starts lie on the side of the mode that step walks away from, nearest the mode
+    first.  Row by row this is the loop `total += term; stop if term == 0.0, term <
+    total * 1e-18 or j is the last level; term *= factor(j); j += step` from the
+    anchor exp(log pmf(start)), taken through math.lgamma and math.exp.  The factor
+    is (m - j) / (j + 1) * ratio upward and j / (m - j + 1) * ratio downward,
+    computed from int64 levels below 2**53, so each is the loop's double.  At the
+    last level (m or 0) the factor is 0.0, so the term after it is 0.0 and stops
+    the row with its sum unchanged: the walk needs no check of its own for the end.
+    The pmf falls away from the mode, so from the first anchor that underflows on
+    every row is a 0.0 sum with no walk.
 
-def _binom_sum_up(m: int, p: float, k: int) -> float:
-    term = math.exp(_binom_log_pmf(m, p, k))
-    ratio = p / (1.0 - p)
-    total = 0.0
-    for j in range(k, m + 1):
-        total += term
-        if term == 0.0 or term < total * 1e-18:
+    A block walks `width` levels of every pending row: np.multiply.accumulate gives
+    the terms from the carried term and np.add.accumulate the running sums from the
+    carried sum, each in sequence along the row as the loop does.  Rows that do not
+    stop carry on into a block twice as wide; blocks hold about _BLOCK_TERMS
+    entries.  Entries past a row's stop may overflow and are discarded.
+    """
+    log_m, log_p, log_q = math.lgamma(m + 1), math.log(p), math.log1p(-p)
+    anchors = []
+    for j in starts.tolist():
+        anchor = math.exp(
+            log_m - math.lgamma(j + 1) - math.lgamma(m - j + 1) + j * log_p + (m - j) * log_q
+        )
+        if anchor == 0.0:
             break
-        term *= (m - j) / (j + 1) * ratio
-    return total
-
-
-def _binom_sum_down(m: int, p: float, k: int) -> float:
-    # sum of pmf(0..k), walking downward from j = k
-    term = math.exp(_binom_log_pmf(m, p, k))
-    ratio = (1.0 - p) / p
-    total = 0.0
-    for j in range(k, -1, -1):
-        total += term
-        if term == 0.0 or term < total * 1e-18:
-            break
-        if j > 0:
-            term *= j / (m - j + 1) * ratio
-    return total
+        anchors.append(anchor)
+    ratio = p / (1.0 - p) if step > 0 else (1.0 - p) / p
+    sums = np.zeros(starts.size)
+    rows = np.arange(len(anchors))
+    term, total, j = np.array(anchors), np.zeros(rows.size), starts[: rows.size]
+    width = max(_FIRST_WIDTH, _FIRST_TERMS // max(1, rows.size))
+    while rows.size:
+        height = max(1, _BLOCK_TERMS // width)
+        carried = []
+        for lo in range(0, rows.size, height):
+            block = slice(lo, lo + height)
+            # levels of the block; the last column only feeds the carried term
+            levels = j[block, None] + step * np.arange(width + 1)
+            at = levels[:, :-1]
+            factors = np.empty(levels.shape)
+            factors[:, 0] = term[block]
+            running = np.empty(levels.shape)
+            running[:, 0] = total[block]
+            with np.errstate(over="ignore", invalid="ignore"):
+                if step > 0:
+                    factors[:, 1:] = (m - at) / (at + 1) * ratio
+                else:
+                    factors[:, 1:] = at / (m - at + 1) * ratio
+                terms = np.multiply.accumulate(factors, axis=1)
+                running[:, 1:] = terms[:, :-1]
+                np.add.accumulate(running, axis=1, out=running)
+                stop = (terms[:, :-1] == 0.0) | (terms[:, :-1] < running[:, 1:] * 1e-18)
+            done = stop.any(axis=1)
+            first = stop.argmax(axis=1)[done]
+            sums[rows[block][done]] = running[done, first + 1]
+            going = ~done
+            carried.append(
+                (rows[block][going], terms[going, -1], running[going, -1], levels[going, -1])
+            )
+        rows, term, total, j = (np.concatenate(parts) for parts in zip(*carried))
+        width = min(2 * width, _BLOCK_TERMS)
+    return sums
 
 
 def default_gain_grid(count: int = 40, g_max: float = 8.0) -> np.ndarray:
@@ -240,7 +297,8 @@ def sweep_fraction(m: int, breakdown: FisherBreakdown) -> list[dict]:
     binomial_tail(m, p_s, n_s), the chance of at least n_s successes in one
     experiment.  Marker columns flag the most likely count round(m * p_s) and the
     first count whose conditional information exceeds j_alpha (all zero when there
-    is no crossing).
+    is no crossing).  The rows are built column by column; the tail column is one
+    binomial_tail call over every n_s, through this module's global name.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
@@ -266,15 +324,7 @@ def sweep_fraction(m: int, breakdown: FisherBreakdown) -> list[dict]:
         "is_most_likely": (ns == most_likely).astype(int),
         "is_crossing": (ns == (-1 if crossing is None else crossing)).astype(int),
     }
-    # above the mode binomial_tail is 0.0 exactly where its lgamma anchor underflows,
-    # and the anchor falls with n_s there, so after the first such 0.0 every row is 0.0
-    mode = (m + 1) * breakdown.p_s
-    tails = []
-    for n_s in range(m + 1):
-        tails.append(binomial_tail(m, breakdown.p_s, n_s))
-        if tails[-1] == 0.0 and n_s > mode:
-            tails += [0.0] * (m - n_s)
-            break
-    names = [*columns, "p_ns_or_more"]
-    values = [c.tolist() for c in columns.values()] + [tails]
+    columns["p_ns_or_more"] = binomial_tail(m, breakdown.p_s, ns)  # the whole column in one walk
+    names = list(columns)
+    values = [c.tolist() for c in columns.values()]
     return [dict(zip(names, row)) for row in zip(*values)]

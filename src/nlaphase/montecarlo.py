@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import DegenerateObservableError
+from .errors import DegenerateObservableError, NoDataError
 from .estimator import (
     _has_data,
     build_observable,
@@ -98,6 +98,22 @@ def precision_from_samples(estimates, theta_true: float, m: int) -> PrecisionRep
     return PrecisionReport(mse, precision, stderr, est.size)
 
 
+def _runs_with_data(
+    counts: np.ndarray, config: SimConfig, failure_informative: bool = False
+) -> np.ndarray:
+    """The runs the no-data rule keeps (dropped runs show in runs_used).
+
+    Raises NoDataError naming the grid point when it keeps none.
+    """
+    kept = counts[_has_data(counts, failure_informative)]
+    if len(kept) == 0:
+        raise NoDataError(
+            f"no run has an informative count at gain={config.gain}, n0={config.n0}, "
+            f"m={config.m}, runs={config.runs}"
+        )
+    return kept
+
+
 def _direct_setup(config: SimConfig):
     """Observable and outcome distribution of the plain (no amplifier) experiment."""
     cutoff = choose_cutoff(CoherentParams(config.r, 0.0), 1, 1.0)
@@ -112,7 +128,7 @@ def simulate_direct(config: SimConfig) -> PrecisionReport:
     obs, probs = _direct_setup(config)
     key = kernels.derive_key(config.seed, _STREAM_DIRECT)
     counts = kernels.categorical_counts(key, 0, config.runs, config.m, probs)
-    counts = counts[_has_data(counts)]  # dropped runs show in runs_used
+    counts = _runs_with_data(counts, config)
     estimates = mle_direct(counts[:, 0], counts[:, 1], obs.lam)
     return precision_from_samples(estimates, config.theta_true, config.m)
 
@@ -143,5 +159,5 @@ def simulate_nla(config: SimConfig) -> PrecisionReport:
     lam_f = None if obs_f is None else obs_f.lam
     key = kernels.derive_key(config.seed, _STREAM_NLA)
     counts = kernels.categorical_counts(key, 0, config.runs, config.m, probs)
-    counts = counts[_has_data(counts, lam_f is not None)]  # dropped runs show in runs_used
+    counts = _runs_with_data(counts, config, lam_f is not None)
     return precision_from_samples(mle_nla(counts, obs_s.lam, lam_f), config.theta_true, config.m)

@@ -51,6 +51,9 @@ def captured_rows(monkeypatch, command):
     return produced
 
 
+BATCH = cli._ROWS_PER_ENCODE  # rows per encoder call in the JSON writer
+
+
 class TestJsonBytes:
     """The streamed JSON writer gives the bytes of json.dump(indent=2), row for row."""
 
@@ -97,6 +100,20 @@ class TestJsonBytes:
         for rows in ([row, other], [row], row, []):
             cli._write_rows(out, "json", rows)
             assert out.read_text() == indented_json(rows)
+
+    @pytest.mark.parametrize(
+        "count", [0, 1, BATCH - 1, BATCH, BATCH + 1, 2 * BATCH + 1],
+        ids=["0", "1", "B-1", "B", "B+1", "2B+1"],
+    )
+    def test_row_counts_around_the_batch_size(self, tmp_path, count):
+        # a string holds the row boundary of the batch encoding, escaped
+        rows = [
+            {"n": i, "value": i / 7, "text": '"},\n    {"' if i % 2 else "}, {", "flag": i % 3 == 0}
+            for i in range(count)
+        ]
+        out = tmp_path / "rows.json"
+        cli._write_rows(out, "json", rows)
+        assert out.read_text() == indented_json(rows)
 
     @pytest.mark.parametrize(
         "command, args",
@@ -198,14 +215,15 @@ class TestFraction:
 
     @pytest.mark.parametrize("m", [1, 2, 50, 10000, 100000])
     def test_tails_match_binomial_tail_on_every_row(self, monkeypatch, m):
-        # run_fraction stops calling binomial_tail after its first 0.0 above the mode;
-        # every row it skips must be one where binomial_tail gives 0.0
+        # run_fraction makes one binomial_tail call over the whole column, through
+        # fisher's module-global name; each row must be the double that a scalar
+        # call at its n_s gives
         paper = branch_breakdown(0.25, NlaParams(2.0, 2))
-        tail, calls = fisher.binomial_tail, {}
+        tail, calls = fisher.binomial_tail, []
 
         def recorded(m, p, k):
-            calls[k] = tail(m, p, k)
-            return calls[k]
+            calls.append(k)
+            return tail(m, p, k)
 
         monkeypatch.setattr(fisher, "binomial_tail", recorded)
         params = {"m": m, "r": 0.25, "gain": 2.0, "n0": 2, "seed": 4}
@@ -213,10 +231,10 @@ class TestFraction:
             calls.clear()
             monkeypatch.setattr(cli, "branch_breakdown", lambda r, params: replace(paper, p_s=p))
             got = [row["p_ns_or_more"] for row in cli.run_fraction(params)]
-            want = [calls[k] if k in calls else tail(m, p, k) for k in range(m + 1)]
+            assert len(calls) == 1
+            assert calls[0].dtype.kind == "i" and calls[0].tolist() == list(range(m + 1))
+            want = [tail(m, p, k) for k in range(m + 1)]
             assert [v.hex() for v in got] == [v.hex() for v in want], p
-        if m == 10000:  # at the paper point (the last p), every tail from n_s = 1952 on is 0.0
-            assert len(calls) == 1952
 
 
 class TestSimulate:
@@ -461,6 +479,17 @@ class TestExitCodes:
             assert run("fisher-sweep", "--r", 0, "--gains", "1e100", "--n0-list", 2,
                        "--output", out) == 2
         assert "gain=1e+100" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_simulate_point_without_data_named(self, tmp_path, capsys):
+        # at r = 0.001, g = 8, n0 = 1 (p_s = 0.016) none of the ten single-sample runs
+        # heralds success, and n0 = 1 leaves the failure branch without phase
+        out = tmp_path / "x.csv"
+        assert run("simulate", "--r", 0.001, "--m", 1, "--runs", 10, "--gains", 8,
+                   "--n0-list", 1, "--output", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid configuration: no run has an informative count")
+        assert "gain=8.0, n0=1, m=1, runs=10" in err
         assert not out.exists()
 
     def test_unparsable_list_value(self, tmp_path):

@@ -5,8 +5,12 @@ import json
 import math
 import random
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gammainc
 from scipy.stats import binom
 
@@ -276,6 +280,81 @@ class TestBinomialTail:
             binomial_tail(10, -0.1, 2)
         with pytest.raises(ValueError):
             binomial_tail(10, 0.5, 11)
+
+    @pytest.mark.parametrize(
+        "k, message",
+        [
+            (np.array([3, -1, 4]), "k=-1"),
+            (np.array([3, 11, 4]), "k=11"),
+            (-1, "k=-1"),
+            (np.array([2.0, 3.0]), "integer"),
+            (2.0, "integer"),
+            (np.array([True]), "integer"),
+            (np.array([[1, 2]]), "1-d"),
+        ],
+        ids=["below-0", "above-m", "scalar-below-0", "float-array", "float", "bool", "2-d"],
+    )
+    def test_invalid_levels(self, k, message):
+        with pytest.raises(ValueError, match=message):
+            binomial_tail(10, 0.5, k)
+
+    @pytest.mark.parametrize("k", [3, np.array([3], dtype=np.uint64)], ids=["int", "uint64"])
+    def test_m_beyond_exact_doubles_rejected(self, k):
+        # above 2**53 not every integer is a double, so a factor could differ from the loop's
+        with pytest.raises(ValueError, match="2\\*\\*53"):
+            binomial_tail(2**53 + 1, 0.5, k)
+
+    def test_array_and_scalar_results(self):
+        assert type(binomial_tail(10, 0.3, 4)) is float
+        got = binomial_tail(10, 0.3, np.array([4, 0, 10]))
+        assert got.dtype == np.float64 and got.shape == (3,)
+        assert binomial_tail(10, 0.3, np.array([], dtype=np.int64)).shape == (0,)
+
+
+_TAIL_P = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True) | st.sampled_from(
+    [1e-300, 1e-12, 1.0 - 1e-12]
+)
+
+
+@st.composite
+def _tail_levels(draw):
+    """m and an unsorted, possibly repeated or empty, array of levels in [0, m]."""
+    m = draw(st.integers(1, 1500))
+    ks = draw(st.lists(st.integers(0, m), max_size=40))
+    return m, np.array(ks, dtype=np.int64)
+
+
+class TestTailArrayWalk:
+    """The array walk gives every row the double of a one-row scalar loop."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_tail_levels(), _TAIL_P)
+    def test_matches_the_scalar_loop_row_by_row(self, levels, p):
+        m, ks = levels
+        got = binomial_tail(m, p, ks)
+        assert got.shape == ks.shape
+        want = [reference_binomial_tail(m, p, k) for k in ks.tolist()]
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
+
+    @pytest.mark.parametrize("p", [1e-300, 0.5, 1.0 - 1e-12])
+    def test_full_column_at_large_m_warns_nothing(self, p):
+        # entries walked past a row's stop may overflow; none of it may show
+        m = 100_000
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tails = binomial_tail(m, p, np.arange(m + 1))
+        assert tails[0] == 1.0 and np.all(np.diff(tails) <= 0.0)
+        assert np.all((tails >= 0.0) & (tails <= 1.0))
+
+    def test_blocks_smaller_than_the_rows(self, monkeypatch):
+        # a block budget below one row's walk: every row carries on through many blocks
+        m, p = 3000, 0.4
+        monkeypatch.setattr(fisher, "_BLOCK_TERMS", 64)
+        monkeypatch.setattr(fisher, "_FIRST_TERMS", 1)
+        monkeypatch.setattr(fisher, "_FIRST_WIDTH", 1)
+        got = binomial_tail(m, p, np.arange(m + 1))
+        want = [reference_binomial_tail(m, p, k) for k in range(m + 1)]
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
 
 
 def reference_binomial_tail(m, p, k):

@@ -19,6 +19,7 @@ from nlaphase import (
     simulate_nla,
 )
 from nlaphase import kernels
+from nlaphase.errors import NoDataError
 from nlaphase.montecarlo import _STREAM_DIRECT, _direct_setup
 
 
@@ -176,6 +177,28 @@ class TestSimulateNla:
         monkeypatch.setenv("NLAPHASE_BACKEND", "numpy")
         b = simulate_nla(config)
         assert a == b
+
+
+class TestNoRunLeft:
+    """A grid point whose every run the no-data rule drops raises NoDataError naming it."""
+
+    def test_nla(self):
+        # p_s is 0.016 here and no run heralds success; with n0 = 1 the failure
+        # branch holds no phase, so every run is dropped
+        config = SimConfig(r=0.001, gain=8.0, n0=1, m=1, runs=10)
+        with pytest.raises(NoDataError, match=r"gain=8\.0, n0=1, m=1, runs=10"):
+            simulate_nla(config)
+
+    def test_direct(self, monkeypatch):
+        # a null outcome on every trial of every run
+        def null_counts(key, start, runs, m, probs):
+            counts = np.zeros((runs, probs.size), dtype=np.int64)
+            counts[:, -1] = m
+            return counts
+
+        monkeypatch.setattr(kernels, "categorical_counts", null_counts)
+        with pytest.raises(NoDataError, match=r"gain=1\.0, n0=1, m=3, runs=5"):
+            simulate_direct(SimConfig(gain=1.0, n0=1, m=3, runs=5))
 
 
 class TestSimConfig:
