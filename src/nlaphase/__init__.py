@@ -6,7 +6,7 @@ maximum-likelihood estimators, seeded Monte Carlo precision experiments, and the
 abstention cost model.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from . import errors
 from .cost import (

@@ -13,7 +13,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc
 
 from .errors import DimensionMismatchError
 
@@ -26,17 +25,43 @@ __all__ = [
     "phase_derivative",
 ]
 
-# choose_cutoff scans levels in chunks that double from _FIRST_CHUNK up to _MAX_CHUNK,
-# so its memory stays bounded.  No cutoff goes above _MAX_LEVEL (g*r of about 4000):
-# coherent_state fills 16 bytes per level in a Python loop, and apply_branch builds a
-# few more arrays of that size, so 2**24 levels already mean 256 MiB per array; a
-# larger cutoff is refused at once instead of failing in an allocation or not finishing
+# Poisson pmf runs (the cutoff scan and the heralding tails) grow in chunks that double
+# from _FIRST_CHUNK up to _MAX_CHUNK, so a run stops soon after its terms die out.  No
+# cutoff goes above _MAX_LEVEL (g*r of about 4000): coherent_state fills 16 bytes per
+# level in a Python loop, and apply_branch builds a few more arrays of that size, so
+# 2**24 levels already mean 256 MiB per array; a larger cutoff is refused at once
+# instead of failing in an allocation or not finishing
 _FIRST_CHUNK = 64
 _MAX_CHUNK = 1 << 16
 _MAX_LEVEL = 1 << 24
 _MAX_AMPLITUDE = math.sqrt(_MAX_LEVEL)
 # Poisson mass that a chosen cutoff may leave beyond its last level
 _TAIL_TOL = 1e-12
+# A pmf run ends once all its later terms together are below this share of its first
+# term: under one rounding of _TAIL_TOL for a cutoff scan, whose first term is at most
+# 1, and of any sum that starts with that term
+_RUN_END = 2.0**-100
+# Loader's stirlerr(n) = ln n! - (n + 1/2) ln n + n - ln sqrt(2 pi) for n = 1..15 (index 0
+# unused), from a 50-digit evaluation; above 15 the Stirling series below is exact to
+# about 1e-16
+_STIRLERR = (
+    0.0,
+    0.08106146679532726,
+    0.0413406959554093,
+    0.02767792568499834,
+    0.020790672103765093,
+    0.016644691189821193,
+    0.013876128823070748,
+    0.01189670994589177,
+    0.010411265261972096,
+    0.009255462182712733,
+    0.00833056343336287,
+    0.007573675487951841,
+    0.00694284010720953,
+    0.006408994188004207,
+    0.0059513701127588475,
+    0.005554733551962801,
+)
 # (key, amplitudes) of the state coherent_state built last; never leaves this module
 _last_amplitudes: tuple[tuple[str, ...], np.ndarray] = ((), np.zeros(0, dtype=np.complex128))
 
@@ -109,8 +134,9 @@ def choose_cutoff(params: CoherentParams, nla_n0: int, gain: float) -> int:
     of both amplifier branches, so a single cutoff chosen against the Poisson tail
     of mean mu = (gain*r)^2 serves every vector in one calculation.
 
-    The scan evaluates the tail on chunks of consecutive levels and returns the
-    first one below 1e-12, the same level a one-by-one scan finds.  It starts
+    The scan builds the Poisson pmf once, from one term in Loader's saddle-point
+    form upward by the ratio recurrence, takes every tail as a reverse cumulative
+    sum and returns the first level whose tail is below 1e-12.  It starts
     at int(mu) - 1: every level N skipped there has N + 1 <= mu - 1, below the
     Poisson median (which is >= mu - ln 2), so its tail is >= 1/2.  Raises
     ValueError for an nla_n0 that is not an int >= 1 (bools included), when the
@@ -138,17 +164,93 @@ def choose_cutoff(params: CoherentParams, nla_n0: int, gain: float) -> int:
 @functools.lru_cache(maxsize=256)
 def _scan_cutoff(start: int, mu: float) -> int:
     # the first level n >= start whose Poisson(mu) tail beyond n is below _TAIL_TOL
-    n = start
-    chunk = _FIRST_CHUNK
-    while n < _MAX_LEVEL:
-        levels = np.arange(n, min(n + chunk, _MAX_LEVEL))
-        # regularized lower incomplete gamma P(N+1, mu) equals the Poisson tail beyond N
-        below = gammainc(levels + 1, mu) < _TAIL_TOL
-        if below.any():
-            return n + int(below.argmax())
-        n += levels.size
-        chunk = min(2 * chunk, _MAX_CHUNK)
+    below = _upper_tails(start, mu)[: max(_MAX_LEVEL - start, 0)] < _TAIL_TOL
+    if below.any():
+        return start + int(below.argmax())
     raise ValueError(f"no cutoff up to 2**24 bounds the Poisson tail of mean {mu:.6g}")
+
+
+def _stirlerr(n: int) -> float:
+    # ln n! - ln(sqrt(2 pi n) (n/e)^n), for n >= 1
+    if n < len(_STIRLERR):
+        return _STIRLERR[n]
+    nn = float(n) * n
+    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / nn) / nn) / nn) / nn) / n
+
+
+def _bd0(x: int, mu: float) -> float:
+    # x ln(x/mu) + mu - x, the deviance term of Loader's form, for x >= 1 and mu > 0.
+    # Where |v| < 1/2, v = (x - mu)/(x + mu), it is the series
+    # (x - mu) v + 2x sum_j v^(2j+1)/(2j+1), whose terms cancel by at most v^2/3 and
+    # which fsum adds with one rounding.  The closed form would cancel by up to 1/v
+    # there and lose ulps of x: Loader's switch at |v| = 0.1 leaves tails near 1e-214
+    # at mu ~ 2e4 off by 3.5e-12.
+    if abs(x - mu) < 0.5 * (x + mu):
+        v = (x - mu) / (x + mu)
+        terms = [(x - mu) * v]
+        term = 2.0 * x * v
+        j = 1
+        while True:
+            term *= v * v
+            terms.append(term / (2 * j + 1))
+            if abs(terms[-1]) <= 2.0**-60 * terms[0]:
+                return math.fsum(terms)
+            j += 1
+    return x * math.log(x / mu) + mu - x
+
+
+def _log_pmf(n: int, mu: float) -> float:
+    # ln P[N = n] for N ~ Poisson(mu), 0 <= mu < inf, in Loader's saddle-point form
+    # -stirlerr(n) - bd0(n, mu) - ln sqrt(2 pi n) (C. Loader, "Fast and Accurate
+    # Computation of Binomial Probabilities", 2000).  Its absolute error stays a few ulps
+    # of its own size at any mu, where ln n! - mu + n ln mu loses ulps of ln n!.
+    if mu == 0.0:
+        return 0.0 if n == 0 else -math.inf
+    if n == 0:
+        return -mu
+    return -_stirlerr(n) - _bd0(n, mu) - 0.5 * math.log(2.0 * math.pi * n)
+
+
+def _pmf_run(n: int, mu: float, step: int) -> np.ndarray:
+    # The Poisson(mu) pmf at n, n + step, n + 2 step, ... in units of the pmf at n, by the
+    # ratio recurrence P(k + 1) = P(k) mu/(k + 1).  step is 1 or -1, and the run starts at
+    # or beyond the mode on that side (n + 1 > mu going up, n < mu going down), so every
+    # ratio is below 1 and falls from one level to the next.  Term j carries at most 3j
+    # roundings.  The run ends at level 0, or once the geometric bound on all later
+    # terms, last term * ratio/(1 - ratio), is below _RUN_END.
+    runs = [np.ones(1)]
+    size = _FIRST_CHUNK
+    while step > 0 or n > 0:
+        if step > 0:
+            ratios = mu / np.arange(n + 1, n + 1 + size, dtype=np.float64)
+        else:
+            ratios = np.arange(n, max(n - size, 0), -1, dtype=np.float64) / mu
+        runs.append(runs[-1][-1] * np.cumprod(ratios))
+        n += step * ratios.size
+        last = ratios[-1]
+        if runs[-1][-1] * last < _RUN_END * (1.0 - last):
+            break
+        size = min(2 * size, _MAX_CHUNK)
+    return np.concatenate(runs)
+
+
+def _upper_tails(start: int, mu: float) -> np.ndarray:
+    # P[N > n] for n = start, start + 1, ... while the tail lasts, N ~ Poisson(mu), mu finite
+    # and start + 2 > mu: the reverse cumulative sums of one pmf run from start + 1 upward
+    run = _pmf_run(start + 1, mu, 1)
+    return math.exp(_log_pmf(start + 1, mu)) * np.cumsum(run[::-1])[::-1]
+
+
+def _poisson_tails(n: int, mu: float) -> tuple[float, float]:
+    # (P[N <= n], P[N > n]) for N ~ Poisson(mu), n >= 0 and mu >= 0, inf included; the side
+    # away from the mode is summed from its nearest term, the other is its complement
+    if mu == math.inf:
+        return 0.0, 1.0
+    if n < mu:
+        below = math.exp(_log_pmf(n, mu) + math.log(_pmf_run(n, mu, -1).sum()))
+        return below, 1.0 - below
+    above = float(_upper_tails(n, mu)[0])
+    return 1.0 - above, above
 
 
 def coherent_state(params: CoherentParams, cutoff: int) -> FockVector:

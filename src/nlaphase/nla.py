@@ -13,9 +13,8 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc, gammaincc
 
-from .fock import CoherentParams, FockVector, coherent_state
+from .fock import CoherentParams, FockVector, _poisson_tails, coherent_state
 
 __all__ = [
     "NlaParams",
@@ -110,12 +109,11 @@ def _scaled_branch_probabilities(mu: float, params: NlaParams) -> tuple[float, f
     # The head sums over n <= n0 of P(n) g^{2(n-n0)} and P(n) (1 - g^{2(n-n0)}), P the
     # Poisson(mu) law, as P[N <= n0] times the weighted mean of the terms
     # u_n = P(n)/P(k), where k is the largest term's level; u_n <= 1 comes from
-    # products of the ratios mu/n, so nothing overflows.  The tail P[N > n0] is
-    # gammainc.  Where P[N <= n0] is below the smallest normal double, so is p_f,
-    # and p_f is returned as 0.0.
+    # products of the ratios mu/n, so nothing overflows.  Both P[N <= n0] and the
+    # tail P[N > n0] come from fock's Poisson tails.  Where P[N <= n0] is below the
+    # smallest normal double, so is p_f, and p_f is returned as 0.0.
     n0 = params.n0
-    below = gammaincc(n0 + 1, mu)
-    above = gammainc(n0 + 1, mu)
+    below, above = _poisson_tails(n0, mu)
     if below < sys.float_info.min:
         return float(above), 0.0
     k = n0 if mu >= n0 else int(mu)

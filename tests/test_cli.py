@@ -4,11 +4,15 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 
 import pytest
 
+import nlaphase
 from nlaphase import NlaParams, __version__, branch_breakdown, cli, fisher, fock, heralding_probabilities
 from nlaphase.cli import main
 
@@ -49,6 +53,14 @@ def captured_rows(monkeypatch, command):
 
     monkeypatch.setitem(cli._RUNNERS, command, recorded)
     return produced
+
+
+def test_import_loads_no_scipy():
+    # numpy is the only runtime dependency; scipy is a test oracle only
+    code = "import nlaphase.cli, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(nlaphase.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 BATCH = cli._ROWS_PER_ENCODE  # rows per encoder call in the JSON writer
@@ -571,9 +583,9 @@ class TestExitCodes:
         self, tmp_path, capsys, monkeypatch, command
     ):
         def no_scan(*args):
-            raise AssertionError("gammainc called")
+            raise AssertionError("cutoff scan ran")
 
-        monkeypatch.setattr(fock, "gammainc", no_scan)
+        monkeypatch.setattr(fock, "_upper_tails", no_scan)
         out = tmp_path / "x.out"
         grid = {
             "fisher-sweep": ["--n0-list", 1, "--gains", 1],
@@ -588,9 +600,9 @@ class TestExitCodes:
         # the cutoff for g*r = 1e7 is near 1e14 levels: scanning to it takes about a
         # minute, and a state on it would need 1.42 PiB
         def no_scan(*args):
-            raise AssertionError("gammainc called")
+            raise AssertionError("cutoff scan ran")
 
-        monkeypatch.setattr(fock, "gammainc", no_scan)
+        monkeypatch.setattr(fock, "_upper_tails", no_scan)
         out = tmp_path / "x.csv"
         assert run("fisher-sweep", "--r", 1, "--gains", "1e7", "--n0-list", 1, "--output", out) == 2
         assert "needs a cutoff above 2**24" in capsys.readouterr().err

@@ -1,11 +1,12 @@
 """Tests for the truncated Fock-basis substrate."""
 
 import math
+import random
 
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nlaphase import (
@@ -38,6 +39,40 @@ def poisson_tail_oracle(mu, cutoff, dps=50):
         return float(total)
 
 
+def poisson_sides_oracle(n, mu, dps=30):
+    """(P[N <= n], P[N > n], pmf at n) for N ~ Poisson(mu), finite mu > 0, as mpf values.
+
+    The side away from the mode is summed term by term from its first term, whose
+    logarithm mpmath evaluates, until a term is below 2**-60 of the sum; the other
+    side is the complement.  No gammainc: mpmath's raised NoConvergence near mu = 1.2e7.
+    """
+    with mp.workdps(dps):
+        m = mp.mpf(mu)
+        first, step = (n, -1) if n < mu else (n + 1, 1)
+        term, total, k = mp.mpf(1), mp.mpf(0), first
+        while True:
+            total += term
+            if term < total * mp.mpf(2) ** -60 or k + step < 0:
+                break
+            term = term * (k / m if step < 0 else m / (k + 1))
+            k += step
+        side = mp.exp(-m + first * mp.log(m) - mp.loggamma(first + 1)) * total
+        pmf = mp.exp(-m + n * mp.log(m) - mp.loggamma(n + 1))
+        return (side, 1 - side, pmf) if step < 0 else (1 - side, side, pmf)
+
+
+def cutoff_points_past_1800(count=6, seed=20):
+    """Seeded (r, n0, g) points with g*r in [1800, 4000], where scipy's gammainc lost
+    the tail's leading digits."""
+    rng = random.Random(seed)
+    points = []
+    while len(points) < count:
+        r, gr = rng.uniform(20.0, 37.6), rng.uniform(1800.0, 4000.0)
+        if gr / r >= 1.0:
+            points.append((r, rng.randint(1, 20), gr / r))
+    return points
+
+
 class TestChooseCutoff:
     def test_vacuum_hits_floor(self):
         # no tail at r = 0, so the floor n0 + 1 wins
@@ -50,6 +85,19 @@ class TestChooseCutoff:
         mu = (2.0 * 0.25) ** 2
         assert poisson_tail_oracle(mu, n) < 1e-12
         assert poisson_tail_oracle(mu, n - 1) >= 1e-12
+
+    @pytest.mark.parametrize(
+        "r, n0, g", [(34.83, 15, 98.22), *cutoff_points_past_1800()], ids=lambda v: f"{v:.6g}"
+    )
+    def test_tail_contract_past_gr_1800(self, r, n0, g):
+        # the tail beyond N - 1 is at least 1e-12 and the tail beyond N below it; at the
+        # first point scipy's gammainc gave 11727326, whose tail is 1.0113e-12
+        n = choose_cutoff(CoherentParams(r), n0, g)
+        if (r, n0, g) == (34.83, 15, 98.22):
+            assert n == 11727332
+        _, tail_before, pmf = poisson_sides_oracle(n - 1, (g * r) ** 2)
+        with mp.workdps(30):
+            assert tail_before >= mp.mpf("1e-12") > tail_before - pmf
 
     def test_floor_respected(self):
         for n0 in (1, 3, 5):
@@ -69,9 +117,9 @@ class TestChooseCutoff:
         # coherent_state refuses such an r, so the cutoff scan (at r = 1000 a scan
         # near a million levels) must not run first
         def no_scan(*args):
-            raise AssertionError("gammainc called")
+            raise AssertionError("cutoff scan ran")
 
-        monkeypatch.setattr(fock, "gammainc", no_scan)
+        monkeypatch.setattr(fock, "_upper_tails", no_scan)
         with pytest.raises(ValueError, match="not a normal double"):
             choose_cutoff(CoherentParams(r), 1, 1.0)
 
@@ -117,6 +165,57 @@ class TestChooseCutoff:
         for _ in range(3):
             with pytest.raises(ValueError, match=message):
                 choose_cutoff(CoherentParams(r), n0, g)
+
+
+class TestPoissonTails:
+    """fock._poisson_tails(n, mu) = (P[N <= n], P[N > n]) against a direct mpmath sum.
+
+    The side away from the mode, of value v, is p * S: an anchor p = exp(ln p) and a
+    run of K terms in units of p (K = len(fock._pmf_run(...)), the same run the code
+    sums).  Term j carries at most 3j roundings of u = 2**-53 (its ratio, the running
+    product, the chunk's scale) and summing K terms adds K more, so S is within 4Ku.
+    ln p = -stirlerr - bd0 - ln sqrt(2 pi n) is Loader's form.  Its deviance bd0 is a
+    series added by fsum (within 4u bd0) where |v| < 1/2, v = (n - mu)/(n + mu), and the
+    closed form elsewhere, whose roundings of n ln(n/mu), n and mu stay within 8u bd0
+    there; with the two subtractions and ln sqrt(2 pi n) <= 10, ln p is within
+    10u (|ln p| + 2), and |ln p| <= |ln v| + ln K.  exp adds u (1 + |ln v|).  The other
+    side is 1 - v, which adds one rounding.  Both sides are checked wherever they are
+    at least 1e-300.
+    """
+
+    @staticmethod
+    def bound(v, terms):
+        return (4 * terms + 12 * (abs(math.log(v)) + math.log(terms) + 2)) * 2.0**-53
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.one_of(st.sampled_from([0.0, math.inf]), st.floats(-10.0, 24.0).map(lambda e: 2.0**e)),
+        st.floats(-40.0, 40.0),
+        st.integers(0, 2**25),
+    )
+    @example(0.0, 0.0, 3)
+    @example(math.inf, 0.0, 7)
+    @example(2.0**24 - 5.5, 1.0, 0)
+    @example(1.2e7, 0.0, 0)
+    def test_against_mpmath(self, mu, z, n_if_not_finite):
+        # n sits z standard deviations from the mean, where both sides are representable
+        if mu in (0.0, math.inf):
+            n = n_if_not_finite
+            assert fock._poisson_tails(n, mu) == ((1.0, 0.0) if mu == 0.0 else (0.0, 1.0))
+            return
+        n = max(0, int(mu + z * math.sqrt(mu)))
+        got = fock._poisson_tails(n, mu)
+        below, above, _ = poisson_sides_oracle(n, mu)
+        want = (float(below), float(above))
+        small = 0 if n < mu else 1
+        run = fock._pmf_run(n, mu, -1) if n < mu else fock._pmf_run(n + 1, mu, 1)
+        if want[small] >= 1e-300:
+            tol = self.bound(want[small], run.size)
+            assert abs(got[small] - want[small]) <= tol * want[small], (n, mu, got, want)
+            big_tol = tol * want[small] + 2.0**-52 * want[1 - small]
+            assert abs(got[1 - small] - want[1 - small]) <= big_tol, (n, mu, got, want)
+        else:
+            assert got[small] < 2e-300 and got[1 - small] == 1.0
 
 
 class TestCoherentState:
