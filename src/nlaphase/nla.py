@@ -115,7 +115,7 @@ def _scaled_branch_probabilities(mu: float, params: NlaParams) -> tuple[float, f
     n0 = params.n0
     below, above = _poisson_tails(n0, mu)
     if below < sys.float_info.min:
-        return float(above), 0.0
+        return above, 0.0
     k = n0 if mu >= n0 else int(mu)
     u = np.concatenate(
         [
