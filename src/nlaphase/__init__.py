@@ -45,7 +45,7 @@ from .fock import (
     inner_product,
     phase_derivative,
 )
-from .kernels import active_backend, categorical_counts, derive_key
+from .kernels import categorical_counts, derive_key
 from .montecarlo import (
     PrecisionReport,
     SimConfig,
@@ -100,7 +100,6 @@ __all__ = [
     "cost_postselect",
     "breakeven_y",
     "recommend_strategy",
-    "active_backend",
     "categorical_counts",
     "derive_key",
 ]

@@ -305,8 +305,8 @@ def run_probabilities(params: dict) -> list[dict]:
     rows = []
     for n0 in params["n0_list"]:
         for g in params["gain_grid"]:
-            p_s, p_f = heralding_probabilities(params["r"], NlaParams(float(g), int(n0)))
-            rows.append({"gain": float(g), "n0": int(n0), "p_s": p_s, "p_f": p_f})
+            p_s, p_f = heralding_probabilities(params["r"], NlaParams(g, n0))
+            rows.append({"gain": g, "n0": n0, "p_s": p_s, "p_f": p_f})
     return rows
 
 
@@ -335,7 +335,7 @@ def run_simulate(params: dict) -> list[dict]:
     # every grid point is checked before any experiment runs; each gets one
     # independent sub-seed derived from the master seed
     points = [
-        replace(base, gain=float(g), n0=int(n0), seed=kernels.derive_key(params["seed"], idx + 1))
+        replace(base, gain=g, n0=n0, seed=kernels.derive_key(params["seed"], idx + 1))
         for idx, (n0, g) in enumerate(product(params["n0_list"], params["gain_grid"]))
     ]
     direct = simulate_direct(base)

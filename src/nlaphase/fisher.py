@@ -260,7 +260,7 @@ def sweep_gain(r: float, n0_list, gains=None) -> list[dict]:
     if gains.size == 0:
         raise ValueError("gain grid must be nonempty")
     # NlaParams checks every point before the first breakdown runs
-    points = [NlaParams(float(g), int(n0)) for n0 in n0_list for g in gains]
+    points = [NlaParams(float(g), n0) for n0 in n0_list for g in gains]
     rows = []
     for params in points:
         b = branch_breakdown(r, params)

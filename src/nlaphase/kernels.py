@@ -1,4 +1,4 @@
-"""Counter-based sampling kernels with a numba fast path and a pure-numpy fallback.
+"""Counter-based sampling kernel.
 
 Reproducibility contract
 ------------------------
@@ -13,58 +13,33 @@ time and the drawn counts never change.  Stream keys are derived from a 64-bit
 seed with the same mixer, `derive_key(seed, stream_index)`.
 
 A trial falls in category j when exactly j of the cdf entries c satisfy u >= c.
-The numba backend compares the float u with each c.  The numpy backend compares
-the raw 64-bit hash z instead, and lands every draw in the same category:
-u = (z >> 11) * 2**-53 is exact, so u >= c holds exactly when the integer
-z >> 11 is at least ceil(c * 2**53), that is when z >= ceil(c * 2**53) << 11.
-When ceil(c * 2**53) >= 2**53 (c >= 1, including a cdf entry that rounding puts
-above 1) no draw passes.  The cdf is nondecreasing, so the count of category j
-in a run is #(u >= c_{j-1}) - #(u >= c_j).  The numpy backend counts each run's
-passing draws as a matrix-vector product of a 1.0/0.0 mask with ones, in float32
-(float64 for runs of 2**24 trials or more): every partial sum is an integer no
-larger than m, so the count is exact in any summation order.  The two backends'
-outputs are therefore bit-for-bit equal.  Select with the environment variable
-NLAPHASE_BACKEND=numba|numpy (default: numba when importable, else numpy).
-`benchmarks/kernel_bench.py` checks the numpy backend against `uniform_stream`
-and compares the two.
+The kernel compares the raw 64-bit hash z instead of the float u, and lands every
+draw in the same category: u = (z >> 11) * 2**-53 is exact, so u >= c holds
+exactly when the integer z >> 11 is at least ceil(c * 2**53), that is when
+z >= ceil(c * 2**53) << 11.  When ceil(c * 2**53) >= 2**53 (c >= 1, including a
+cdf entry that rounding puts above 1) no draw passes.  The cdf is nondecreasing,
+so the count of category j in a run is #(u >= c_{j-1}) - #(u >= c_j).  Each run's
+passing draws are counted as a matrix-vector product of a 1.0/0.0 mask with ones,
+in float32 (float64 for runs of 2**24 trials or more): every partial sum is an
+integer no larger than m, so the count is exact in any summation order.
+`benchmarks/kernel_bench.py` and the tests check the kernel against a per-run
+bincount of searchsorted over `uniform_stream`'s float uniforms.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import warnings
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    NUMBA_AVAILABLE = False
-
-    def njit(*args, **kwargs):
-        def wrap(f):
-            return f
-
-        return wrap(args[0]) if args and callable(args[0]) else wrap
-
-
-__all__ = [
-    "NUMBA_AVAILABLE",
-    "active_backend",
-    "categorical_counts",
-    "derive_key",
-    "uniform_stream",
-]
+__all__ = ["categorical_counts", "derive_key", "uniform_stream"]
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
-# uint64 copies for the array/jit pipelines
+# uint64 copies for the array pipelines
 _U_GOLDEN = np.uint64(_GOLDEN)
 _U_MIX1 = np.uint64(_MIX1)
 _U_MIX2 = np.uint64(_MIX2)
@@ -76,7 +51,7 @@ _U_ONE = np.uint64(1)
 _INV53 = 1.0 / 9007199254740992.0  # 2**-53
 _TWO53 = 9007199254740992.0  # 2**53
 
-# the numpy kernel hashes about this many trials per chunk, so that its buffers
+# the kernel hashes about this many trials per chunk, so that its buffers
 # (three uint64 and one float mask per trial) stay in a core's L2 cache
 _BLOCK_TRIALS = 1 << 16
 
@@ -101,45 +76,13 @@ def derive_key(seed: int, stream_index: int) -> int:
     return _mix64((seed + (stream_index + 1) * _GOLDEN) & _MASK64)
 
 
+# kept only for perfbench/child.py's environment stamp, which reads both names;
+# there is one kernel, in numpy
+NUMBA_AVAILABLE = False
+
+
 def active_backend() -> str:
-    """Backend selected by NLAPHASE_BACKEND, falling back to numba when available."""
-    choice = os.environ.get("NLAPHASE_BACKEND", "").strip().lower()
-    if choice in ("numba", "numpy"):
-        if choice == "numba" and not NUMBA_AVAILABLE:
-            warnings.warn("NLAPHASE_BACKEND=numba requested but numba is not importable; using numpy")
-            return "numpy"
-        return choice
-    if choice:
-        raise ValueError(f"NLAPHASE_BACKEND must be 'numba' or 'numpy', got {choice!r}")
-    return "numba" if NUMBA_AVAILABLE else "numpy"
-
-
-@njit(cache=True)
-def _counts_numba(key, cdf, m, run0, runs, out):  # pragma: no cover - compiled
-    nb = cdf.shape[0]
-    for i in range(runs):
-        base = (np.uint64(run0) + np.uint64(i)) * np.uint64(m)
-        for t in range(m):
-            z = key + (base + np.uint64(t) + _U_ONE) * _U_GOLDEN
-            z = (z ^ (z >> _R30)) * _U_MIX1
-            z = (z ^ (z >> _R27)) * _U_MIX2
-            z = z ^ (z >> _R31)
-            u = (z >> _R11) * _INV53
-            cat = 0
-            for j in range(nb):
-                if u >= cdf[j]:
-                    cat = j + 1
-                else:
-                    break
-            out[i, cat] += 1
-
-
-def _uniform_block(key: np.uint64, counters: np.ndarray) -> np.ndarray:
-    z = key + (counters + _U_ONE) * _U_GOLDEN
-    z = (z ^ (z >> _R30)) * _U_MIX1
-    z = (z ^ (z >> _R27)) * _U_MIX2
-    z = z ^ (z >> _R31)
-    return (z >> _R11) * _INV53
+    return "numpy"
 
 
 def _thresholds(cdf):
@@ -152,7 +95,7 @@ def _thresholds(cdf):
     return out
 
 
-def _counts_numpy(key, cdf, m, run0, runs, out):
+def _counts(key, cdf, m, run0, runs, out):
     thresholds = _thresholds(cdf)
     chunk = max(1, _BLOCK_TRIALS // m)
     size = min(chunk, runs) * m
@@ -198,22 +141,18 @@ def _counts_numpy(key, cdf, m, run0, runs, out):
 def uniform_stream(key: int, start: int, count: int) -> np.ndarray:
     """The raw [0, 1) uniforms of a stream at counters start..start+count-1."""
     counters = np.arange(start, start + count, dtype=np.uint64)
-    return _uniform_block(np.uint64(key), counters)
+    z = np.uint64(key) + (counters + _U_ONE) * _U_GOLDEN
+    z = (z ^ (z >> _R30)) * _U_MIX1
+    z = (z ^ (z >> _R27)) * _U_MIX2
+    z = z ^ (z >> _R31)
+    return (z >> _R11) * _INV53
 
 
-def categorical_counts(
-    key: int,
-    run0: int,
-    runs: int,
-    m: int,
-    probs: np.ndarray,
-    backend: str | None = None,
-) -> np.ndarray:
+def categorical_counts(key: int, run0: int, runs: int, m: int, probs: np.ndarray) -> np.ndarray:
     """Outcome counts of `runs` experiments of m categorical trials each.
 
     Row i holds the counts of run index run0 + i; the probability vector must be
-    finite, nonnegative and sum to 1 within 1e-9.  Output is identical for both
-    backends.
+    finite, nonnegative and sum to 1 within 1e-9.
     """
     probs = np.asarray(probs, dtype=np.float64)
     if probs.ndim != 1 or probs.size < 1:
@@ -230,12 +169,5 @@ def categorical_counts(
     out = np.zeros((runs, probs.size), dtype=np.int64)
     if runs == 0:
         return out
-    cdf = np.cumsum(probs[:-1])
-    backend = backend or active_backend()
-    if backend == "numba":
-        _counts_numba(np.uint64(key), cdf, m, run0, runs, out)
-    elif backend == "numpy":
-        _counts_numpy(key, cdf, m, run0, runs, out)
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
+    _counts(key, np.cumsum(probs[:-1]), m, run0, runs, out)
     return out

@@ -38,7 +38,6 @@ from nlaphase import (
     simulate_direct,
     simulate_nla,
 )
-from nlaphase import kernels
 from nlaphase.cli import main as cli_main
 
 ACCEPTANCE_SEED = 4
@@ -244,20 +243,3 @@ def test_criterion_10_cli_determinism(tmp_path):
                          "--output", str(rerun)]) == 0
         assert rerun.read_bytes() == first
 
-        # worker-count independence rests on the counter-based streams: every run
-        # is a pure function of (seed, run index), which the two kernel backends
-        # evaluate identically
-        if kernels.NUMBA_AVAILABLE:
-            import os
-
-            env_backup = os.environ.get("NLAPHASE_BACKEND")
-            try:
-                os.environ["NLAPHASE_BACKEND"] = "numpy"
-                fallback = tmp_path / "fallback.csv"
-                assert cli_main(args[:-1] + [str(fallback)]) == 0
-                assert fallback.read_bytes() == first
-            finally:
-                if env_backup is None:
-                    os.environ.pop("NLAPHASE_BACKEND", None)
-                else:
-                    os.environ["NLAPHASE_BACKEND"] = env_backup

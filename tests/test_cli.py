@@ -268,6 +268,15 @@ class TestSimulate:
         run("simulate", "--gains", "2", "--n0-list", "2", "--runs", 2000, "--seed", 2, "--output", b)
         assert a.read_bytes() != b.read_bytes()
 
+    @pytest.mark.parametrize("value", ["numba", "cuda"])
+    def test_backend_variable_selects_nothing(self, tmp_path, monkeypatch, value):
+        # there is one sampling kernel, and no environment variable chooses it
+        args = ["simulate", "--gains", "1,2", "--n0-list", "2", "--m", 50, "--runs", 300, "--seed", 3]
+        assert run(*args, "--output", tmp_path / "plain.csv") == 0
+        monkeypatch.setenv("NLAPHASE_BACKEND", value)
+        assert run(*args, "--output", tmp_path / "set.csv") == 0
+        assert (tmp_path / "set.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+
 
 class TestCost:
     def test_report_values(self, tmp_path, capsys):

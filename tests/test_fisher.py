@@ -511,6 +511,13 @@ class TestSweeps:
         with pytest.raises(ValueError, match=f"gain must be finite and >= 1, got {bad}"):
             sweep_gain(0.25, [1, 2], gains=[1.0, 2.0, bad])
 
+    @pytest.mark.parametrize("n0", [2.5, True, "3"])
+    def test_non_integer_n0_refused(self, n0):
+        # n0 goes to NlaParams unconverted: int() would truncate 2.5 and turn
+        # True and "3" into 1 and 3, and give rows for the wrong n0
+        with pytest.raises(ValueError, match="n0 must be an integer >= 1"):
+            sweep_gain(0.25, [n0], gains=[2.0])
+
     def test_fraction_rows(self):
         b = paper_breakdown()
         m = 1000

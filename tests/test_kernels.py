@@ -1,4 +1,4 @@
-"""Tests for the counter-based sampling kernels and backend equivalence."""
+"""Tests for the counter-based sampling kernel against its float reference."""
 
 import numpy as np
 import pytest
@@ -6,15 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlaphase import kernels
-from nlaphase.kernels import (
-    NUMBA_AVAILABLE,
-    active_backend,
-    categorical_counts,
-    derive_key,
-    uniform_stream,
-)
-
-BACKENDS = ["numpy"] + (["numba"] if NUMBA_AVAILABLE else [])
+from nlaphase.kernels import categorical_counts, derive_key, uniform_stream
 
 
 def reference_hash(key, counter):
@@ -68,10 +60,9 @@ class TestMixer:
 
 
 class TestCategoricalCounts:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_rows_sum_to_m(self, backend):
+    def test_rows_sum_to_m(self):
         probs = np.array([0.2, 0.3, 0.5])
-        counts = categorical_counts(derive_key(5, 0), 0, 50, 97, probs, backend=backend)
+        counts = categorical_counts(derive_key(5, 0), 0, 50, 97, probs)
         assert counts.shape == (50, 3)
         np.testing.assert_array_equal(counts.sum(axis=1), np.full(50, 97))
 
@@ -79,32 +70,15 @@ class TestCategoricalCounts:
         counts = categorical_counts(derive_key(5, 0), 0, 10, 100, [1.0, 0.0, 0.0])
         np.testing.assert_array_equal(counts, np.tile([100, 0, 0], (10, 1)))
 
-    @pytest.mark.skipif(not NUMBA_AVAILABLE, reason="numba not installed")
-    def test_backends_bit_identical(self):
-        rng = np.random.default_rng(31337)
-        for _ in range(5):
-            k = int(rng.integers(2, 6))
-            probs = rng.dirichlet(np.ones(k))
-            if rng.random() < 0.5:
-                probs[rng.integers(k)] = 0.0  # zero-width category
-                probs = probs / probs.sum()
-            m = int(rng.integers(1, 400))
-            runs = int(rng.integers(1, 200))
-            key = derive_key(int(rng.integers(0, 1 << 63)), 1)
-            a = categorical_counts(key, 0, runs, m, probs, backend="numba")
-            b = categorical_counts(key, 0, runs, m, probs, backend="numpy")
-            np.testing.assert_array_equal(a, b)
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_run_slices_are_position_independent(self, backend):
+    def test_run_slices_are_position_independent(self):
         # run i draws the same counts whether computed alone or in a batch, which
         # is what makes any worker split reproduce the same totals
         probs = [0.1, 0.6, 0.3]
         key = derive_key(77, 2)
-        whole = categorical_counts(key, 0, 30, 53, probs, backend=backend)
-        part = categorical_counts(key, 12, 18, 53, probs, backend=backend)
+        whole = categorical_counts(key, 0, 30, 53, probs)
+        part = categorical_counts(key, 12, 18, 53, probs)
         np.testing.assert_array_equal(whole[12:], part)
-        one = categorical_counts(key, 17, 1, 53, probs, backend=backend)
+        one = categorical_counts(key, 17, 1, 53, probs)
         np.testing.assert_array_equal(whole[17], one[0])
 
     def test_deterministic_repeat(self):
@@ -129,26 +103,22 @@ class TestCategoricalCounts:
             categorical_counts(key, 0, 5, 10, [0.3, 0.3])
         with pytest.raises(ValueError):
             categorical_counts(key, 0, 5, 0, [0.5, 0.5])
-        with pytest.raises(ValueError):
-            categorical_counts(key, 0, 5, 10, [0.5, 0.5], backend="fortran")
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize(
         "probs", [[np.nan, 0.5, 0.5], [0.5, np.nan, 0.5], [np.inf, 0.5, 0.5], [0.5, 0.5, -np.inf]]
     )
-    def test_non_finite_probabilities_rejected(self, backend, probs):
+    def test_non_finite_probabilities_rejected(self, probs):
         # NaN compares false with everything, so a sign check and a sum check alone let it through
         with pytest.raises(ValueError, match="finite"):
-            categorical_counts(derive_key(1, 0), 0, 5, 10, probs, backend=backend)
+            categorical_counts(derive_key(1, 0), 0, 5, 10, probs)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_failure_mass_counted_as_null_keeps_success_counts(self, backend):
+    def test_failure_mass_counted_as_null_keeps_success_counts(self):
         # [a, b, p_f, 0, rest] and [a, b, 0, 0, p_f + rest] share the cdf
         # boundaries a and a + b, so the s+- columns agree draw for draw
         a, b, p_f, rest = 0.31, 0.17, 0.43, 0.09
         key = derive_key(11, 1)
-        split = categorical_counts(key, 0, 200, 97, [a, b, p_f, 0.0, rest], backend=backend)
-        merged = categorical_counts(key, 0, 200, 97, [a, b, 0.0, 0.0, p_f + rest], backend=backend)
+        split = categorical_counts(key, 0, 200, 97, [a, b, p_f, 0.0, rest])
+        merged = categorical_counts(key, 0, 200, 97, [a, b, 0.0, 0.0, p_f + rest])
         np.testing.assert_array_equal(split[:, :2], merged[:, :2])
         np.testing.assert_array_equal(merged[:, 2:4], 0)
         np.testing.assert_array_equal(merged[:, 4], split[:, 2:].sum(axis=1))
@@ -169,14 +139,14 @@ def reference_counts(key, run0, runs, m, probs):
     return out
 
 
-def assert_numpy_matches_reference(key, run0, runs, m, probs):
-    got = categorical_counts(key, run0, runs, m, probs, backend="numpy")
+def assert_matches_reference(key, run0, runs, m, probs):
+    got = categorical_counts(key, run0, runs, m, probs)
     np.testing.assert_array_equal(got, reference_counts(key, run0, runs, m, probs))
     return got
 
 
 class TestNumpyKernelMatchesReference:
-    """The numpy kernel compares raw hashes with integer thresholds; every draw must
+    """The kernel compares raw hashes with integer thresholds; every draw must
     land in the category that comparing its float uniform with the cdf gives."""
 
     KEY = derive_key(20240607, 4)
@@ -197,7 +167,7 @@ class TestNumpyKernelMatchesReference:
     )
     @pytest.mark.parametrize("m", [1, 20, 97, 1000])
     def test_fixed_vectors(self, probs, m):
-        got = assert_numpy_matches_reference(self.KEY, 3, 70, m, probs)
+        got = assert_matches_reference(self.KEY, 3, 70, m, probs)
         if probs[-1] == 0.0:
             np.testing.assert_array_equal(got[:, -1], 0)
 
@@ -213,7 +183,7 @@ class TestNumpyKernelMatchesReference:
             a, b = np.nextafter(a, nudge), np.nextafter(b, nudge)
         probs = [a, b - a, 1.0 - b]
         assert np.array_equal(np.cumsum(probs[:-1]), [a, b])
-        got = assert_numpy_matches_reference(self.KEY, run0, runs, m, probs)
+        got = assert_matches_reference(self.KEY, run0, runs, m, probs)
         assert got[:, 0].sum() == 3 + (nudge == 1.0)
 
     def test_cdf_entry_at_a_draw_whose_hash_is_its_threshold(self):
@@ -223,7 +193,7 @@ class TestNumpyKernelMatchesReference:
         exact = [c for c in range(runs * m) if reference_hash(self.KEY, c) & 0x7FF == 0]
         assert exact, "no hash with clear low bits in the stream"
         a = uniform_stream(self.KEY, exact[0], 1)[0]
-        assert_numpy_matches_reference(self.KEY, 0, runs, m, [a, 1.0 - a])
+        assert_matches_reference(self.KEY, 0, runs, m, [a, 1.0 - a])
 
     @pytest.mark.parametrize("m", [1, 20, 1000, kernels._BLOCK_TRIALS + 3])
     def test_runs_across_chunk_boundaries(self, m):
@@ -233,8 +203,8 @@ class TestNumpyKernelMatchesReference:
         runs = 2 * chunk + 3 if chunk > 1 else 3
         run0 = chunk - 1 if chunk > 1 else 7
         probs = [0.1, 0.0, 0.6, 0.3]
-        got = assert_numpy_matches_reference(self.KEY, run0, runs, m, probs)
-        whole = categorical_counts(self.KEY, 0, run0 + runs, m, probs, backend="numpy")
+        got = assert_matches_reference(self.KEY, run0, runs, m, probs)
+        whole = categorical_counts(self.KEY, 0, run0 + runs, m, probs)
         np.testing.assert_array_equal(whole[run0:], got)
 
     @pytest.mark.parametrize("float32_exact", [kernels._FLOAT32_EXACT, 1], ids=["float32", "float64"])
@@ -245,7 +215,7 @@ class TestNumpyKernelMatchesReference:
         # sums every width in float64, as rows of 2**24 or more trials are.
         monkeypatch.setattr(kernels, "_FLOAT32_EXACT", float32_exact)
         runs = 2 * max(1, kernels._BLOCK_TRIALS // m) + 1
-        assert_numpy_matches_reference(self.KEY, 5, runs, m, [0.0, 1e-5, 0.3, 0.7 - 2e-5, 1e-5])
+        assert_matches_reference(self.KEY, 5, runs, m, [0.0, 1e-5, 0.3, 0.7 - 2e-5, 1e-5])
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -259,24 +229,5 @@ class TestNumpyKernelMatchesReference:
     )
     def test_random_vectors(self, weights, m, runs, run0, key):
         probs = np.array(weights) / sum(weights)
-        assert_numpy_matches_reference(key, run0, runs, m, probs)
+        assert_matches_reference(key, run0, runs, m, probs)
 
-
-class TestBackendSelection:
-    def test_env_flag_numpy(self, monkeypatch):
-        monkeypatch.setenv("NLAPHASE_BACKEND", "numpy")
-        assert active_backend() == "numpy"
-
-    @pytest.mark.skipif(not NUMBA_AVAILABLE, reason="numba not installed")
-    def test_env_flag_numba(self, monkeypatch):
-        monkeypatch.setenv("NLAPHASE_BACKEND", "numba")
-        assert active_backend() == "numba"
-
-    def test_default_prefers_numba(self, monkeypatch):
-        monkeypatch.delenv("NLAPHASE_BACKEND", raising=False)
-        assert active_backend() == ("numba" if NUMBA_AVAILABLE else "numpy")
-
-    def test_invalid_value_rejected(self, monkeypatch):
-        monkeypatch.setenv("NLAPHASE_BACKEND", "cuda")
-        with pytest.raises(ValueError):
-            active_backend()

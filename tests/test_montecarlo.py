@@ -118,15 +118,6 @@ class TestSimulateDirect:
         b = simulate_direct(config)
         assert a == b
 
-    @pytest.mark.skipif(not kernels.NUMBA_AVAILABLE, reason="numba not installed")
-    def test_backends_agree_exactly(self, monkeypatch):
-        config = SimConfig(r=0.25, runs=4_000, seed=1234)
-        monkeypatch.setenv("NLAPHASE_BACKEND", "numba")
-        a = simulate_direct(config)
-        monkeypatch.setenv("NLAPHASE_BACKEND", "numpy")
-        b = simulate_direct(config)
-        assert a == b
-
 
 class TestSimulateNla:
     def test_identity_gain_matches_direct(self):
@@ -168,15 +159,6 @@ class TestSimulateNla:
     def test_bit_reproducible(self):
         config = SimConfig(gain=2.0, n0=2, runs=5_000, seed=99)
         assert simulate_nla(config) == simulate_nla(config)
-
-    @pytest.mark.skipif(not kernels.NUMBA_AVAILABLE, reason="numba not installed")
-    def test_backends_agree_exactly(self, monkeypatch):
-        config = SimConfig(gain=2.0, n0=2, runs=4_000, seed=77)
-        monkeypatch.setenv("NLAPHASE_BACKEND", "numba")
-        a = simulate_nla(config)
-        monkeypatch.setenv("NLAPHASE_BACKEND", "numpy")
-        b = simulate_nla(config)
-        assert a == b
 
 
 class TestNoRunLeft:
