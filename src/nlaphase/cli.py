@@ -1,8 +1,9 @@
 """Command-line front end: figure datasets, Monte Carlo driving, cost reports.
 
-Each `run_<command>` computes its rows from the checked parameters and nothing
-else.  `main` resolves and checks every value (flag, config or manifest) through
-one cast per field, writes the dataset, and picks the exit code.  Every dataset
+Each `run_<command>` computes its dataset from the checked parameters and nothing
+else: a column table (name -> column), or for `cost` one report.  `main`
+resolves and checks every value (flag, config or manifest) through one cast per
+field, writes the dataset, and picks the exit code.  Every dataset
 written to a file gets a sidecar `<output>.manifest.json` holding the fully
 resolved parameter set; `nlaphase rerun --manifest <file>` re-executes it through
 the same checks and reproduces the dataset byte for byte.  Numeric CSV/JSON
@@ -18,12 +19,15 @@ import argparse
 import csv
 import datetime
 import json
+import math
 import sys
 from contextlib import nullcontext
 from dataclasses import replace
 from itertools import product
 from pathlib import Path
 from typing import Callable, NamedTuple
+
+import numpy as np
 
 from . import __version__, kernels
 from .cost import CostParams, recommend_strategy
@@ -238,44 +242,74 @@ def _utc_now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).replace(microsecond=0).isoformat()
 
 
-# json's C encoder, with the separators that put each item of a row on its own line
-# at depth 2: a row's values are Python scalars, and a JSON string escapes its
-# newlines, so ",\n    " appears only between items, and "}" + ",\n    " + "{" only
-# between the rows of a batch.  Floats go through float.__repr__, as in json.dump.
-_ITEM_SEP = ",\n    "
-_ROW_ENCODER = json.JSONEncoder(separators=(_ITEM_SEP, ": "))
-_ROWS_PER_ENCODE = 128  # a whole dataset in one call would hold its text twice in memory
+# Rows are rendered a batch at a time: the text of a whole large dataset held at
+# once would raise the peak memory of a run
+_ROWS_PER_BATCH = 1024
+_JSON_SPECIAL = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _write_rows(output: Path | None, fmt: str, rows: list[dict] | dict) -> None:
-    """Write rows as CSV or JSON to output, or to stdout when output is None.
+def _batch(table: dict, lo: int) -> list:
+    """Rows lo to lo + _ROWS_PER_BATCH - 1 of each column, as lists of Python scalars."""
+    hi = lo + _ROWS_PER_BATCH
+    return [v[lo:hi].tolist() if isinstance(v, np.ndarray) else v[lo:hi] for v in table.values()]
 
-    A single report dict is one CSV row, or one JSON object.  The JSON bytes are
-    those of json.dump(..., indent=2) plus a newline, encoded _ROWS_PER_ENCODE rows
-    per call.
+
+def _json_column(values: list) -> tuple[str, list]:
+    """The %-conversion and the values that give each value's text as json.dump writes it."""
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        if all(map(math.isfinite, values)):
+            return "%r", values  # float.__repr__
+        return "%s", [_JSON_SPECIAL.get(t, t) for t in map(float.__repr__, values)]
+    if kinds == {int}:
+        return "%r", values  # int.__repr__
+    return "%s", list(map(json.dumps, values))  # bools, None, strings
+
+
+def _json_rows(names: list, batch: list, indent: str):
+    """The JSON object text of each row of a batch, as json.dump(indent=2) writes it at indent.
+
+    Every row fills one template: the keys and separators are fixed, and each
+    column's %-conversion renders its values.
     """
-    single = isinstance(rows, dict)
+    columns = [_json_column(values) for values in batch]
+    items = ",\n".join(
+        f"{indent}  {json.dumps(name).replace('%', '%%')}: {conversion}"
+        for name, (conversion, _) in zip(names, columns)
+    )
+    template = f"{indent}{{\n{items}\n{indent}}}"
+    return map(template.__mod__, zip(*(values for _, values in columns)))
+
+
+def _write_rows(output: Path | None, fmt: str, table: dict, one_object: bool = False) -> None:
+    """Write a column table as CSV or JSON to output, or to stdout when output is None.
+
+    table maps each column name, in order, to its values, one per row: a 1-d numpy
+    array or a list of Python scalars, every column of one length.  The CSV bytes are
+    those of csv.DictWriter over the rows; the JSON bytes are those of
+    json.dump(rows, indent=2) plus a newline, or of the one row's object when
+    one_object is set.  Rows are rendered _ROWS_PER_BATCH at a time.
+    """
+    names = list(table)
+    count = len(table[names[0]])
     if output is None:
         sink = nullcontext(sys.stdout)
     else:
         sink = open(output, "w", newline="" if fmt == "csv" else None)
     with sink as fh:
         if fmt == "csv":
-            records = [rows] if single else rows
-            writer = csv.DictWriter(fh, fieldnames=list(records[0]))
-            writer.writeheader()
-            writer.writerows(records)
-        elif single:
-            items = _ROW_ENCODER.encode(rows)[1:-1].replace(_ITEM_SEP, ",\n  ")
-            fh.write("{\n  " + items + "\n}\n")
+            writer = csv.writer(fh)
+            writer.writerow(names)
+            for lo in range(0, count, _ROWS_PER_BATCH):
+                writer.writerows(zip(*_batch(table, lo)))
+        elif one_object:
+            fh.write(next(_json_rows(names, _batch(table, 0), "")) + "\n")
         else:
-            sep = "["
-            for lo in range(0, len(rows), _ROWS_PER_ENCODE):
-                batch = _ROW_ENCODER.encode(rows[lo : lo + _ROWS_PER_ENCODE])[2:-2]
-                batch = batch.replace("}" + _ITEM_SEP + "{", "\n  },\n  {\n    ")
-                fh.write(sep + "\n  {\n    " + batch + "\n  }")
-                sep = ","
-            fh.write("\n]\n" if rows else "[]\n")
+            sep = "[\n"
+            for lo in range(0, count, _ROWS_PER_BATCH):
+                fh.write(sep + ",\n".join(_json_rows(names, _batch(table, lo), "  ")))
+                sep = ",\n"
+            fh.write("\n]\n" if count else "[]\n")
 
 
 def _write_sidecars(command: str, output: Path, fmt: str, params: dict, hints: bool) -> None:
@@ -301,25 +335,30 @@ def _write_sidecars(command: str, output: Path, fmt: str, params: dict, hints: b
 # ---------------------------------------------------------------------------
 
 
-def run_probabilities(params: dict) -> list[dict]:
+def _columns(rows: list[dict]) -> dict[str, list]:
+    """The column table of rows that all have the first row's keys."""
+    return {name: [row[name] for row in rows] for name in rows[0]}
+
+
+def run_probabilities(params: dict) -> dict[str, list]:
     rows = []
     for n0 in params["n0_list"]:
         for g in params["gain_grid"]:
             p_s, p_f = heralding_probabilities(params["r"], NlaParams(g, n0))
             rows.append({"gain": g, "n0": n0, "p_s": p_s, "p_f": p_f})
-    return rows
+    return _columns(rows)
 
 
-def run_fisher_sweep(params: dict) -> list[dict]:
-    return sweep_gain(params["r"], params["n0_list"], params["gain_grid"])
+def run_fisher_sweep(params: dict) -> dict[str, list]:
+    return _columns(sweep_gain(params["r"], params["n0_list"], params["gain_grid"]))
 
 
-def run_fraction(params: dict) -> list[dict]:
+def run_fraction(params: dict) -> dict[str, np.ndarray]:
     breakdown = branch_breakdown(params["r"], NlaParams(params["gain"], params["n0"]))
     return sweep_fraction(params["m"], breakdown)
 
 
-def run_simulate(params: dict) -> list[dict]:
+def run_simulate(params: dict) -> dict[str, list]:
     j_alpha = qfi_coherent(params["r"])
     if j_alpha <= 0.0:
         raise ConfigError("r: must be > 0 for a precision simulation")
@@ -354,7 +393,7 @@ def run_simulate(params: dict) -> list[dict]:
                 "runs_used_nla": nla.runs_used,
             }
         )
-    return rows
+    return _columns(rows)
 
 
 def run_cost(params: dict) -> dict:
@@ -440,7 +479,11 @@ def main(argv=None) -> int:
         if command != "cost" and not output:
             raise ConfigError("output: required")
         path = Path(output) if output else None
-        _write_rows(path, fmt, _RUNNERS[command](params))
+        result = _RUNNERS[command](params)
+        if command == "cost":  # one report object
+            _write_rows(path, fmt, {name: [value] for name, value in result.items()}, one_object=True)
+        else:
+            _write_rows(path, fmt, result)
         if path is not None:
             _write_sidecars(command, path, fmt, params, args.gnuplot_hints)
         return 0

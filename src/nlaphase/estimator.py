@@ -108,8 +108,13 @@ def five_outcome_probs(
 def _has_data(counts: np.ndarray, failure_informative: bool = False) -> np.ndarray:
     """The no-data rule: True for each run (last axis: +, -, ... or s+, s-, f+, f-, null)
     with at least one informative count.  The failure pair is informative only when
-    the failure branch carries phase information."""
-    return counts[..., : 4 if failure_informative else 2].sum(axis=-1) >= 1
+    the failure branch carries phase information.  The count columns are added one by
+    one: a sum over a 2- or 4-wide last axis would run one inner loop per run."""
+    informative = counts[..., 0] + counts[..., 1]
+    if failure_informative:
+        informative += counts[..., 2]
+        informative += counts[..., 3]
+    return informative >= 1
 
 
 def _counts(counts) -> np.ndarray:

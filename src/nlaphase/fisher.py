@@ -290,15 +290,16 @@ def sweep_gain(r: float, n0_list, gains=None) -> list[dict]:
     return rows
 
 
-def sweep_fraction(m: int, breakdown: FisherBreakdown) -> list[dict]:
-    """The fraction figure: one row per success count n_s = 0..m.
+def sweep_fraction(m: int, breakdown: FisherBreakdown) -> dict[str, np.ndarray]:
+    """The fraction figure as columns: name -> numpy array with one entry per n_s = 0..m.
 
-    Each row holds the conditional information at n_s and, last, p_ns_or_more =
+    Row n_s holds the conditional information at n_s and, last, p_ns_or_more =
     binomial_tail(m, p_s, n_s), the chance of at least n_s successes in one
-    experiment.  Marker columns flag the most likely count round(m * p_s) and the
-    first count whose conditional information exceeds j_alpha (all zero when there
-    is no crossing).  The rows are built column by column; the tail column is one
-    binomial_tail call over every n_s, through this module's global name.
+    experiment.  The marker columns flag the most likely count round(m * p_s) and
+    the first count whose conditional information exceeds j_alpha (all zero when
+    there is no crossing).  n_s and the markers are int64, every other column is
+    float64.  The tail column is one binomial_tail call over every n_s, through this
+    module's global name.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
@@ -325,6 +326,4 @@ def sweep_fraction(m: int, breakdown: FisherBreakdown) -> list[dict]:
         "is_crossing": (ns == (-1 if crossing is None else crossing)).astype(int),
     }
     columns["p_ns_or_more"] = binomial_tail(m, breakdown.p_s, ns)  # the whole column in one walk
-    names = list(columns)
-    values = [c.tolist() for c in columns.values()]
-    return [dict(zip(names, row)) for row in zip(*values)]
+    return columns

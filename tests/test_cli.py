@@ -10,6 +10,7 @@ import sys
 import warnings
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import nlaphase
@@ -43,13 +44,38 @@ def indented_json(rows):
     return buf.getvalue() + "\n"
 
 
+def dict_writer_csv(rows):
+    """The dataset as csv.DictWriter writes it, header first."""
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0]))
+    writer.writeheader()
+    writer.writerows(rows)
+    return buf.getvalue().encode()
+
+
+def rows_of(table):
+    """The rows of a column table (name -> list or numpy array), values as Python scalars."""
+    columns = [v.tolist() if isinstance(v, np.ndarray) else v for v in table.values()]
+    assert len({len(v) for v in columns}) == 1, "columns of unequal length"
+    return [dict(zip(table, row)) for row in zip(*columns)]
+
+
+def table_of(rows, names):
+    """The column table of rows, as a runner returns it."""
+    return {name: [row[name] for row in rows] for name in names}
+
+
 def captured_rows(monkeypatch, command):
-    """A list that receives the rows the command's runner hands to the writer."""
+    """A list that receives what the command's runner hands to the writer, as rows.
+
+    A column table is transposed into its rows; the one-object cost report stays a dict.
+    """
     runner, produced = cli._RUNNERS[command], []
 
     def recorded(params):
-        produced.append(runner(params))
-        return produced[-1]
+        result = runner(params)
+        produced.append(result if command == "cost" else rows_of(result))
+        return result
 
     monkeypatch.setitem(cli._RUNNERS, command, recorded)
     return produced
@@ -63,7 +89,34 @@ def test_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
-BATCH = cli._ROWS_PER_ENCODE  # rows per encoder call in the JSON writer
+BATCH = cli._ROWS_PER_BATCH  # rows per rendered batch in the writer
+
+SPECIAL_ROW = {
+    "count": 7,
+    "value": 0.1,
+    "flag": True,
+    "tiny": 5e-324,
+    "missing": float("nan"),
+    "low": -math.inf,
+    "none": None,
+    "text": 'a,\n    "b": c',  # the row template's item separator, inside a string
+}
+SPECIAL_OTHER = {**SPECIAL_ROW, "count": -1, "flag": False, "value": math.inf}
+
+# every command, with the --r 0 NaN norms and a 1e200 gain
+COMMAND_CASES = [
+    ("probabilities", ["--gains", "1,2,1e200", "--n0-list", "1,2"]),
+    ("probabilities", ["--r", 0, "--gains", "1,2", "--n0-list", "2"]),
+    ("fisher-sweep", ["--gains", "1,2", "--n0-list", "1,2"]),
+    ("fisher-sweep", ["--r", 0, "--gains", "1,2", "--n0-list", "2"]),
+    ("fraction", ["--m", 50, "--gain", 1.5]),
+    ("fraction", ["--r", 0, "--m", 30]),
+    ("simulate", ["--gains", "1,2", "--n0-list", "2", "--m", 20, "--runs", 500]),
+    ("cost", ["--y", 50, "--r", 0.3]),
+    ("cost", ["--gain", 1]),  # no break-even: None
+]
+COMMAND_IDS = ["probabilities", "probabilities-r0", "fisher-sweep", "fisher-sweep-r0", "fraction",
+               "fraction-r0", "simulate", "cost", "cost-no-breakeven"]
 
 
 class TestJsonBytes:
@@ -97,61 +150,74 @@ class TestJsonBytes:
         assert capsys.readouterr().out == indented_json(produced[0])
 
     def test_special_values(self, tmp_path):
-        row = {
-            "count": 7,
-            "value": 0.1,
-            "flag": True,
-            "tiny": 5e-324,
-            "missing": float("nan"),
-            "low": -math.inf,
-            "none": None,
-            "text": 'a,\n    "b": c',  # the item separator, escaped inside a string
-        }
-        other = {**row, "count": -1, "flag": False, "value": math.inf}
         out = tmp_path / "rows.json"
-        for rows in ([row, other], [row], row, []):
-            cli._write_rows(out, "json", rows)
+        for rows in ([SPECIAL_ROW, SPECIAL_OTHER], [SPECIAL_ROW], []):
+            cli._write_rows(out, "json", table_of(rows, SPECIAL_ROW))
             assert out.read_text() == indented_json(rows)
+        cli._write_rows(out, "json", table_of([SPECIAL_ROW], SPECIAL_ROW), one_object=True)
+        assert out.read_text() == indented_json(SPECIAL_ROW)
+
+    def test_numpy_columns(self, tmp_path):
+        # float64 columns with and without non-finite values, int64 and bool columns
+        table = {
+            "n": np.arange(-2, 3),
+            "x": np.array([0.1, 1e200, 5e-324, -0.0, 2.0]),
+            "y": np.array([np.nan, np.inf, -np.inf, 1.5, -1e-300]),
+            "b": np.array([True, False, True, True, False]),
+        }
+        out = tmp_path / "rows.json"
+        cli._write_rows(out, "json", table)
+        assert out.read_text() == indented_json(rows_of(table))
 
     @pytest.mark.parametrize(
         "count", [0, 1, BATCH - 1, BATCH, BATCH + 1, 2 * BATCH + 1],
         ids=["0", "1", "B-1", "B", "B+1", "2B+1"],
     )
     def test_row_counts_around_the_batch_size(self, tmp_path, count):
-        # a string holds the row boundary of the batch encoding, escaped
+        # a string holds a row boundary of the JSON text; numpy and list columns mix
         rows = [
             {"n": i, "value": i / 7, "text": '"},\n    {"' if i % 2 else "}, {", "flag": i % 3 == 0}
             for i in range(count)
         ]
+        table = {**table_of(rows, ["n", "value", "text", "flag"]), "value": np.arange(count) / 7}
         out = tmp_path / "rows.json"
-        cli._write_rows(out, "json", rows)
+        cli._write_rows(out, "json", table)
         assert out.read_text() == indented_json(rows)
+        if rows:
+            cli._write_rows(out, "csv", table)
+            assert out.read_bytes() == dict_writer_csv(rows)
 
-    @pytest.mark.parametrize(
-        "command, args",
-        [
-            ("probabilities", ["--gains", "1,2,1e200", "--n0-list", "1,2"]),
-            ("probabilities", ["--r", 0, "--gains", "1,2", "--n0-list", "2"]),
-            ("fisher-sweep", ["--gains", "1,2", "--n0-list", "1,2"]),
-            ("fisher-sweep", ["--r", 0, "--gains", "1,2", "--n0-list", "2"]),
-            ("fraction", ["--m", 50, "--gain", 1.5]),
-            ("fraction", ["--r", 0, "--m", 30]),
-            ("simulate", ["--gains", "1,2", "--n0-list", "2", "--m", 20, "--runs", 500]),
-            ("cost", ["--y", 50, "--r", 0.3]),
-            ("cost", ["--gain", 1]),  # no break-even: None
-        ],
-        ids=["probabilities", "probabilities-r0", "fisher-sweep", "fisher-sweep-r0", "fraction",
-             "fraction-r0", "simulate", "cost", "cost-no-breakeven"],
-    )
+    @pytest.mark.parametrize("command, args", COMMAND_CASES, ids=COMMAND_IDS)
     def test_runners_return_python_scalars(self, tmp_path, monkeypatch, command, args):
-        # the writers and the manifest take rows and parameters as they are, so no
-        # numpy scalar may reach them; simulate and cost refuse r = 0
+        # the writers take list columns and the manifest takes parameters as they are,
+        # so no numpy scalar may reach them (numpy arrays go through tolist); simulate
+        # and cost refuse r = 0
         produced = captured_rows(monkeypatch, command)
         assert run(command, *args, "--output", tmp_path / "data.out") == 0
         rows = produced[0] if isinstance(produced[0], list) else [produced[0]]
         for row in rows:
             for key, value in row.items():
                 assert type(value) in (int, float, str, bool, type(None)), (key, type(value))
+
+
+class TestCsvBytes:
+    """The CSV writer gives the bytes of csv.DictWriter over the rows."""
+
+    @pytest.mark.parametrize("command, args", COMMAND_CASES, ids=COMMAND_IDS)
+    def test_file_matches_dict_writer(self, tmp_path, monkeypatch, command, args):
+        produced = captured_rows(monkeypatch, command)
+        out = tmp_path / "data.csv"
+        assert run(command, *args, "--format", "csv", "--output", out) == 0
+        rows = produced[0] if isinstance(produced[0], list) else [produced[0]]
+        assert out.read_bytes() == dict_writer_csv(rows)
+
+    def test_special_values(self, tmp_path):
+        out = tmp_path / "rows.csv"
+        for rows in ([SPECIAL_ROW, SPECIAL_OTHER], [SPECIAL_ROW]):
+            cli._write_rows(out, "csv", table_of(rows, SPECIAL_ROW))
+            assert out.read_bytes() == dict_writer_csv(rows)
+        cli._write_rows(out, "csv", table_of([SPECIAL_ROW], SPECIAL_ROW), one_object=True)
+        assert out.read_bytes() == dict_writer_csv([SPECIAL_ROW])
 
 
 class TestProbabilities:
@@ -242,7 +308,7 @@ class TestFraction:
         for p in (1e-300, 1e-6, 0.5, 1.0 - 1e-9, 1.0, paper.p_s):
             calls.clear()
             monkeypatch.setattr(cli, "branch_breakdown", lambda r, params: replace(paper, p_s=p))
-            got = [row["p_ns_or_more"] for row in cli.run_fraction(params)]
+            got = cli.run_fraction(params)["p_ns_or_more"].tolist()
             assert len(calls) == 1
             assert calls[0].dtype.kind == "i" and calls[0].tolist() == list(range(m + 1))
             want = [tail(m, p, k) for k in range(m + 1)]

@@ -24,7 +24,7 @@ from nlaphase import (
     simulate_direct,
     simulate_nla,
 )
-from nlaphase import kernels, montecarlo
+from nlaphase import estimator, kernels, montecarlo
 from nlaphase.errors import DegenerateObservableError, DimensionMismatchError, NoDataError
 
 
@@ -299,6 +299,26 @@ class TestMleNla:
     def test_rows_must_hold_five_outcomes(self):
         with pytest.raises(ValueError, match="5 outcomes"):
             mle_nla([6, 4, 0], 2.0, None)
+
+
+class TestHasData:
+    """The no-data rule adds count columns; the reference reduces the last axis."""
+
+    @staticmethod
+    def reference(counts, failure_informative):
+        return counts[..., : 4 if failure_informative else 2].sum(axis=-1) >= 1
+
+    @pytest.mark.parametrize("failure_informative", [False, True])
+    def test_matches_the_axis_reduce(self, failure_informative):
+        rng = np.random.default_rng(18)
+        counts = rng.integers(0, 3, size=(2000, 5)) * (rng.random((2000, 1)) < 0.9)
+        counts[:7] = 0  # all-zero rows
+        counts[7:12, :2] = 0  # informative only through the failure pair
+        cases = [counts, counts[:, :4], counts[3], counts[9], counts[20], counts.reshape(40, 50, 5)]
+        for c in cases:
+            got = estimator._has_data(c, failure_informative)
+            want = self.reference(c, failure_informative)
+            assert got.shape == want.shape and np.array_equal(got, want)
 
 
 # Reference: the scalar estimators and the per-run loop that dropped no-data runs,

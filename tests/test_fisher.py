@@ -71,6 +71,14 @@ def paper_breakdown():
     return branch_breakdown(0.25, NlaParams(2.0, 2))
 
 
+def fraction_rows(m, breakdown):
+    """sweep_fraction's columns, each a 1-d array of m + 1 values, as rows of Python scalars."""
+    columns = sweep_fraction(m, breakdown)
+    assert all(c.shape == (m + 1,) for c in columns.values())
+    values = [c.tolist() for c in columns.values()]
+    return [dict(zip(columns, row)) for row in zip(*values)]
+
+
 class TestQfiPure:
     @pytest.mark.parametrize("r", [0.1, 0.25, 0.5, 1.0])
     def test_coherent_family_is_4_r_squared(self, r):
@@ -521,7 +529,7 @@ class TestSweeps:
     def test_fraction_rows(self):
         b = paper_breakdown()
         m = 1000
-        rows = sweep_fraction(m, b)
+        rows = fraction_rows(m, b)
         assert len(rows) == m + 1
         assert rows[-1]["j_nla"] == pytest.approx(b.j_s, abs=0)
         marked = [row for row in rows if row["is_most_likely"]]
@@ -566,9 +574,9 @@ class TestSweeps:
                     for row in rows
                 ]
 
-            assert exact(sweep_fraction(m, b)) == exact(want), (r, g, n0, m)
+            assert exact(fraction_rows(m, b)) == exact(want), (r, g, n0, m)
 
     def test_fraction_without_crossing(self):
         b = branch_breakdown(0.25, NlaParams(1.0, 2))
-        rows = sweep_fraction(50, b)
+        rows = fraction_rows(50, b)
         assert not any(row["is_crossing"] for row in rows)
