@@ -135,8 +135,8 @@ def binomial_tail(m: int, p: float, k):
     """Upper tail P[X >= k] of a Binomial(m, p) count at one level or at many.
 
     k is an int, giving a float, or a 1-d integer array of levels in [0, m], giving
-    a float64 array; a scalar is the one-row case of the same code.  m must be
-    below 2**53.  Each row sums
+    a float64 array; a scalar takes the same cases and the same `_tail_sums` walk
+    as one row of an array.  m must be below 2**53.  Each row sums
     from an lgamma-based anchor term with the exact term-ratio recurrence, on the
     side where the anchor is representable: above the mode (m + 1) p directly,
     below it through the complement.  A row stops once a term falls below 1e-18 of
@@ -153,7 +153,9 @@ def binomial_tail(m: int, p: float, k):
     ks = np.asarray(k)
     if ks.ndim > 1 or ks.dtype.kind not in "iu":
         raise ValueError(f"k must be an integer or a 1-d integer array, got {ks.dtype} {ks.shape}")
-    levels = ks.reshape(-1)
+    if ks.ndim == 0:
+        return _tail_at(m, p, int(ks))
+    levels = ks
     order = levels.argsort()
     levels = levels[order]
     for level in levels[:1].tolist() + levels[-1:].tolist():  # the smallest and largest
@@ -172,11 +174,24 @@ def binomial_tail(m: int, p: float, k):
         if low < high:
             below = _tail_sums(m, p, levels[low:high][::-1] - 1, -1)[::-1]
             tails[low:high] = np.maximum(0.0, 1.0 - below)
-    if ks.ndim == 0:
-        return float(tails[0])
     out = np.empty(levels.size)
     out[order] = tails
     return out
+
+
+def _tail_at(m: int, p: float, level: int) -> float:
+    # binomial_tail at one level: the array path's cases and operations for a
+    # single row, without its sort, searches and scatter
+    if not 0 <= level <= m:
+        raise ValueError(f"k must lie in [0, m], got k={level}, m={m}")
+    if level == 0 or p == 1.0:
+        return 1.0
+    if p == 0.0:
+        return 0.0
+    if level > (m + 1) * p:
+        return float(np.minimum(1.0, _tail_sums(m, p, np.array([level], dtype=np.int64), 1)[0]))
+    below = _tail_sums(m, p, np.array([level - 1], dtype=np.int64), -1)[0]
+    return float(np.maximum(0.0, 1.0 - below))
 
 
 def _tail_sums(m: int, p: float, starts: np.ndarray, step: int) -> np.ndarray:

@@ -62,8 +62,11 @@ _STIRLERR = (
     0.0059513701127588475,
     0.005554733551962801,
 )
-# (key, amplitudes) of the state coherent_state built last; never leaves this module
+# (key, amplitudes) of the state coherent_state built last, read-only; the vectors it
+# returns are views of these amplitudes
 _last_amplitudes: tuple[tuple[str, ...], np.ndarray] = ((), np.zeros(0, dtype=np.complex128))
+# the factors 1j * n, n = 0..N, for the longest N phase_derivative has seen, read-only
+_phase_factors = np.zeros(0, dtype=np.complex128)
 
 
 @dataclass(frozen=True)
@@ -84,21 +87,29 @@ class CoherentParams:
 class FockVector:
     """Complex amplitudes c_0..c_N over photon numbers; the cutoff N is the length - 1.
 
-    The amplitudes are copied into a read-only array on construction, so the
-    caller's array stays writable and its later writes do not reach the vector;
+    The constructor copies the array it is given into a read-only one, so the
+    caller's array stays writable and its later writes do not reach the vector.
+    The vectors the package returns (`coherent_state`, `phase_derivative`,
+    `apply_branch`) are not copies: each holds the array the package built for
+    it, or a prefix view of `coherent_state`'s kept amplitudes, marked read-only
+    and never written again.  Either way the amplitudes are read-only, and
     instances can be shared freely between threads.
     """
 
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = np.array(self.amplitudes, dtype=np.complex128)
-        if amps.ndim != 1 or amps.size < 1:
-            raise ValueError(f"amplitudes must be a nonempty 1-d array, got shape {amps.shape}")
-        if not np.all(np.isfinite(amps.view(np.float64))):
-            raise ValueError("amplitudes must be finite")
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(
+            self, "amplitudes", _frozen_amplitudes(np.array(self.amplitudes, dtype=np.complex128))
+        )
+
+    @classmethod
+    def _wrap(cls, amps: np.ndarray) -> FockVector:
+        # package-internal hand-off of a complex128 array the package has just built
+        # and will never write again: the constructor's checks, without the copy
+        vector = object.__new__(cls)
+        object.__setattr__(vector, "amplitudes", _frozen_amplitudes(amps))
+        return vector
 
     @property
     def cutoff(self) -> int:
@@ -110,6 +121,19 @@ class FockVector:
 
     def photon_numbers(self) -> np.ndarray:
         return np.arange(self.cutoff + 1)
+
+
+def _frozen_amplitudes(amps: np.ndarray) -> np.ndarray:
+    # checks a complex128 array as FockVector amplitudes and marks it read-only; the
+    # extremes of its real and imaginary parts are finite exactly when every part is
+    # (a NaN propagates through both), found without a temporary array
+    if amps.ndim != 1 or amps.size < 1:
+        raise ValueError(f"amplitudes must be a nonempty 1-d array, got shape {amps.shape}")
+    parts = amps.view(np.float64)
+    if not (math.isfinite(parts.min()) and math.isfinite(parts.max())):
+        raise ValueError("amplitudes must be finite")
+    amps.setflags(write=False)
+    return amps
 
 
 def _vacuum_amplitude(r: float) -> float:
@@ -262,10 +286,11 @@ def coherent_state(params: CoherentParams, cutoff: int) -> FockVector:
     since a subnormal c_0 loses precision and a zero one loses every amplitude.
 
     The longest amplitude array built for the most recent state (one state, 16
-    bytes per level) is kept, keyed by the bits of c_0 and alpha, the only inputs
-    of the recurrence; `float.hex` tells -0.0 from 0.0 where `==` would not.  A
-    call for the same state returns a prefix of it, and a call for a longer
-    cutoff extends it from its last amplitude.  Each c_n depends only on c_{n-1},
+    bytes per level) is kept read-only, keyed by the bits of c_0 and alpha, the
+    only inputs of the recurrence; `float.hex` tells -0.0 from 0.0 where `==`
+    would not.  A call for the same state returns a vector on a prefix view of
+    it, not a copy, and a call for a longer cutoff builds a new array from it,
+    extended from its last amplitude.  Each c_n depends only on c_{n-1},
     alpha and n, and the extension runs the same operations in the same order, so
     every amplitude is the double a call on an empty cache computes.
     """
@@ -280,13 +305,16 @@ def coherent_state(params: CoherentParams, cutoff: int) -> FockVector:
         amps = np.array([vacuum], dtype=np.complex128)
     if amps.size <= cutoff:
         built = amps.size
-        amps = np.concatenate([amps, np.zeros(cutoff + 1 - built, dtype=np.complex128)])
+        grown = np.empty(cutoff + 1, dtype=np.complex128)
+        grown[:built] = amps
         for n in range(built - 1, cutoff):
-            amps[n + 1] = amps[n] * alpha / math.sqrt(n + 1)
-    # replaced whole, never written in place, so a concurrent call never sees a
-    # half-built array
+            grown[n + 1] = grown[n] * alpha / math.sqrt(n + 1)
+        amps = grown
+    # read-only once built and replaced whole, never written in place: the vectors
+    # handed out are views of it, and a concurrent call never sees a half-built array
+    amps.setflags(write=False)
     _last_amplitudes = (key, amps)
-    return FockVector(amps[: cutoff + 1])
+    return FockVector._wrap(amps[: cutoff + 1])
 
 
 def inner_product(a: FockVector, b: FockVector) -> complex:
@@ -302,6 +330,17 @@ def phase_derivative(v: FockVector) -> FockVector:
     Valid for any vector whose phase dependence enters only through e^{i*n*theta}
     factors (true for coherent states and both amplifier branches).  The result is
     generally unnormalized.
+
+    The factors `1j * np.arange(N + 1)` for the longest N seen so far are kept
+    read-only and replaced whole by a longer call; a call multiplies a prefix of
+    them by the amplitudes into one new array, so each amplitude is the double
+    `1j * np.arange(N + 1) * amplitudes` gives.
     """
-    n = np.arange(v.cutoff + 1)
-    return FockVector(1j * n * v.amplitudes)
+    global _phase_factors
+    size = v.cutoff + 1
+    factors = _phase_factors
+    if factors.size < size:
+        factors = 1j * np.arange(size)
+        factors.setflags(write=False)
+        _phase_factors = factors
+    return FockVector._wrap(np.multiply(factors[:size], v.amplitudes))

@@ -53,16 +53,22 @@ def arm_weights(params: NlaParams, cutoff: int) -> tuple[np.ndarray, np.ndarray]
     then 0, so w_s^2 + w_f^2 = 1 on every level.  Only the head 0..n0 is computed;
     the levels above it are filled with 1.0 and 0.0.
     """
+    head_s, head_f = _head_weights(params, cutoff)
+    w_s = np.ones(cutoff + 1)
+    w_f = np.zeros(cutoff + 1)
+    w_s[: head_s.size] = head_s
+    w_f[: head_f.size] = head_f
+    return w_s, w_f
+
+
+def _head_weights(params: NlaParams, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    # the weights of both arms on levels 0..n0, for a cutoff of at least n0
     n0 = params.n0
     if cutoff < n0:
         raise ValueError(f"cutoff {cutoff} must be >= n0 = {n0}")
     # g^(n-n0) on the head: exponents <= 0, so g^positive never overflows
     ratio = np.power(params.gain, np.arange(n0 + 1, dtype=np.float64) - n0)
-    w_s = np.ones(cutoff + 1)
-    w_f = np.zeros(cutoff + 1)
-    w_s[: n0 + 1] = ratio
-    w_f[: n0 + 1] = np.sqrt(np.maximum(0.0, 1.0 - ratio**2))
-    return w_s, w_f
+    return ratio, np.sqrt(np.maximum(0.0, 1.0 - ratio**2))
 
 
 def heralding_probabilities(r: float, params: NlaParams) -> tuple[float, float]:
@@ -152,8 +158,21 @@ def apply_branch(
     # the state before the weights: coherent_state refuses an r it cannot represent
     # before anything of the cutoff's size is allocated
     alpha = coherent_state(input, cutoff)
-    w_s, w_f = arm_weights(params, cutoff)
-    succ = FockVector(w_s * alpha.amplitudes / math.sqrt(p_s))
+    head_s, head_f = _head_weights(params, cutoff)
+    succ = _arm_state(head_s, 1.0, alpha.amplitudes, p_s)
     if p_f == 0.0:
         return succ, None
-    return succ, FockVector(w_f * alpha.amplitudes / math.sqrt(p_f))
+    return succ, _arm_state(head_f, 0.0, alpha.amplitudes, p_f)
+
+
+def _arm_state(head: np.ndarray, tail: float, amps: np.ndarray, p: float) -> FockVector:
+    # (w * amps) / sqrt(p) in one new array, w being `arm_weights`' head on levels
+    # 0..n0 and its constant tail above them.  Each level is the same complex product
+    # of the same two operands, and the quotient taken in place is the same ufunc on
+    # the same operands, so every double is the one the whole-array expression gives
+    state = np.empty_like(amps)
+    n = head.size
+    np.multiply(head, amps[:n], out=state[:n])
+    np.multiply(tail, amps[n:], out=state[n:])
+    state /= math.sqrt(p)
+    return FockVector._wrap(state)

@@ -16,7 +16,9 @@ from nlaphase import (
     apply_branch,
     choose_cutoff,
     coherent_state,
+    fisher,
     fock,
+    heralding_probabilities,
     inner_product,
     nla,
     phase_derivative,
@@ -267,7 +269,7 @@ def coherent_reference(r, theta, cutoff):
     return amps
 
 
-REUSE_R = [0.0, -0.0, 0.25, 16.0]
+REUSE_R = [0.0, -0.0, 1e-3, 0.25, 1.0, 4.0, 16.0, 30.0]
 REUSE_THETA = [0.0, -0.0, 1.1]
 
 
@@ -452,3 +454,107 @@ class TestFockVector:
         v = coherent_state(CoherentParams(0.25), 5)
         with pytest.raises(ValueError):
             v.amplitudes[0] = 0.0
+
+
+def old_apply_branch(input, params, cutoff):
+    """apply_branch as it was written with whole weight arrays and copying vectors."""
+    p_s, p_f = heralding_probabilities(input.r, params)
+    alpha = FockVector(coherent_state(input, cutoff).amplitudes)
+    n0 = params.n0
+    ratio = np.power(params.gain, np.arange(n0 + 1, dtype=np.float64) - n0)
+    w_s = np.ones(cutoff + 1)
+    w_f = np.zeros(cutoff + 1)
+    w_s[: n0 + 1] = ratio
+    w_f[: n0 + 1] = np.sqrt(np.maximum(0.0, 1.0 - ratio**2))
+    succ = FockVector(w_s * alpha.amplitudes / math.sqrt(p_s))
+    if p_f == 0.0:
+        return succ, None
+    return succ, FockVector(w_f * alpha.amplitudes / math.sqrt(p_f))
+
+
+def old_phase_derivative(v):
+    """phase_derivative as it was written, building its factors on every call."""
+    n = np.arange(v.cutoff + 1)
+    return FockVector(1j * n * v.amplitudes)
+
+
+class TestStateArraysMatchOldExpressions:
+    """Branch states and derivatives hold the bytes of the expressions that built them
+    before; TestCoherentStateReuse checks coherent_state the same way."""
+
+    @pytest.mark.parametrize("r", REUSE_R)
+    @pytest.mark.parametrize("g", [1.0, 1.5, 8.0])
+    def test_branches_and_derivatives(self, r, g):
+        # g = 1 has no failure state; r = 30 has none at any gain (p_f = 0.0)
+        input = CoherentParams(r, 0.7)
+        for n0 in (1, 2, 8):
+            params = NlaParams(g, n0)
+            for cutoff in (n0, n0 + 60, choose_cutoff(input, n0, g), n0 + 3):
+                got, want = apply_branch(input, params, cutoff), old_apply_branch(input, params, cutoff)
+                assert (got[1] is None) == (want[1] is None) == (g == 1.0 or r == 30.0)
+                for state, old in zip(got, want):
+                    if state is None:
+                        continue
+                    where = (n0, cutoff)
+                    assert state.amplitudes.tobytes() == old.amplitudes.tobytes(), where
+                    derivative = phase_derivative(state).amplitudes
+                    assert derivative.tobytes() == old_phase_derivative(old).amplitudes.tobytes(), where
+
+    @pytest.mark.parametrize("r", REUSE_R)
+    def test_sweep_rows(self, monkeypatch, r):
+        def hex_rows(rows):
+            return [{k: float.hex(v) if isinstance(v, float) else v for k, v in row.items()} for row in rows]
+
+        # the longest cutoff first, then shorter ones: the kept arrays serve by prefix
+        got = hex_rows(sweep_gain(r, [8, 2, 1], gains=[8.0, 1.5, 1.0]))
+        monkeypatch.setattr(fisher, "apply_branch", old_apply_branch)
+        monkeypatch.setattr(fisher, "phase_derivative", old_phase_derivative)
+        assert got == hex_rows(sweep_gain(r, [8, 2, 1], gains=[8.0, 1.5, 1.0]))
+
+
+class TestHandOff:
+    """The package hands out the arrays it builds read-only, without copies."""
+
+    def returned_vectors(self, r, cutoff):
+        input = CoherentParams(r, 0.7)
+        alpha = coherent_state(input, cutoff)
+        succ, fail = apply_branch(input, NlaParams(2.0, 3), cutoff)
+        return [alpha, succ, fail, phase_derivative(succ), phase_derivative(fail)]
+
+    def test_returned_vectors_read_only(self):
+        for v in self.returned_vectors(4.0, 80):
+            assert not v.amplitudes.flags.writeable
+            with pytest.raises(ValueError):
+                v.amplitudes[0] = 1.0
+            with pytest.raises(ValueError):
+                v.amplitudes *= 2.0
+
+    def test_kept_arrays_read_only(self):
+        v = coherent_state(CoherentParams(4.0, 0.7), 80)
+        phase_derivative(v)
+        _, kept = fock._last_amplitudes
+        for array in (kept, fock._phase_factors):
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+
+    def test_earlier_vectors_keep_their_bytes(self):
+        earlier = self.returned_vectors(4.0, 80)
+        before = [v.amplitudes.tobytes() for v in earlier]
+        self.returned_vectors(4.0, 900)  # a longer cutoff: both kept arrays grow
+        self.returned_vectors(0.25, 30)  # another state
+        self.returned_vectors(16.0, 1200)
+        assert [v.amplitudes.tobytes() for v in earlier] == before
+
+    def test_wrap_checks_without_copying(self):
+        a = np.arange(4, dtype=np.complex128)
+        v = FockVector._wrap(a)
+        assert v.amplitudes is a and not a.flags.writeable
+        for bad in (np.ones((2, 2), dtype=np.complex128), np.ones(0, dtype=np.complex128)):
+            with pytest.raises(ValueError, match="nonempty 1-d"):
+                FockVector._wrap(bad)
+        for part in (np.nan, np.inf, -np.inf):
+            for value in (complex(part, 0.0), complex(0.0, part)):
+                with pytest.raises(ValueError, match="finite"):
+                    FockVector._wrap(np.array([1.0, value, 0.5]))
+                with pytest.raises(ValueError, match="finite"):
+                    FockVector(np.array([1.0, value, 0.5]))
