@@ -99,8 +99,17 @@ def branch_breakdown(r: float, params: NlaParams) -> FisherBreakdown:
     )
 
 
+def _integer(name: str, value) -> int:
+    # a count as an int: Python and numpy integers pass; bools, floats (even
+    # integral ones) and anything else raise, so no count is truncated or rounded
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def j_nla_conditional(n_s: int, n_f: int, breakdown: FisherBreakdown) -> float:
     """Count-weighted information (n_s J_s + n_f J_f) / (n_s + n_f)."""
+    n_s, n_f = _integer("n_s", n_s), _integer("n_f", n_f)
     if n_s < 0 or n_f < 0:
         raise ValueError("counts must be nonnegative")
     m = n_s + n_f
@@ -115,6 +124,7 @@ def min_ns_exceeding(m: int, breakdown: FisherBreakdown) -> int:
     Requires j_s > j_alpha; otherwise no count can cross and NoCrossingError is
     raised.
     """
+    m = _integer("m", m)
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     if not breakdown.j_s > breakdown.j_alpha:
@@ -136,7 +146,7 @@ def binomial_tail(m: int, p: float, k):
 
     k is an int, giving a float, or a 1-d integer array of levels in [0, m], giving
     a float64 array; a scalar takes the same cases and the same `_tail_sums` walk
-    as one row of an array.  m must be below 2**53.  Each row sums
+    as one row of an array.  m must be an integer below 2**53.  Each row sums
     from an lgamma-based anchor term with the exact term-ratio recurrence, on the
     side where the anchor is representable: above the mode (m + 1) p directly,
     below it through the complement.  A row stops once a term falls below 1e-18 of
@@ -146,6 +156,7 @@ def binomial_tail(m: int, p: float, k):
     underflows to 0.0 and stays 0.0 further out, so those rows are 0.0 sums
     without a walk: an upper tail of 0.0, or a complement of exactly 1.0.
     """
+    m = _integer("m", m)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
     if not m < 2**53:  # above it int64 levels no longer convert to exact doubles
@@ -316,6 +327,7 @@ def sweep_fraction(m: int, breakdown: FisherBreakdown) -> dict[str, np.ndarray]:
     float64.  The tail column is one binomial_tail call over every n_s, through this
     module's global name.
     """
+    m = _integer("m", m)
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     most_likely = int(round(m * breakdown.p_s))

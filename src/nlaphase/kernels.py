@@ -22,8 +22,8 @@ so the count of category j in a run is #(u >= c_{j-1}) - #(u >= c_j).  Each run'
 passing draws are counted as a matrix-vector product of a 1.0/0.0 mask with ones,
 in float32 (float64 for runs of 2**24 trials or more): every partial sum is an
 integer no larger than m, so the count is exact in any summation order.
-`benchmarks/kernel_bench.py` and the tests check the kernel against a per-run
-bincount of searchsorted over `uniform_stream`'s float uniforms.
+The tests and the `kernel` case of `benchmarks/bench.py` check the kernel against
+a per-run bincount of searchsorted over `uniform_stream`'s float uniforms.
 """
 
 from __future__ import annotations

@@ -203,12 +203,13 @@ class TestJnlaConditional:
         assert j_nla_conditional(10, 0, b) == pytest.approx(b.j_s, rel=1e-15)
 
     def test_exact_fraction_reproduces_asymptote(self):
-        # substituting n_s/m = p_s exactly recovers p_s*j_s + p_f*j_f
+        # integer counts with n_s/m = p_s exactly recover p_s*j_s + p_f*j_f
         b = paper_breakdown()
-        m = 10**6
-        exact = j_nla_conditional(m * b.p_s, m * b.p_f, b)
+        n_s, m = b.p_s.as_integer_ratio()
+        exact = j_nla_conditional(n_s, m - n_s, b)
         assert exact == pytest.approx(b.j_nla_asymptotic, abs=1e-12)
         # with integer rounding the gap is bounded by the count quantization
+        m = 10**6
         rounded = j_nla_conditional(round(m * b.p_s), m - round(m * b.p_s), b)
         assert abs(rounded - b.j_nla_asymptotic) <= (b.j_s - b.j_f) * 0.5 / m + 1e-12
 
@@ -245,6 +246,47 @@ class TestMinNsExceeding:
             assert j_nla_conditional(n, m - n, b) > b.j_alpha
             if n > 0:
                 assert j_nla_conditional(n - 1, m - n + 1, b) <= b.j_alpha
+
+
+class TestCountArguments:
+    """m and the event counts are integers: bools and floats, even integral ones, raise."""
+
+    @pytest.mark.parametrize(
+        "m", [10.5, 10.0, np.float64(10.0), True, np.True_],
+        ids=["fraction", "integral-float", "numpy-float", "bool", "numpy-bool"],
+    )
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda m: binomial_tail(m, 0.5, 3),
+            lambda m: binomial_tail(m, 0.5, np.array([1, 3])),
+            lambda m: min_ns_exceeding(m, paper_breakdown()),
+            lambda m: sweep_fraction(m, paper_breakdown()),
+        ],
+        ids=["binomial_tail", "binomial_tail-array", "min_ns_exceeding", "sweep_fraction"],
+    )
+    def test_non_integer_m_rejected(self, call, m):
+        with pytest.raises(ValueError, match="m must be an integer"):
+            call(m)
+
+    @pytest.mark.parametrize(
+        "n_s, n_f, name",
+        [(True, 2, "n_s"), (2.5, 1, "n_s"), (2, 1.0, "n_f"), (2, np.True_, "n_f")],
+        ids=["bool", "fraction", "integral-float", "numpy-bool"],
+    )
+    def test_non_integer_counts_rejected(self, n_s, n_f, name):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            j_nla_conditional(n_s, n_f, paper_breakdown())
+
+    @pytest.mark.parametrize("integer", [np.int64, np.int32, np.uint16])
+    def test_numpy_integers_accepted(self, integer):
+        b = paper_breakdown()
+        assert binomial_tail(integer(1000), b.p_s, 90) == binomial_tail(1000, b.p_s, 90)
+        assert min_ns_exceeding(integer(1000), b) == 90
+        assert j_nla_conditional(integer(3), integer(7), b) == j_nla_conditional(3, 7, b)
+        got, want = sweep_fraction(integer(300), b), sweep_fraction(300, b)
+        for name in want:
+            np.testing.assert_array_equal(got[name], want[name])
 
 
 class TestBinomialTail:
