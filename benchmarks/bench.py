@@ -2,17 +2,23 @@
 
 CASE names the layer:
 
-- `kernel`: `kernels.categorical_counts` at m = 1000 (20000 runs) and m = 20
-  (200000 runs), each timed once after one warm-up call.  Check: on 200 runs at
-  each m, the counts equal a per-run `bincount` of `searchsorted` over
-  `uniform_stream`'s float uniforms.
+- `kernel`: `kernels.categorical_counts`, each size timed once after one warm-up
+  call: m = 1000 x 20000 runs (the m of the README `simulate` point, at the run
+  count the old kernel_bench.py timed) and m = 20 x 50000 runs (the perfbench
+  `mc-small-m` workload).  Check: on 200 runs at each m, the counts equal a
+  per-run `bincount` of `searchsorted` over `uniform_stream`'s float uniforms.
 - `setup`: what comes before any work: `import nlaphase.cli` as the first thing
-  in a fresh interpreter, then the 240 `choose_cutoff` scans of `fisher-sweep
-  --r 16 --n0-list 1,2,3,4,5,6` (default 40-gain grid).  Check: every tree
-  gives the same cutoffs.
+  in a fresh interpreter (`import_s`); the cumulative `-X importtime`
+  microseconds of `nlaphase.cli`, `scipy.special` (0 where it is not imported)
+  and `numpy` in a second interpreter, and the scipy.special share; then the
+  240 `choose_cutoff` scans of `fisher-sweep --r 16 --n0-list 1,2,3,4,5,6`
+  (default 40-gain grid), 5 times with the scan memo cleared before each
+  (`choose_cutoff_s`, 5 samples per interpreter).  Check: every tree gives the
+  same cutoffs.
 - `writer`: per format (json, csv) at m = 10000 and m = 100000 (r, gain and n0
   at their defaults 0.25, 2, 2), the `nlaphase fraction` call after import
-  (`call_s`) and `cli._write_rows` alone on the runner's columns (`write_s`).
+  (`call_s`) and `cli._write_rows` alone on what the runner returns, columns or
+  (in trees before the column writer) rows (`write_s`).
   Check: the bytes equal `json.dump(rows, indent=2)` plus a newline, and
   `csv.DictWriter` over the same rows, and every tree writes the same bytes.
 - `fock`: the `fisher-sweep --r 16 --n0-list 1,2,3,4,5,6` call as the first
@@ -43,8 +49,9 @@ from importlib import metadata
 HERE = os.path.dirname(os.path.abspath(__file__))
 DIGESTS = os.path.join(os.path.dirname(HERE), "perfbench", "digests.json")
 
-# Each child prints one JSON object: "figures" (name -> number), "sha256" (of
-# the results the trees must agree on) and "failed" (messages of failed checks).
+# Each child prints one JSON object: "figures" (name -> a number, or a list of
+# samples taken in one interpreter), "sha256" (of the results the trees must
+# agree on) and "failed" (messages of failed checks).
 KERNEL = """
 import hashlib, json, time
 import numpy as np
@@ -61,7 +68,7 @@ for m in (1000, 20):
     if not np.array_equal(got, want):
         out["failed"].append(f"m={m}: counts differ from the uniform_stream reference")
     digest.update(got.tobytes())
-for m, runs in ((1000, 20000), (20, 200000)):
+for m, runs in ((1000, 20000), (20, 50000)):
     categorical_counts(key, 0, runs, m, probs)  # warm-up
     start = time.perf_counter()
     categorical_counts(key, 0, runs, m, probs)
@@ -76,13 +83,29 @@ import time
 start = time.perf_counter()
 import nlaphase.cli
 import_s = time.perf_counter() - start
-import hashlib, json
-from nlaphase import CoherentParams, choose_cutoff, default_gain_grid
+import hashlib, json, subprocess, sys
+from nlaphase import CoherentParams, choose_cutoff, default_gain_grid, fock
+
+# `import time: self [us] | cumulative | imported package`: the first line per module
+found = {}
+stderr = subprocess.run([sys.executable, "-X", "importtime", "-c", "import nlaphase.cli"],
+                        capture_output=True, text=True, check=True).stderr
+for line in stderr.splitlines():
+    parts = line.split("|")
+    if len(parts) == 3 and parts[1].strip().isdigit():
+        found.setdefault(parts[2].strip(), int(parts[1]))
+figures = {"import_s": import_s}
+for name in ("nlaphase.cli", "scipy.special", "numpy"):
+    figures[name + "_us"] = found.get(name, 0)
+figures["scipy_special_share"] = figures["scipy.special_us"] / figures["nlaphase.cli_us"]
 
 points = [(n0, float(g)) for n0 in range(1, 7) for g in default_gain_grid()]
-start = time.perf_counter()
-cutoffs = [choose_cutoff(CoherentParams(16.0), n0, g) for n0, g in points]
-figures = {"import_s": import_s, "choose_cutoff_s": time.perf_counter() - start}
+figures["choose_cutoff_s"] = []
+for _ in range(5):
+    fock._scan_cutoff.cache_clear()
+    start = time.perf_counter()
+    cutoffs = [choose_cutoff(CoherentParams(16.0), n0, g) for n0, g in points]
+    figures["choose_cutoff_s"].append(time.perf_counter() - start)
 print(json.dumps({"figures": figures, "failed": [],
                   "sha256": hashlib.sha256(json.dumps(cutoffs).encode()).hexdigest()}))
 """
@@ -105,17 +128,18 @@ with tempfile.TemporaryDirectory() as tmp:
             with open(path, "rb") as fh:
                 written = fh.read()
             digest.update(written)
-            columns = cli._RUNNERS["fraction"](params)
+            result = cli._RUNNERS["fraction"](params)
             start = time.perf_counter()
-            cli._write_rows(path + ".alone", fmt, columns)  # a new file, as the call wrote
+            cli._write_rows(path + ".alone", fmt, result)  # a new file, as the call wrote
             out["figures"]["write_s " + case] = time.perf_counter() - start
-            rows = [dict(zip(columns, row)) for row in zip(*(c.tolist() for c in columns.values()))]
+            rows = result if isinstance(result, list) else [  # rows, or columns to rows
+                dict(zip(result, row)) for row in zip(*(c.tolist() for c in result.values()))]
             buf = io.StringIO()
             if fmt == "json":
                 json.dump(rows, buf, indent=2)
                 buf.write("\\n")
             else:
-                writer = csv.DictWriter(buf, fieldnames=list(columns))
+                writer = csv.DictWriter(buf, fieldnames=list(rows[0]))
                 writer.writeheader()
                 writer.writerows(rows)
             if written != buf.getvalue().encode():
@@ -176,6 +200,10 @@ def child(src, code):
     return json.loads(done.stdout)
 
 
+def samples_of(figure):
+    return figure if isinstance(figure, list) else [figure]
+
+
 def summary(samples):
     if len(samples) > 1:
         q1, median, q3 = statistics.quantiles(samples, n=4, method="inclusive")
@@ -223,7 +251,8 @@ def main():
     for label, samples in rounds.items():
         names = samples[0]["figures"]
         record["trees"][label] = {
-            "figures": {name: summary([s["figures"][name] for s in samples]) for name in names},
+            "figures": {name: summary([v for s in samples for v in samples_of(s["figures"][name])])
+                        for name in names},
             "sha256": sorted({s["sha256"] for s in samples}),
         }
         messages = dict.fromkeys(message for s in samples for message in s["failed"])

@@ -1,4 +1,22 @@
-"""Exception types raised by the library; all are ValueError subclasses."""
+"""Exception types raised by the library, all ValueError subclasses, and its integer check."""
+
+import numbers
+
+
+def as_int(name: str, value, minimum: int | None = None) -> int:
+    """`value` as an int, or a ValueError that names the argument `name`.
+
+    The one rule for every integer argument of the library: Python and numpy
+    integers pass; bools and floats (integral ones too) raise, so no count is
+    truncated, rounded or taken from a truth value.  With `minimum`, a smaller
+    value raises as well.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or (
+        minimum is not None and value < minimum
+    ):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
+    return int(value)
 
 
 class DimensionMismatchError(ValueError):

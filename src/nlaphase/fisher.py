@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoCrossingError
+from .errors import NoCrossingError, as_int
 from .fock import CoherentParams, FockVector, choose_cutoff, inner_product, phase_derivative
 from .nla import NlaParams, apply_branch, heralding_probabilities
 
@@ -99,17 +99,13 @@ def branch_breakdown(r: float, params: NlaParams) -> FisherBreakdown:
     )
 
 
-def _integer(name: str, value) -> int:
-    # a count as an int: Python and numpy integers pass; bools, floats (even
-    # integral ones) and anything else raise, so no count is truncated or rounded
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 def j_nla_conditional(n_s: int, n_f: int, breakdown: FisherBreakdown) -> float:
-    """Count-weighted information (n_s J_s + n_f J_f) / (n_s + n_f)."""
-    n_s, n_f = _integer("n_s", n_s), _integer("n_f", n_f)
+    """Count-weighted information (n_s J_s + n_f J_f) / (n_s + n_f).
+
+    The counts are integers by `errors.as_int`: a bool or a float, integral
+    ones such as 3.0 included, raises a ValueError naming the count.
+    """
+    n_s, n_f = as_int("n_s", n_s), as_int("n_f", n_f)
     if n_s < 0 or n_f < 0:
         raise ValueError("counts must be nonnegative")
     m = n_s + n_f
@@ -122,9 +118,10 @@ def min_ns_exceeding(m: int, breakdown: FisherBreakdown) -> int:
     """Smallest success count for which the conditional information beats j_alpha.
 
     Requires j_s > j_alpha; otherwise no count can cross and NoCrossingError is
-    raised.
+    raised.  m is an integer by `errors.as_int`: a bool or a float, integral
+    ones such as 1000.0 included, raises a ValueError naming m.
     """
-    m = _integer("m", m)
+    m = as_int("m", m)
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     if not breakdown.j_s > breakdown.j_alpha:
@@ -146,7 +143,8 @@ def binomial_tail(m: int, p: float, k):
 
     k is an int, giving a float, or a 1-d integer array of levels in [0, m], giving
     a float64 array; a scalar takes the same cases and the same `_tail_sums` walk
-    as one row of an array.  m must be an integer below 2**53.  Each row sums
+    as one row of an array.  m must be an integer below 2**53 (`errors.as_int`:
+    a bool or a float, integral ones such as 1000.0 included, raises).  Each row sums
     from an lgamma-based anchor term with the exact term-ratio recurrence, on the
     side where the anchor is representable: above the mode (m + 1) p directly,
     below it through the complement.  A row stops once a term falls below 1e-18 of
@@ -156,7 +154,7 @@ def binomial_tail(m: int, p: float, k):
     underflows to 0.0 and stays 0.0 further out, so those rows are 0.0 sums
     without a walk: an upper tail of 0.0, or a complement of exactly 1.0.
     """
-    m = _integer("m", m)
+    m = as_int("m", m)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
     if not m < 2**53:  # above it int64 levels no longer convert to exact doubles
@@ -325,9 +323,10 @@ def sweep_fraction(m: int, breakdown: FisherBreakdown) -> dict[str, np.ndarray]:
     the first count whose conditional information exceeds j_alpha (all zero when
     there is no crossing).  n_s and the markers are int64, every other column is
     float64.  The tail column is one binomial_tail call over every n_s, through this
-    module's global name.
+    module's global name.  m is an integer by `errors.as_int`: a bool or a float,
+    integral ones such as 1000.0 included, raises a ValueError naming m.
     """
-    m = _integer("m", m)
+    m = as_int("m", m)
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     most_likely = int(round(m * breakdown.p_s))

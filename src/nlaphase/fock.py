@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, as_int
 
 __all__ = [
     "CoherentParams",
@@ -163,10 +163,10 @@ def choose_cutoff(params: CoherentParams, nla_n0: int, gain: float) -> int:
     sum and returns the first level whose tail is below 1e-12.  It starts
     at int(mu) - 1: every level N skipped there has N + 1 <= mu - 1, below the
     Poisson median (which is >= mu - ln 2), so its tail is >= 1/2.  Raises
-    ValueError for an nla_n0 that is not an int >= 1 (bools included), when the
-    cutoff would exceed 2**24, the largest state this package builds (g*r of
-    about 4000), and, before any scan, for an r that `coherent_state` refuses,
-    since no vector can be built on the cutoff of such an r.
+    ValueError for an nla_n0 that is not an integer >= 1 (`errors.as_int`),
+    when the cutoff would exceed 2**24, the largest state this package builds
+    (g*r of about 4000), and, before any scan, for an r that `coherent_state`
+    refuses, since no vector can be built on the cutoff of such an r.
 
     Every check runs on each call; the scan itself is a pure function of its
     start level and mu, so `_scan_cutoff` keeps the results of recent scans and
@@ -175,8 +175,7 @@ def choose_cutoff(params: CoherentParams, nla_n0: int, gain: float) -> int:
     """
     if not (math.isfinite(gain) and gain >= 1.0):
         raise ValueError(f"gain must be finite and >= 1, got {gain}")
-    if not (isinstance(nla_n0, int) and not isinstance(nla_n0, bool) and nla_n0 >= 1):
-        raise ValueError(f"nla_n0 must be an integer >= 1, got {nla_n0!r}")
+    nla_n0 = as_int("nla_n0", nla_n0, minimum=1)
     amplitude = gain * params.r
     if not amplitude < _MAX_AMPLITUDE:
         raise ValueError(f"amplified amplitude {amplitude:.6g} needs a cutoff above 2**24")

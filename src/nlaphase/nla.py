@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import as_int
 from .fock import CoherentParams, FockVector, _poisson_tails, coherent_state
 
 __all__ = [
@@ -34,6 +35,7 @@ class NlaParams:
     """Amplifier gain g >= 1 and maximum faithfully amplified photon number n0 >= 1.
 
     g = 1 is the identity device: success is certain and leaves the state alone.
+    n0 is checked by `errors.as_int` and stored as an int.
     """
 
     gain: float
@@ -42,8 +44,7 @@ class NlaParams:
     def __post_init__(self):
         if not (math.isfinite(self.gain) and self.gain >= 1.0):
             raise ValueError(f"gain must be finite and >= 1, got {self.gain}")
-        if not (isinstance(self.n0, int) and not isinstance(self.n0, bool) and self.n0 >= 1):
-            raise ValueError(f"n0 must be an integer >= 1, got {self.n0!r}")
+        object.__setattr__(self, "n0", as_int("n0", self.n0, minimum=1))
 
 
 def arm_weights(params: NlaParams, cutoff: int) -> tuple[np.ndarray, np.ndarray]:

@@ -132,6 +132,15 @@ class TestChooseCutoff:
             with pytest.raises(ValueError, match=f"nla_n0 .*{n0!r}"):
                 choose_cutoff(CoherentParams(1.0), n0, 1.0)
 
+    def test_numpy_integer_n0_gives_an_int(self):
+        # a numpy n0 is converted before the scan's memo sees it, so the first
+        # scan of a start level stores an int whatever type its n0 had
+        from nlaphase import fock
+
+        fock._scan_cutoff.cache_clear()
+        got = choose_cutoff(CoherentParams(1.0), np.int64(2), 1.0)
+        assert type(got) is int and got == choose_cutoff(CoherentParams(1.0), 2, 1.0)
+
     @pytest.mark.parametrize(
         "good, bad, message",
         [

@@ -101,6 +101,11 @@ class TestOperators:
         with pytest.raises(ValueError, match=f"n0 must be an integer >= 1, got {n0!r}"):
             NlaParams(2.0, n0)
 
+    @pytest.mark.parametrize("integer", [np.int64, np.uint8])
+    def test_numpy_integer_n0_stored_as_int(self, integer):
+        params = NlaParams(2.0, integer(2))
+        assert type(params.n0) is int and params == NlaParams(2.0, 2)
+
     def test_cutoff_below_n0_rejected(self):
         with pytest.raises(ValueError):
             arm_weights(NlaParams(2.0, 3), 2)
