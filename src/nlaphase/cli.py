@@ -31,7 +31,7 @@ import numpy as np
 
 from . import __version__, kernels
 from .cost import CostParams, recommend_strategy
-from .errors import NoBreakevenError
+from .errors import NoBreakevenError, as_int
 from .fisher import (
     branch_breakdown,
     default_gain_grid,
@@ -47,10 +47,15 @@ class ConfigError(ValueError):
 
 
 def _int(raw) -> int:
-    """int() that refuses bools and non-integral floats instead of truncating them."""
-    if isinstance(raw, bool) or (isinstance(raw, float) and not raw.is_integer()):
-        raise ValueError(f"must be an integer, got {raw!r}")
-    return int(raw)
+    """An int from flag text or a JSON number, checked by `errors.as_int`.
+
+    Text goes through int(), and an integral float such as 300.0, a common JSON
+    spelling, becomes that int; every other value is as_int's to pass or refuse,
+    so bools and non-integral floats raise instead of being truncated.
+    """
+    if isinstance(raw, str) or (isinstance(raw, float) and raw.is_integer()):
+        raw = int(raw)
+    return as_int(None, raw)
 
 
 def _float(raw) -> float:

@@ -3,19 +3,21 @@
 import numbers
 
 
-def as_int(name: str, value, minimum: int | None = None) -> int:
+def as_int(name: str | None, value, minimum: int | None = None) -> int:
     """`value` as an int, or a ValueError that names the argument `name`.
 
     The one rule for every integer argument of the library: Python and numpy
     integers pass; bools and floats (integral ones too) raise, so no count is
     truncated, rounded or taken from a truth value.  With `minimum`, a smaller
-    value raises as well.
+    value raises as well.  With `name` None the message starts at "must be",
+    for a caller that names the value itself.
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or (
         minimum is not None and value < minimum
     ):
+        subject = "" if name is None else f"{name} "
         bound = "" if minimum is None else f" >= {minimum}"
-        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
+        raise ValueError(f"{subject}must be an integer{bound}, got {value!r}")
     return int(value)
 
 

@@ -14,7 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoCrossingError, as_int
-from .fock import CoherentParams, FockVector, choose_cutoff, inner_product, phase_derivative
+from .fock import (
+    CoherentParams,
+    FockVector,
+    _support,
+    choose_cutoff,
+    inner_product,
+    phase_derivative,
+)
 from .nla import NlaParams, apply_branch, heralding_probabilities
 
 __all__ = [
@@ -79,12 +86,19 @@ def branch_breakdown(r: float, params: NlaParams) -> FisherBreakdown:
     The failure branch of the identity device (gain = 1) never occurs; its
     information is reported as 0 with p_f = 0 so the probability-weighted sum
     stays well-defined.
+
+    The cutoff from `choose_cutoff` bounds the truncation.  The branch states
+    are built only on the levels below it where the input's amplitude can be
+    nonzero, padded to a multiple of 64 (`fock._support`), and on at least
+    0..n0: every level above is 0.0 in both branches, and the figures are the
+    doubles that the states on the whole cutoff give.
     """
     input = CoherentParams(r, 0.0)
     cutoff = choose_cutoff(input, params.n0, params.gain)
     p_s, p_f = heralding_probabilities(r, params)
 
-    succ, fail = apply_branch(input, params, cutoff)
+    # choose_cutoff returns at least n0 + 1, so this stays within the cutoff
+    succ, fail = apply_branch(input, params, max(params.n0, _support(input, cutoff) - 1))
     j_s = qfi_pure(succ, phase_derivative(succ))
     j_f = 0.0 if fail is None else qfi_pure(fail, phase_derivative(fail))
 

@@ -62,9 +62,17 @@ _STIRLERR = (
     0.0059513701127588475,
     0.005554733551962801,
 )
-# (key, amplitudes) of the state coherent_state built last, read-only; the vectors it
-# returns are views of these amplitudes
-_last_amplitudes: tuple[tuple[str, ...], np.ndarray] = ((), np.zeros(0, dtype=np.complex128))
+# The Fock path works on a state's first k * _BLOCK levels, the fewest that hold all
+# its nonzero amplitudes (see `_support`)
+_BLOCK = 64
+# (key, amplitudes, zero_from) of the state built last: the amplitudes are read-only and
+# the vectors coherent_state returns are views of them; zero_from is the first level
+# whose amplitude is 0.0, or the number of levels built while none of them is
+_last_amplitudes: tuple[tuple[str, ...], np.ndarray, int] = (
+    (),
+    np.zeros(0, dtype=np.complex128),
+    0,
+)
 # the factors 1j * n, n = 0..N, for the longest N phase_derivative has seen, read-only
 _phase_factors = np.zeros(0, dtype=np.complex128)
 
@@ -156,7 +164,11 @@ def choose_cutoff(params: CoherentParams, nla_n0: int, gain: float) -> int:
 
     The amplified amplitude gain*r bounds the photon distribution of the input and
     of both amplifier branches, so a single cutoff chosen against the Poisson tail
-    of mean mu = (gain*r)^2 serves every vector in one calculation.
+    of mean mu = (gain*r)^2 serves every vector in one calculation.  The cutoff is
+    a truncation bound, not the length of the work: the branch states carry the
+    input's photon distribution, whose amplitudes are 0.0 from some level on (at
+    r = 16, g = 8 from 1544, against a cutoff of 17292), and `branch_breakdown`
+    works only on the levels below that, padded to a multiple of 64 (`_support`).
 
     The scan builds the Poisson pmf once, from one term in Loader's saddle-point
     form upward by the ratio recurrence, takes every tail as a reverse cumulative
@@ -284,36 +296,85 @@ def coherent_state(params: CoherentParams, cutoff: int) -> FockVector:
     keep that a normal double (r below about 37.64); a larger r raises ValueError,
     since a subnormal c_0 loses precision and a zero one loses every amplitude.
 
+    Far enough above the mean photon number r^2 the recurrence underflows: from
+    the first level where it gives 0.0 (both parts +-0.0) every later amplitude
+    is 0.0 too, at r = 16 and theta = 0 from level 1544 on.  The vector still
+    holds every level up to the cutoff, and those zeros keep the signs the
+    recurrence gives them.
+
     The longest amplitude array built for the most recent state (one state, 16
     bytes per level) is kept read-only, keyed by the bits of c_0 and alpha, the
     only inputs of the recurrence; `float.hex` tells -0.0 from 0.0 where `==`
-    would not.  A call for the same state returns a vector on a prefix view of
+    would not.  The first level whose amplitude is 0.0 is kept with it, for
+    `_support`.  A call for the same state returns a vector on a prefix view of
     it, not a copy, and a call for a longer cutoff builds a new array from it,
     extended from its last amplitude.  Each c_n depends only on c_{n-1},
     alpha and n, and the extension runs the same operations in the same order, so
     every amplitude is the double a call on an empty cache computes.
     """
-    global _last_amplitudes
     if cutoff < 0:
         raise ValueError(f"cutoff must be >= 0, got {cutoff}")
+    return FockVector._wrap(_amplitudes(params, cutoff, stop_at_zero=False)[0][: cutoff + 1])
+
+
+def _support(params: CoherentParams, cutoff: int) -> int:
+    """The number of levels of `params`' state on 0..cutoff that work must cover.
+
+    That is the levels below the first one whose amplitude is 0.0, rounded up to
+    a multiple of 64 and capped at cutoff + 1.  The amplitudes are built only up
+    to that first 0.0, not to the cutoff.
+
+    Every array the Fock path derives from the state (branch states, phase
+    derivatives) is 0.0 from the same level on.  A computation on the first L
+    levels, L this count or any longer length, gives the doubles it gives on all
+    cutoff + 1 of them:
+    - elementwise operations give the same doubles on a prefix;
+    - the only reductions are the inner products (`np.vdot`, OpenBLAS `zdotc`).
+      The levels past L add products of +-0.0, which leave every nonzero
+      partial sum as it is;
+    - the dot kernel sums unrolled blocks of a few levels (a divisor of 64)
+      into separate lanes, and the leftover levels one by one.  At any such L,
+      as at the full length, the nonzero levels lie in whole blocks (the count
+      is a multiple of 64, or the whole vector), each in the same block and
+      lane, so each lane adds the same terms in the same order.
+    """
+    zero_from = _amplitudes(params, cutoff, stop_at_zero=True)[1]
+    return min(-(-zero_from // _BLOCK) * _BLOCK, cutoff + 1)
+
+
+def _amplitudes(params: CoherentParams, cutoff: int, stop_at_zero: bool) -> tuple[np.ndarray, int]:
+    # The kept amplitudes of `params`' state, built through level `cutoff` or, with
+    # stop_at_zero, up to its first 0.0 level if that comes first; and zero_from as
+    # kept in _last_amplitudes
+    global _last_amplitudes
     vacuum = _vacuum_amplitude(params.r)
     alpha = params.r * np.exp(1j * params.theta)
     key = (vacuum.hex(), alpha.real.hex(), alpha.imag.hex())
-    last_key, amps = _last_amplitudes
+    last_key, amps, zero_from = _last_amplitudes
     if last_key != key:
-        amps = np.array([vacuum], dtype=np.complex128)
-    if amps.size <= cutoff:
-        built = amps.size
+        amps, zero_from = np.array([vacuum], dtype=np.complex128), 1
+    built = amps.size
+    if built <= cutoff and not (stop_at_zero and zero_from < built):
+        found = zero_from < built
         grown = np.empty(cutoff + 1, dtype=np.complex128)
         grown[:built] = amps
-        for n in range(built - 1, cutoff):
-            grown[n + 1] = grown[n] * alpha / math.sqrt(n + 1)
+        c = grown[built - 1]
+        for n in range(built, cutoff + 1):
+            c = c * alpha / math.sqrt(n)
+            grown[n] = c
+            if not found and c == 0:
+                found, zero_from = True, n
+                if stop_at_zero:
+                    grown = grown[: n + 1]
+                    break
         amps = grown
+        if not found:
+            zero_from = amps.size
     # read-only once built and replaced whole, never written in place: the vectors
     # handed out are views of it, and a concurrent call never sees a half-built array
     amps.setflags(write=False)
-    _last_amplitudes = (key, amps)
-    return FockVector._wrap(amps[: cutoff + 1])
+    _last_amplitudes = (key, amps, zero_from)
+    return amps, zero_from
 
 
 def inner_product(a: FockVector, b: FockVector) -> complex:

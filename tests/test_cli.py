@@ -478,6 +478,8 @@ class TestConfigFile:
             ({"seed": 4.7}, "seed"),
             ({"m": True}, "m"),
             ({"n0_list": [1.5]}, "n0_list"),
+            ({"m": 2.5}, "m"),
+            ({"n0_list": [2, True]}, "n0_list"),
         ],
     )
     def test_non_integral_values_rejected(self, tmp_path, capsys, values, field):
@@ -508,6 +510,13 @@ class TestConfigFile:
         assert run("fraction", "--config", config, "--output", out) == 0
         manifest = json.loads((tmp_path / "x.csv.manifest.json").read_text())
         assert manifest["parameters"]["m"] == 20 and manifest["parameters"]["seed"] == 4
+
+    def test_integral_floats_accepted_in_lists(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"n0_list": [2.0, 300.0]}))
+        assert run("probabilities", "--config", config, "--output", tmp_path / "x.csv") == 0
+        manifest = json.loads((tmp_path / "x.csv.manifest.json").read_text())
+        assert manifest["parameters"]["n0_list"] == [2, 300]
 
     def test_strict_must_be_boolean(self, tmp_path, capsys):
         config = tmp_path / "config.json"

@@ -19,6 +19,7 @@ from nlaphase import (
     FisherBreakdown,
     FockVector,
     NlaParams,
+    apply_branch,
     binomial_tail,
     branch_breakdown,
     choose_cutoff,
@@ -194,6 +195,34 @@ class TestBranchBreakdown:
             branch_breakdown(r, NlaParams(2.0, 2))
         with pytest.raises(ValueError, match="not a normal double"):
             sweep_gain(r, [2], gains=[2.0])
+
+
+class TestSupportPrefix:
+    """branch_breakdown works on the levels below the input's first 0.0 amplitude,
+    padded to 64; its figures must be the doubles the states on the whole cutoff give."""
+
+    @pytest.mark.parametrize("r", [0.25, 1.0, 5.0, 16.0, 30.0, 37.6])
+    def test_figures_match_the_full_cutoff_states(self, r):
+        input = CoherentParams(r)
+        for n0 in range(1, 7):
+            for g in default_gain_grid():
+                params = NlaParams(float(g), n0)
+                b = branch_breakdown(r, params)
+                succ, fail = apply_branch(input, params, choose_cutoff(input, n0, float(g)))
+                j_f = 0.0 if fail is None else qfi_pure(fail, phase_derivative(fail))
+                want = (qfi_pure(succ, phase_derivative(succ)).hex(), j_f.hex())
+                assert (b.j_s.hex(), b.j_f.hex()) == want, (n0, float(g))
+
+    def test_large_r_works_on_a_short_prefix(self):
+        # at r = 16, g = 8 the cutoff is 17292 and the amplitudes are 0.0 from 1544 on
+        input = CoherentParams(16.0)
+        cutoff = choose_cutoff(input, 1, 8.0)
+        assert cutoff == 17292
+        assert fock._support(input, cutoff) == 1600
+        _, kept, zero_from = fock._last_amplitudes
+        assert zero_from == 1544 and kept.size == 1545
+        # no 0.0 inside a small cutoff: the whole vector is worked on
+        assert fock._support(CoherentParams(0.25), 9) == 10
 
 
 class TestJnlaConditional:

@@ -316,7 +316,7 @@ class TestCoherentStateReuse:
     def test_one_state_kept(self):
         coherent_state(CoherentParams(16.0), 400)
         coherent_state(CoherentParams(0.25), 5)
-        _, kept = fock._last_amplitudes
+        _, kept, _ = fock._last_amplitudes
         assert kept.size == 6
 
     @pytest.mark.parametrize("cutoff", [0, 10, 400])
@@ -339,6 +339,26 @@ class TestCoherentStateReuse:
     )
     def test_any_call_sequence_matches_reference(self, calls):
         self.assert_calls_match_reference(calls)
+
+    @pytest.mark.parametrize("theta", [0.0, 1.1, math.pi])
+    @pytest.mark.parametrize("r", [1.0, 5.0, 16.0])
+    def test_extension_past_the_first_zero(self, r, theta):
+        # _support builds up to the first 0.0 amplitude and stops there; a longer
+        # coherent_state call extends from it, and its tail must hold the signed zeros
+        # the recurrence gives, not a fill
+        params = CoherentParams(r, theta)
+        cutoff = int(r * r) + 2000
+        support = fock._support(params, cutoff)
+        _, kept, zero_from = fock._last_amplitudes
+        assert kept.size == zero_from + 1 < cutoff
+        assert support == min(-(-zero_from // 64) * 64, cutoff + 1)
+        want = coherent_reference(r, theta, cutoff)
+        assert not want[zero_from:].any() and want[zero_from - 1] != 0
+        if theta != 0.0:
+            assert np.signbit(want[zero_from:].view(np.float64)).any()
+        for c in (zero_from - 1, zero_from, zero_from + 5, cutoff):
+            assert coherent_state(params, c).amplitudes.tobytes() == want[: c + 1].tobytes(), c
+            assert fock._support(params, c) == min(support, c + 1)
 
     def test_sweep_rows_match_the_reference_loop(self, monkeypatch):
         def hex_rows(rows):
@@ -541,7 +561,7 @@ class TestHandOff:
     def test_kept_arrays_read_only(self):
         v = coherent_state(CoherentParams(4.0, 0.7), 80)
         phase_derivative(v)
-        _, kept = fock._last_amplitudes
+        _, kept, _ = fock._last_amplitudes
         for array in (kept, fock._phase_factors):
             with pytest.raises(ValueError):
                 array[0] = 1.0
