@@ -156,12 +156,11 @@ def binomial_tail(m: int, p: float, k):
     """Upper tail P[X >= k] of a Binomial(m, p) count at one level or at many.
 
     k is an int, giving a float, or a 1-d integer array of levels in [0, m], giving
-    a float64 array; a scalar takes the same cases and the same `_tail_sums` walk
-    as one row of an array.  m must be an integer below 2**53 (`errors.as_int`:
-    a bool or a float, integral ones such as 1000.0 included, raises).  Each row sums
-    from an lgamma-based anchor term with the exact term-ratio recurrence, on the
-    side where the anchor is representable: above the mode (m + 1) p directly,
-    below it through the complement.  A row stops once a term falls below 1e-18 of
+    a float64 array; a scalar is computed as a one-row array.  m must be an integer
+    below 2**53 (`errors.as_int`: a bool or a float, integral ones such as 1000.0
+    included, raises).  Each row sums from an lgamma-based anchor term with the
+    exact term-ratio recurrence, on the side where the anchor is representable:
+    above the mode (m + 1) p directly, below it through the complement.  A row stops once a term falls below 1e-18 of
     its running sum or is exactly 0.0.  All rows walk at once in numpy blocks (see
     `_tail_sums`) that keep a scalar loop's operation order, so each value is the
     double that walking the row alone gives.  Far from the mode the anchor
@@ -176,9 +175,7 @@ def binomial_tail(m: int, p: float, k):
     ks = np.asarray(k)
     if ks.ndim > 1 or ks.dtype.kind not in "iu":
         raise ValueError(f"k must be an integer or a 1-d integer array, got {ks.dtype} {ks.shape}")
-    if ks.ndim == 0:
-        return _tail_at(m, p, int(ks))
-    levels = ks
+    levels = ks.reshape(-1)
     order = levels.argsort()
     levels = levels[order]
     for level in levels[:1].tolist() + levels[-1:].tolist():  # the smallest and largest
@@ -199,22 +196,7 @@ def binomial_tail(m: int, p: float, k):
             tails[low:high] = np.maximum(0.0, 1.0 - below)
     out = np.empty(levels.size)
     out[order] = tails
-    return out
-
-
-def _tail_at(m: int, p: float, level: int) -> float:
-    # binomial_tail at one level: the array path's cases and operations for a
-    # single row, without its sort, searches and scatter
-    if not 0 <= level <= m:
-        raise ValueError(f"k must lie in [0, m], got k={level}, m={m}")
-    if level == 0 or p == 1.0:
-        return 1.0
-    if p == 0.0:
-        return 0.0
-    if level > (m + 1) * p:
-        return float(np.minimum(1.0, _tail_sums(m, p, np.array([level], dtype=np.int64), 1)[0]))
-    below = _tail_sums(m, p, np.array([level - 1], dtype=np.int64), -1)[0]
-    return float(np.maximum(0.0, 1.0 - below))
+    return float(out[0]) if ks.ndim == 0 else out
 
 
 def _tail_sums(m: int, p: float, starts: np.ndarray, step: int) -> np.ndarray:

@@ -65,16 +65,6 @@ _STIRLERR = (
 # The Fock path works on a state's first k * _BLOCK levels, the fewest that hold all
 # its nonzero amplitudes (see `_support`)
 _BLOCK = 64
-# (key, amplitudes, zero_from) of the state built last: the amplitudes are read-only and
-# the vectors coherent_state returns are views of them; zero_from is the first level
-# whose amplitude is 0.0, or the number of levels built while none of them is
-_last_amplitudes: tuple[tuple[str, ...], np.ndarray, int] = (
-    (),
-    np.zeros(0, dtype=np.complex128),
-    0,
-)
-# the factors 1j * n, n = 0..N, for the longest N phase_derivative has seen, read-only
-_phase_factors = np.zeros(0, dtype=np.complex128)
 
 
 @dataclass(frozen=True)
@@ -99,9 +89,10 @@ class FockVector:
     caller's array stays writable and its later writes do not reach the vector.
     The vectors the package returns (`coherent_state`, `phase_derivative`,
     `apply_branch`) are not copies: each holds the array the package built for
-    it, or a prefix view of `coherent_state`'s kept amplitudes, marked read-only
-    and never written again.  Either way the amplitudes are read-only, and
-    instances can be shared freely between threads.
+    it, or a prefix view of a state's run that `coherent_state` keeps (at most
+    two states, up to 91 KiB each), marked read-only and never written again.
+    Either way the amplitudes are read-only, and instances can be shared freely
+    between threads.
     """
 
     amplitudes: np.ndarray
@@ -295,6 +286,7 @@ def coherent_state(params: CoherentParams, cutoff: int) -> FockVector:
     never touch a factorial.  The recurrence starts at c_0 = e^{-r^2/2}, so r must
     keep that a normal double (r below about 37.64); a larger r raises ValueError,
     since a subnormal c_0 loses precision and a zero one loses every amplitude.
+    The cutoff is an integer >= 0 by `errors.as_int`.
 
     Far enough above the mean photon number r^2 the recurrence underflows: from
     the first level where it gives 0.0 (both parts +-0.0) every later amplitude
@@ -302,27 +294,30 @@ def coherent_state(params: CoherentParams, cutoff: int) -> FockVector:
     holds every level up to the cutoff, and those zeros keep the signs the
     recurrence gives them.
 
-    The longest amplitude array built for the most recent state (one state, 16
-    bytes per level) is kept read-only, keyed by the bits of c_0 and alpha, the
-    only inputs of the recurrence; `float.hex` tells -0.0 from 0.0 where `==`
-    would not.  The first level whose amplitude is 0.0 is kept with it, for
-    `_support`.  A call for the same state returns a vector on a prefix view of
-    it, not a copy, and a call for a longer cutoff builds a new array from it,
-    extended from its last amplitude.  Each c_n depends only on c_{n-1},
-    alpha and n, and the extension runs the same operations in the same order, so
-    every amplitude is the double a call on an empty cache computes.
+    The levels below that first 0.0, padded to a multiple of 64, are the state's
+    run (`_run`).  The runs of the two most recent states are kept read-only, 16
+    bytes per level: at most 5824 levels (91 KiB) each, near r = 37.64, and 1600
+    at r = 16.  A cutoff inside the run gets a read-only prefix view of it, not a
+    copy.  A longer cutoff gets a new array, not kept: the run followed by the
+    recurrence continued from its last amplitude.  Each c_n depends only on
+    c_{n-1}, alpha and n, so every amplitude is the double the recurrence from
+    c_0 gives.
     """
-    if cutoff < 0:
-        raise ValueError(f"cutoff must be >= 0, got {cutoff}")
-    return FockVector._wrap(_amplitudes(params, cutoff, stop_at_zero=False)[0][: cutoff + 1])
+    cutoff = as_int("cutoff", cutoff, minimum=0)
+    run, alpha = _state_run(params)
+    if cutoff < run.size:
+        return FockVector._wrap(run[: cutoff + 1])
+    tail = np.fromiter(_recurrence(run[-1], alpha, run.size), np.complex128, cutoff + 1 - run.size)
+    return FockVector._wrap(np.concatenate([run, tail]))
 
 
 def _support(params: CoherentParams, cutoff: int) -> int:
     """The number of levels of `params`' state on 0..cutoff that work must cover.
 
-    That is the levels below the first one whose amplitude is 0.0, rounded up to
-    a multiple of 64 and capped at cutoff + 1.  The amplitudes are built only up
-    to that first 0.0, not to the cutoff.
+    That is the size of the state's run: the levels below the first one whose
+    amplitude is 0.0, rounded up to a multiple of 64, capped at cutoff + 1.  The
+    run is the one `coherent_state` keeps and views, so the amplitudes are built
+    only up to it, not to the cutoff.
 
     Every array the Fock path derives from the state (branch states, phase
     derivatives) is 0.0 from the same level on.  A computation on the first L
@@ -338,43 +333,41 @@ def _support(params: CoherentParams, cutoff: int) -> int:
       is a multiple of 64, or the whole vector), each in the same block and
       lane, so each lane adds the same terms in the same order.
     """
-    zero_from = _amplitudes(params, cutoff, stop_at_zero=True)[1]
-    return min(-(-zero_from // _BLOCK) * _BLOCK, cutoff + 1)
+    return min(_state_run(params)[0].size, cutoff + 1)
 
 
-def _amplitudes(params: CoherentParams, cutoff: int, stop_at_zero: bool) -> tuple[np.ndarray, int]:
-    # The kept amplitudes of `params`' state, built through level `cutoff` or, with
-    # stop_at_zero, up to its first 0.0 level if that comes first; and zero_from as
-    # kept in _last_amplitudes
-    global _last_amplitudes
+def _state_run(params: CoherentParams) -> tuple[np.ndarray, np.complex128]:
+    # the run of `params`' state and its alpha = r e^{i theta}; the run is keyed by the
+    # bits of c_0 and alpha, the only inputs of the recurrence: `float.hex` tells -0.0
+    # from 0.0 where `==` would not
     vacuum = _vacuum_amplitude(params.r)
     alpha = params.r * np.exp(1j * params.theta)
-    key = (vacuum.hex(), alpha.real.hex(), alpha.imag.hex())
-    last_key, amps, zero_from = _last_amplitudes
-    if last_key != key:
-        amps, zero_from = np.array([vacuum], dtype=np.complex128), 1
-    built = amps.size
-    if built <= cutoff and not (stop_at_zero and zero_from < built):
-        found = zero_from < built
-        grown = np.empty(cutoff + 1, dtype=np.complex128)
-        grown[:built] = amps
-        c = grown[built - 1]
-        for n in range(built, cutoff + 1):
-            c = c * alpha / math.sqrt(n)
-            grown[n] = c
-            if not found and c == 0:
-                found, zero_from = True, n
-                if stop_at_zero:
-                    grown = grown[: n + 1]
-                    break
-        amps = grown
-        if not found:
-            zero_from = amps.size
-    # read-only once built and replaced whole, never written in place: the vectors
-    # handed out are views of it, and a concurrent call never sees a half-built array
-    amps.setflags(write=False)
-    _last_amplitudes = (key, amps, zero_from)
-    return amps, zero_from
+    return _run(vacuum.hex(), alpha.real.hex(), alpha.imag.hex()), alpha
+
+
+@functools.lru_cache(maxsize=2)
+def _run(vacuum: str, real: str, imag: str) -> np.ndarray:
+    # The amplitudes c_0, c_1, ... of the state whose c_0 and alpha have these bits,
+    # read-only: the fewest whole blocks of _BLOCK levels that hold every level below
+    # the first 0.0.  Two runs are kept, for the theta = 0 and theta_true states of one
+    # simulate point
+    alpha = np.complex128(complex(float.fromhex(real), float.fromhex(imag)))
+    levels = [np.complex128(float.fromhex(vacuum))]
+    for c in _recurrence(levels[0], alpha, 1):
+        if c == 0 and len(levels) % _BLOCK == 0:
+            break
+        levels.append(c)
+    run = np.array(levels, dtype=np.complex128)
+    run.setflags(write=False)
+    return run
+
+
+def _recurrence(c: np.complex128, alpha: np.complex128, n: int):
+    # c_n, c_{n+1}, ... from c = c_{n-1}, by c_k = c_{k-1} * alpha / sqrt(k)
+    while True:
+        c = c * alpha / math.sqrt(n)
+        yield c
+        n += 1
 
 
 def inner_product(a: FockVector, b: FockVector) -> complex:
@@ -389,18 +382,19 @@ def phase_derivative(v: FockVector) -> FockVector:
 
     Valid for any vector whose phase dependence enters only through e^{i*n*theta}
     factors (true for coherent states and both amplifier branches).  The result is
-    generally unnormalized.
+    generally unnormalized: one new array, marked read-only.
 
-    The factors `1j * np.arange(N + 1)` for the longest N seen so far are kept
-    read-only and replaced whole by a longer call; a call multiplies a prefix of
-    them by the amplitudes into one new array, so each amplitude is the double
+    The factors `1j * np.arange(N + 1)` of the most recent length N + 1 are kept
+    read-only (`_phase_factors`, 16 bytes per level), so a run of calls on one
+    length builds them once; each amplitude is the double
     `1j * np.arange(N + 1) * amplitudes` gives.
     """
-    global _phase_factors
-    size = v.cutoff + 1
-    factors = _phase_factors
-    if factors.size < size:
-        factors = 1j * np.arange(size)
-        factors.setflags(write=False)
-        _phase_factors = factors
-    return FockVector._wrap(np.multiply(factors[:size], v.amplitudes))
+    return FockVector._wrap(np.multiply(_phase_factors(v.cutoff + 1), v.amplitudes))
+
+
+@functools.lru_cache(maxsize=1)
+def _phase_factors(size: int) -> np.ndarray:
+    # 1j * n for n = 0..size - 1, read-only; each element is the same double at any size
+    factors = 1j * np.arange(size)
+    factors.setflags(write=False)
+    return factors

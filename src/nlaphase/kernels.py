@@ -32,6 +32,8 @@ import math
 
 import numpy as np
 
+from .errors import as_int
+
 __all__ = ["categorical_counts", "derive_key", "uniform_stream"]
 
 _MASK64 = (1 << 64) - 1
@@ -68,7 +70,11 @@ def _mix64(z: int) -> int:
 
 
 def derive_key(seed: int, stream_index: int) -> int:
-    """Derive the 64-bit key of an independent stream from a master seed."""
+    """Derive the 64-bit key of an independent stream from a master seed.
+
+    Both arguments are integers by `errors.as_int`.
+    """
+    seed, stream_index = as_int("seed", seed), as_int("stream_index", stream_index)
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
     if stream_index < 0:
@@ -152,7 +158,8 @@ def categorical_counts(key: int, run0: int, runs: int, m: int, probs: np.ndarray
     """Outcome counts of `runs` experiments of m categorical trials each.
 
     Row i holds the counts of run index run0 + i; the probability vector must be
-    finite, nonnegative and sum to 1 within 1e-9.
+    finite, nonnegative and sum to 1 within 1e-9.  m, runs and run0 are integers
+    by `errors.as_int`.
     """
     probs = np.asarray(probs, dtype=np.float64)
     if probs.ndim != 1 or probs.size < 1:
@@ -161,6 +168,7 @@ def categorical_counts(key: int, run0: int, runs: int, m: int, probs: np.ndarray
         raise ValueError("probabilities must be finite and nonnegative")
     if abs(float(probs.sum()) - 1.0) > 1e-9:
         raise ValueError(f"probabilities must sum to 1, got {float(probs.sum())!r}")
+    m, runs, run0 = as_int("m", m), as_int("runs", runs), as_int("run0", run0)
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     if runs < 0 or run0 < 0:

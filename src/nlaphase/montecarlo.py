@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import DegenerateObservableError, NoDataError
+from .errors import DegenerateObservableError, NoDataError, as_int
 from .estimator import (
     _has_data,
     build_observable,
@@ -42,7 +42,10 @@ _STREAM_NLA = 1
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Complete, reproducible definition of one estimation experiment."""
+    """Complete, reproducible definition of one estimation experiment.
+
+    n0, m, runs and seed are checked by `errors.as_int` and stored as ints.
+    """
 
     r: float = 0.25
     theta_true: float = 0.01
@@ -55,7 +58,9 @@ class SimConfig:
     def __post_init__(self):
         # the amplitude, phase, gain and n0 checks of the parameter types
         CoherentParams(self.r, self.theta_true)
-        NlaParams(self.gain, self.n0)
+        object.__setattr__(self, "n0", NlaParams(self.gain, self.n0).n0)
+        for name in ("m", "runs", "seed"):
+            object.__setattr__(self, name, as_int(name, getattr(self, name)))
         if self.m < 1:
             raise ValueError(f"m must be >= 1, got {self.m}")
         if self.runs < 1:

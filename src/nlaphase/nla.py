@@ -52,7 +52,8 @@ def arm_weights(params: NlaParams, cutoff: int) -> tuple[np.ndarray, np.ndarray]
 
     w_s is g^(n-n0) for n <= n0, then 1; w_f is sqrt(1 - g^(2(n-n0))) for n <= n0,
     then 0, so w_s^2 + w_f^2 = 1 on every level.  Only the head 0..n0 is computed;
-    the levels above it are filled with 1.0 and 0.0.
+    the levels above it are filled with 1.0 and 0.0.  The cutoff is an integer
+    >= n0 by `errors.as_int`.
     """
     head_s, head_f = _head_weights(params, cutoff)
     w_s = np.ones(cutoff + 1)
@@ -63,7 +64,8 @@ def arm_weights(params: NlaParams, cutoff: int) -> tuple[np.ndarray, np.ndarray]
 
 
 def _head_weights(params: NlaParams, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
-    # the weights of both arms on levels 0..n0, for a cutoff of at least n0
+    # the weights of both arms on levels 0..n0, for an integer cutoff of at least n0
+    cutoff = as_int("cutoff", cutoff, minimum=0)
     n0 = params.n0
     if cutoff < n0:
         raise ValueError(f"cutoff {cutoff} must be >= n0 = {n0}")

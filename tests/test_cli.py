@@ -1,6 +1,7 @@
 """Tests for the command-line front end: datasets, manifests, exit codes."""
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -333,6 +334,16 @@ class TestSimulate:
         run("simulate", "--gains", "2", "--n0-list", "2", "--runs", 2000, "--seed", 1, "--output", a)
         run("simulate", "--gains", "2", "--n0-list", "2", "--runs", 2000, "--seed", 2, "--output", b)
         assert a.read_bytes() != b.read_bytes()
+
+    def test_large_r_bytes(self, tmp_path):
+        # two states per point, each extended past its run to a 17292-level cutoff at
+        # g = 8; the sha256 of the bytes written with numpy 2.4.6, one OpenBLAS thread
+        # or the default count
+        out = tmp_path / "large-r.csv"
+        assert run("simulate", "--r", 16, "--gains", "2,8", "--n0-list", "1,2", "--m", 20,
+                   "--runs", 200, "--seed", 4, "--output", out) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == "e4f1cd170cbeb3ebee3434c7c7613d77e3da8d9a4958960df3328d29f8db7e9b"
 
     @pytest.mark.parametrize("value", ["numba", "cuda"])
     def test_backend_variable_selects_nothing(self, tmp_path, monkeypatch, value):

@@ -219,8 +219,9 @@ class TestSupportPrefix:
         cutoff = choose_cutoff(input, 1, 8.0)
         assert cutoff == 17292
         assert fock._support(input, cutoff) == 1600
-        _, kept, zero_from = fock._last_amplitudes
-        assert zero_from == 1544 and kept.size == 1545
+        # the run holds the levels up to the first 0.0, padded to 64
+        run = fock._state_run(input)[0]
+        assert run.size == 1600 and int((run == 0).argmax()) == 1544 and not run[1544:].any()
         # no 0.0 inside a small cutoff: the whole vector is worked on
         assert fock._support(CoherentParams(0.25), 9) == 10
 
@@ -388,6 +389,12 @@ class TestBinomialTail:
         got = binomial_tail(10, 0.3, np.array([4, 0, 10]))
         assert got.dtype == np.float64 and got.shape == (3,)
         assert binomial_tail(10, 0.3, np.array([], dtype=np.int64)).shape == (0,)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 3000), st.sampled_from([0.0, 1.0, 1e-300, 0.3]) | st.floats(0.0, 1.0), st.data())
+    def test_scalar_is_the_one_row_array(self, m, p, data):
+        k = data.draw(st.integers(0, m))
+        assert binomial_tail(m, p, k).hex() == float(binomial_tail(m, p, np.array([k]))[0]).hex()
 
 
 _TAIL_P = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True) | st.sampled_from(

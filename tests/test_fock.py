@@ -253,6 +253,16 @@ class TestCoherentState:
         with pytest.raises(ValueError):
             coherent_state(CoherentParams(0.25), -1)
 
+    @pytest.mark.parametrize("cutoff", [True, 10.0, 10.5])
+    def test_cutoff_that_is_not_an_integer_rejected(self, cutoff):
+        # a bool would give a 2-level vector, a float a numpy TypeError
+        with pytest.raises(ValueError, match="cutoff must be an integer"):
+            coherent_state(CoherentParams(0.25), cutoff)
+
+    def test_numpy_integer_cutoff_accepted(self):
+        got = coherent_state(CoherentParams(0.25, 0.7), np.int64(10)).amplitudes
+        assert got.tobytes() == coherent_state(CoherentParams(0.25, 0.7), 10).amplitudes.tobytes()
+
     def test_largest_amplitudes_with_normal_vacuum_amplitude(self):
         # e^{-r^2/2} is still a normal double at r = 37.6, so the recurrence is exact
         params = CoherentParams(37.6)
@@ -283,7 +293,7 @@ REUSE_THETA = [0.0, -0.0, 1.1]
 
 
 class TestCoherentStateReuse:
-    """coherent_state reuses the amplitudes of its last state; every double must stay."""
+    """coherent_state reuses the kept runs of recent states; every double must stay."""
 
     def assert_calls_match_reference(self, calls):
         for r, theta, cutoff in calls:
@@ -313,11 +323,21 @@ class TestCoherentStateReuse:
         assert short.amplitudes.tobytes() == before
         assert long.amplitudes[:11].tobytes() == before
 
-    def test_one_state_kept(self):
-        coherent_state(CoherentParams(16.0), 400)
-        coherent_state(CoherentParams(0.25), 5)
-        _, kept, _ = fock._last_amplitudes
-        assert kept.size == 6
+    def test_two_states_kept(self):
+        # the runs of the two most recent states are kept: a third state evicts the
+        # one used least recently, and a short cutoff views a run without a copy
+        first, second, third = CoherentParams(16.0), CoherentParams(16.0, 0.01), CoherentParams(0.25)
+        fock._run.cache_clear()
+        coherent_state(first, 400)
+        coherent_state(second, 5)
+        coherent_state(first, 20)
+        short = coherent_state(third, 5)
+        assert fock._run.cache_info()[:2] == (1, 3)  # (hits, misses)
+        run = fock._state_run(third)[0]
+        assert run.size == 256 and np.shares_memory(short.amplitudes, run)
+        coherent_state(first, 5)
+        coherent_state(second, 5)
+        assert fock._run.cache_info()[:2] == (3, 4)
 
     @pytest.mark.parametrize("cutoff", [0, 10, 400])
     def test_unrepresentable_amplitude_raises_after_a_cached_call(self, cutoff):
@@ -343,20 +363,21 @@ class TestCoherentStateReuse:
     @pytest.mark.parametrize("theta", [0.0, 1.1, math.pi])
     @pytest.mark.parametrize("r", [1.0, 5.0, 16.0])
     def test_extension_past_the_first_zero(self, r, theta):
-        # _support builds up to the first 0.0 amplitude and stops there; a longer
-        # coherent_state call extends from it, and its tail must hold the signed zeros
-        # the recurrence gives, not a fill
+        # the run ends at the first 0.0 amplitude, padded to a multiple of 64 levels; a
+        # longer coherent_state call extends from it, and its tail must hold the signed
+        # zeros the recurrence gives, not a fill
         params = CoherentParams(r, theta)
         cutoff = int(r * r) + 2000
         support = fock._support(params, cutoff)
-        _, kept, zero_from = fock._last_amplitudes
-        assert kept.size == zero_from + 1 < cutoff
-        assert support == min(-(-zero_from // 64) * 64, cutoff + 1)
+        run = fock._state_run(params)[0]
         want = coherent_reference(r, theta, cutoff)
+        zero_from = int((want == 0).argmax())
         assert not want[zero_from:].any() and want[zero_from - 1] != 0
+        assert support == run.size == -(-zero_from // 64) * 64 < cutoff
+        assert run.tobytes() == want[: run.size].tobytes()
         if theta != 0.0:
             assert np.signbit(want[zero_from:].view(np.float64)).any()
-        for c in (zero_from - 1, zero_from, zero_from + 5, cutoff):
+        for c in (zero_from - 1, zero_from, zero_from + 5, run.size - 1, run.size, cutoff):
             assert coherent_state(params, c).amplitudes.tobytes() == want[: c + 1].tobytes(), c
             assert fock._support(params, c) == min(support, c + 1)
 
@@ -534,7 +555,7 @@ class TestStateArraysMatchOldExpressions:
         def hex_rows(rows):
             return [{k: float.hex(v) if isinstance(v, float) else v for k, v in row.items()} for row in rows]
 
-        # the longest cutoff first, then shorter ones: the kept arrays serve by prefix
+        # the longest cutoff first, then shorter ones: the kept run serves by prefix
         got = hex_rows(sweep_gain(r, [8, 2, 1], gains=[8.0, 1.5, 1.0]))
         monkeypatch.setattr(fisher, "apply_branch", old_apply_branch)
         monkeypatch.setattr(fisher, "phase_derivative", old_phase_derivative)
@@ -561,15 +582,14 @@ class TestHandOff:
     def test_kept_arrays_read_only(self):
         v = coherent_state(CoherentParams(4.0, 0.7), 80)
         phase_derivative(v)
-        _, kept, _ = fock._last_amplitudes
-        for array in (kept, fock._phase_factors):
+        for array in (fock._state_run(CoherentParams(4.0, 0.7))[0], fock._phase_factors(81)):
             with pytest.raises(ValueError):
                 array[0] = 1.0
 
     def test_earlier_vectors_keep_their_bytes(self):
         earlier = self.returned_vectors(4.0, 80)
         before = [v.amplitudes.tobytes() for v in earlier]
-        self.returned_vectors(4.0, 900)  # a longer cutoff: both kept arrays grow
+        self.returned_vectors(4.0, 900)  # a longer cutoff: past the run, and new phase factors
         self.returned_vectors(0.25, 30)  # another state
         self.returned_vectors(16.0, 1200)
         assert [v.amplitudes.tobytes() for v in earlier] == before

@@ -37,6 +37,17 @@ class TestMixer:
         with pytest.raises(ValueError):
             derive_key(3, -1)
 
+    @pytest.mark.parametrize(
+        "seed, stream_index, name",
+        [(True, 1, "seed"), (4.0, 1, "seed"), (4, 1.0, "stream_index"), (4, False, "stream_index")],
+    )
+    def test_derive_key_refuses_non_integers(self, seed, stream_index, name):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            derive_key(seed, stream_index)
+
+    def test_derive_key_takes_numpy_integers(self):
+        assert derive_key(np.uint64(2**64 - 1), np.int64(7)) == derive_key(2**64 - 1, 7)
+
     def test_uniform_range_and_mean(self):
         u = uniform_stream(derive_key(2024, 0), 0, 200_000)
         assert float(u.min()) >= 0.0
@@ -103,6 +114,19 @@ class TestCategoricalCounts:
             categorical_counts(key, 0, 5, 10, [0.3, 0.3])
         with pytest.raises(ValueError):
             categorical_counts(key, 0, 5, 0, [0.5, 0.5])
+
+    @pytest.mark.parametrize(
+        "run0, runs, m, name",
+        [(0, 5, 2.5, "m"), (0, 5, True, "m"), (0, 5.0, 10, "runs"), (1.0, 5, 10, "run0"), (False, 5, 10, "run0")],
+    )
+    def test_sizes_that_are_not_integers_rejected(self, run0, runs, m, name):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            categorical_counts(derive_key(1, 0), run0, runs, m, [0.5, 0.5])
+
+    def test_numpy_integer_sizes_accepted(self):
+        key = derive_key(1, 0)
+        got = categorical_counts(key, np.int64(3), np.int32(5), np.uint16(10), [0.5, 0.5])
+        np.testing.assert_array_equal(got, categorical_counts(key, 3, 5, 10, [0.5, 0.5]))
 
     @pytest.mark.parametrize(
         "probs", [[np.nan, 0.5, 0.5], [0.5, np.nan, 0.5], [np.inf, 0.5, 0.5], [0.5, 0.5, -np.inf]]

@@ -18,7 +18,7 @@ from nlaphase import (
     simulate_direct,
     simulate_nla,
 )
-from nlaphase import kernels
+from nlaphase import fock, kernels
 from nlaphase.errors import NoDataError
 from nlaphase.montecarlo import _STREAM_DIRECT, _direct_setup
 
@@ -120,6 +120,17 @@ class TestSimulateDirect:
 
 
 class TestSimulateNla:
+    def test_large_r_points_build_each_state_once(self):
+        # every point of a simulate grid builds the theta = 0 state (observables,
+        # branches) and then the theta_true state (outcome probabilities); both are
+        # kept, so neither evicts the other from one point to the next
+        fock._run.cache_clear()
+        config = SimConfig(r=16.0, theta_true=0.01, gain=8.0, n0=2, m=20, runs=200, seed=4)
+        simulate_direct(config)
+        simulate_nla(config)
+        simulate_nla(dataclasses.replace(config, gain=2.0, n0=1))
+        assert fock._run.cache_info().misses == 2
+
     def test_identity_gain_matches_direct(self):
         config = SimConfig(r=0.25, theta_true=0.01, gain=1.0, n0=1, m=1000, runs=20_000, seed=42)
         assert _report_close(simulate_nla(config), simulate_direct(config))
@@ -195,6 +206,20 @@ class TestSimConfig:
             SimConfig(r=-0.2)
         with pytest.raises(ValueError):
             SimConfig(theta_true=math.inf)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("m", 2.5), ("m", True), ("m", 20.0), ("runs", 20.0), ("runs", False), ("seed", 4.0), ("seed", True)],
+    )
+    def test_sizes_that_are_not_integers_rejected(self, field, value):
+        # each would reach numpy as a float or a bool and fail there, or run with it
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SimConfig(**{field: value})
+
+    def test_numpy_integers_stored_as_ints(self):
+        config = SimConfig(n0=np.int64(2), m=np.int64(20), runs=np.uint32(30), seed=np.uint64(2**63))
+        assert [type(v) for v in (config.n0, config.m, config.runs, config.seed)] == [int] * 4
+        assert config == SimConfig(n0=2, m=20, runs=30, seed=2**63)
 
     @pytest.mark.parametrize("amplifier", [{"gain": 0.5}, {"n0": 0}, {"n0": 2.5}])
     def test_invalid_amplifier_rejected_at_construction(self, amplifier):

@@ -340,6 +340,21 @@ class TestApplyBranch:
         out, _ = apply_branch(CoherentParams(r), NlaParams(g, n0), cutoff)
         assert abs(out.norm_sq - 1.0) < 1e-14
 
+    @pytest.mark.parametrize("cutoff", [True, 10.0, 10.5])
+    def test_cutoff_that_is_not_an_integer_rejected(self, cutoff):
+        params = NlaParams(2.0, 1)
+        with pytest.raises(ValueError, match="cutoff must be an integer"):
+            arm_weights(params, cutoff)
+        with pytest.raises(ValueError, match="cutoff must be an integer"):
+            apply_branch(CoherentParams(0.25), params, cutoff)
+
+    def test_numpy_integer_cutoff_accepted(self):
+        params, input = NlaParams(2.0, 2), CoherentParams(0.25)
+        for got, want in zip(arm_weights(params, np.int64(10)), arm_weights(params, 10)):
+            assert got.tobytes() == want.tobytes()
+        for got, want in zip(apply_branch(input, params, np.int64(10)), apply_branch(input, params, 10)):
+            assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
+
     def test_degenerate_failure_branch_is_none(self):
         assert apply_branch(CoherentParams(0.25), NlaParams(1.0, 2), 6)[1] is None
 
