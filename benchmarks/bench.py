@@ -241,7 +241,8 @@ def main():
         },
         "host": {
             "platform": platform.platform(),
-            "cpus": os.cpu_count(),
+            # the CPUs the children may run on, which the sampling kernel uses
+            "cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
             "python": platform.python_version(),
             "numpy": metadata.version("numpy"),
         },

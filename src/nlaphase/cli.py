@@ -31,7 +31,7 @@ import numpy as np
 
 from . import __version__, kernels
 from .cost import CostParams, recommend_strategy
-from .errors import NoBreakevenError, as_int
+from .errors import NoBreakevenError, as_float, as_int
 from .fisher import (
     branch_breakdown,
     default_gain_grid,
@@ -59,10 +59,14 @@ def _int(raw) -> int:
 
 
 def _float(raw) -> float:
-    """float() that refuses bools, which JSON would otherwise turn into 0.0 and 1.0."""
-    if isinstance(raw, bool):
-        raise ValueError(f"must be a number, got {raw!r}")
-    return float(raw)
+    """A float from flag text or a JSON number, checked by `errors.as_float`.
+
+    Text goes through float(); every other value is as_float's to pass or
+    refuse, so a JSON true or false raises instead of becoming 1.0 or 0.0.
+    """
+    if isinstance(raw, str):
+        raw = float(raw)
+    return as_float(None, raw)
 
 
 def _nonempty_list(cast: Callable) -> Callable:

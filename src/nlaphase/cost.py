@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NoBreakevenError
+from .errors import NoBreakevenError, as_float
 from .fisher import FisherBreakdown
 
 __all__ = [
@@ -25,7 +25,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CostParams:
-    """Per-sample costs (x acquire, y measure, z amplify) and precision budget epsilon."""
+    """Per-sample costs (x acquire, y measure, z amplify) and precision budget epsilon.
+
+    Each is checked by `errors.as_float` and stored as a float.
+    """
 
     x: float
     y: float
@@ -33,6 +36,8 @@ class CostParams:
     epsilon: float
 
     def __post_init__(self):
+        for name in ("x", "y", "z", "epsilon"):
+            object.__setattr__(self, name, as_float(name, getattr(self, name)))
         for name in ("x", "y", "z"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v >= 0.0):

@@ -1,4 +1,4 @@
-"""Exception types raised by the library, all ValueError subclasses, and its integer check."""
+"""Exception types raised by the library, all ValueError subclasses, and its integer and float checks."""
 
 import numbers
 
@@ -19,6 +19,26 @@ def as_int(name: str | None, value, minimum: int | None = None) -> int:
         bound = "" if minimum is None else f" >= {minimum}"
         raise ValueError(f"{subject}must be an integer{bound}, got {value!r}")
     return int(value)
+
+
+def as_float(name: str | None, value) -> float:
+    """`value` as a float, or a ValueError that names the argument `name`.
+
+    The float counterpart of `as_int`: Python and numpy real numbers (integers
+    included) pass; bools, numpy bools and values that are not real numbers
+    (complex numbers, strings, None) raise, so no parameter is taken from a
+    truth value.  A value too large for a double raises too.  With `name` None
+    the message starts at "must be".
+    """
+    if isinstance(value, float):  # Python and numpy doubles, before the slower ABC check
+        return float(value)
+    subject = "" if name is None else f"{name} "
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{subject}must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{subject}must be a number a double can hold, got {value!r}") from None
 
 
 class DimensionMismatchError(ValueError):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoCrossingError, as_int
+from .errors import NoCrossingError, as_float, as_int
 from .fock import (
     CoherentParams,
     FockVector,
@@ -74,7 +74,8 @@ def qfi_pure(psi: FockVector, dpsi: FockVector) -> float:
 
 
 def qfi_coherent(r: float) -> float:
-    """Closed form 4 r^2 for a coherent state of amplitude r."""
+    """Closed form 4 r^2 for a coherent state of amplitude r (`errors.as_float`)."""
+    r = as_float("r", r)
     if not (math.isfinite(r) and r >= 0.0):
         raise ValueError(f"r must be finite and >= 0, got {r}")
     return 4.0 * r * r

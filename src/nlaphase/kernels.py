@@ -22,6 +22,15 @@ so the count of category j in a run is #(u >= c_{j-1}) - #(u >= c_j).  Each run'
 passing draws are counted as a matrix-vector product of a 1.0/0.0 mask with ones,
 in float32 (float64 for runs of 2**24 trials or more): every partial sum is an
 integer no larger than m, so the count is exact in any summation order.
+
+The kernel draws a call's runs in chunks of about 2**16 trials on every CPU the
+process may use (`os.sched_getaffinity`): the calling thread and one thread per
+further CPU each take the next undrawn chunk until none is left, and numpy
+releases the GIL inside each step.  A chunk's counts depend only on its runs, so
+the bytes never depend on how many CPUs there are or which thread drew which
+chunk; `taskset -c 0` runs the kernel on one thread, and a call of one chunk
+starts no thread.
+
 The tests and the `kernel` case of `benchmarks/bench.py` check the kernel against
 a per-run bincount of searchsorted over `uniform_stream`'s float uniforms.
 """
@@ -29,6 +38,8 @@ a per-run bincount of searchsorted over `uniform_stream`'s float uniforms.
 from __future__ import annotations
 
 import math
+import os
+import threading
 
 import numpy as np
 
@@ -101,47 +112,87 @@ def _thresholds(cdf):
     return out
 
 
+def _workers() -> int:
+    # the CPUs this process may run on: `taskset -c 0` gives one
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _counts(key, cdf, m, run0, runs, out):
     thresholds = _thresholds(cdf)
     chunk = max(1, _BLOCK_TRIALS // m)
+    chunks = -(-runs // chunk)
     size = min(chunk, runs) * m
     # trial i of a chunk whose first counter is c0 hashes key + (c0 + i + 1) * GOLDEN:
     # step holds (i + 1) * GOLDEN, and each chunk adds key + c0 * GOLDEN, all mod 2**64
     step = np.arange(1, size + 1, dtype=np.uint64)
     np.multiply(step, _U_GOLDEN, out=step)
-    z = np.empty(size, dtype=np.uint64)
-    tmp = np.empty(size, dtype=np.uint64)
+    step.flags.writeable = False
     # 1.0 where a draw passes a threshold; a product with ones counts each row
     dtype = np.float32 if m < _FLOAT32_EXACT else np.float64
-    mask = np.empty(size, dtype=dtype)
     ones = np.ones(m, dtype=dtype)
-    for lo in range(0, runs, chunk):
-        hi = min(runs, lo + chunk)
-        rows = hi - lo
-        n = rows * m
-        zz, tt, mm = z[:n], tmp[:n], mask[:n]
-        np.add(step[:n], np.uint64((key + (run0 + lo) * m * _GOLDEN) & _MASK64), out=zz)
-        np.right_shift(zz, _R30, out=tt)
-        np.bitwise_xor(zz, tt, out=zz)
-        np.multiply(zz, _U_MIX1, out=zz)
-        np.right_shift(zz, _R27, out=tt)
-        np.bitwise_xor(zz, tt, out=zz)
-        np.multiply(zz, _U_MIX2, out=zz)
-        np.right_shift(zz, _R31, out=tt)
-        np.bitwise_xor(zz, tt, out=zz)
-        passed = {}  # threshold -> per-row count of draws at or above it
-        above = m  # draws at or above the previous cdf entry: all of them before the first
-        for j, t in enumerate(thresholds):
-            if t is None:
-                now = 0
-            elif t in passed:
-                now = passed[t]
-            else:
-                np.greater_equal(zz, t, out=mm)
-                now = passed[t] = (mm.reshape(rows, m) @ ones).astype(np.int64)
-            out[lo:hi, j] = above - now
-            above = now
-        out[lo:hi, -1] = above
+    ones.flags.writeable = False
+    claim, lock, errors = iter(range(chunks)), threading.Lock(), []
+
+    def draw():
+        # each thread takes the next unclaimed chunk until none is left, and
+        # writes only that chunk's rows of out
+        z = np.empty(size, dtype=np.uint64)
+        tmp = np.empty(size, dtype=np.uint64)
+        mask = np.empty(size, dtype=dtype)
+        while not errors:
+            with lock:
+                index = next(claim, None)
+            if index is None:
+                return
+            lo = index * chunk
+            hi = min(runs, lo + chunk)
+            rows = hi - lo
+            n = rows * m
+            zz, tt, mm = z[:n], tmp[:n], mask[:n]
+            np.add(step[:n], np.uint64((key + (run0 + lo) * m * _GOLDEN) & _MASK64), out=zz)
+            np.right_shift(zz, _R30, out=tt)
+            np.bitwise_xor(zz, tt, out=zz)
+            np.multiply(zz, _U_MIX1, out=zz)
+            np.right_shift(zz, _R27, out=tt)
+            np.bitwise_xor(zz, tt, out=zz)
+            np.multiply(zz, _U_MIX2, out=zz)
+            np.right_shift(zz, _R31, out=tt)
+            np.bitwise_xor(zz, tt, out=zz)
+            passed = {}  # threshold -> per-row count of draws at or above it
+            above = m  # draws at or above the previous cdf entry: all of them before the first
+            for j, t in enumerate(thresholds):
+                if t is None:
+                    now = 0
+                elif t in passed:
+                    now = passed[t]
+                else:
+                    np.greater_equal(zz, t, out=mm)
+                    now = passed[t] = (mm.reshape(rows, m) @ ones).astype(np.int64)
+                out[lo:hi, j] = above - now
+                above = now
+            out[lo:hi, -1] = above
+
+    def work():
+        try:
+            draw()
+        except BaseException as exc:  # re-raised in the calling thread
+            errors.append(exc)
+
+    # the calling thread is one of the workers; one chunk starts no thread
+    threads = []
+    try:
+        for _ in range(min(_workers(), chunks) - 1):
+            thread = threading.Thread(target=work)
+            thread.start()
+            threads.append(thread)
+        work()
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
 
 
 def uniform_stream(key: int, start: int, count: int) -> np.ndarray:

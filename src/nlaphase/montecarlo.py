@@ -44,6 +44,7 @@ _STREAM_NLA = 1
 class SimConfig:
     """Complete, reproducible definition of one estimation experiment.
 
+    r, theta_true and gain are checked by `errors.as_float` and stored as floats;
     n0, m, runs and seed are checked by `errors.as_int` and stored as ints.
     """
 
@@ -57,8 +58,12 @@ class SimConfig:
 
     def __post_init__(self):
         # the amplitude, phase, gain and n0 checks of the parameter types
-        CoherentParams(self.r, self.theta_true)
-        object.__setattr__(self, "n0", NlaParams(self.gain, self.n0).n0)
+        coherent = CoherentParams(self.r, self.theta_true)
+        nla = NlaParams(self.gain, self.n0)
+        object.__setattr__(self, "r", coherent.r)
+        object.__setattr__(self, "theta_true", coherent.theta)
+        object.__setattr__(self, "gain", nla.gain)
+        object.__setattr__(self, "n0", nla.n0)
         for name in ("m", "runs", "seed"):
             object.__setattr__(self, name, as_int(name, getattr(self, name)))
         if self.m < 1:
@@ -106,17 +111,18 @@ def precision_from_samples(estimates, theta_true: float, m: int) -> PrecisionRep
 def _runs_with_data(
     counts: np.ndarray, config: SimConfig, failure_informative: bool = False
 ) -> np.ndarray:
-    """The runs the no-data rule keeps (dropped runs show in runs_used).
+    """The runs the no-data rule keeps (dropped runs show in runs_used): counts
+    itself when it keeps every run, else a copy of the kept rows.
 
     Raises NoDataError naming the grid point when it keeps none.
     """
-    kept = counts[_has_data(counts, failure_informative)]
-    if len(kept) == 0:
+    keep = _has_data(counts, failure_informative)
+    if not keep.any():
         raise NoDataError(
             f"no run has an informative count at gain={config.gain}, n0={config.n0}, "
             f"m={config.m}, runs={config.runs}"
         )
-    return kept
+    return counts if keep.all() else counts[keep]
 
 
 def _direct_setup(config: SimConfig):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import as_int
+from .errors import as_float, as_int
 from .fock import CoherentParams, FockVector, _poisson_tails, coherent_state
 
 __all__ = [
@@ -35,13 +35,15 @@ class NlaParams:
     """Amplifier gain g >= 1 and maximum faithfully amplified photon number n0 >= 1.
 
     g = 1 is the identity device: success is certain and leaves the state alone.
-    n0 is checked by `errors.as_int` and stored as an int.
+    gain is checked by `errors.as_float` and stored as a float, n0 by
+    `errors.as_int` and stored as an int.
     """
 
     gain: float
     n0: int
 
     def __post_init__(self):
+        object.__setattr__(self, "gain", as_float("gain", self.gain))
         if not (math.isfinite(self.gain) and self.gain >= 1.0):
             raise ValueError(f"gain must be finite and >= 1, got {self.gain}")
         object.__setattr__(self, "n0", as_int("n0", self.n0, minimum=1))
@@ -85,7 +87,9 @@ def heralding_probabilities(r: float, params: NlaParams) -> tuple[float, float]:
     2**-16, the complement's rounding error is above about 1e-11 of p_s.  In both cases
     `_scaled_branch_probabilities` computes both values instead.  Both are clamped
     to [0, 1], and p_f is 0.0 where P[N <= n0] is below the smallest normal double.
+    r is a float by `errors.as_float`.
     """
+    r = as_float("r", r)
     if not (math.isfinite(r) and r >= 0.0):
         raise ValueError(f"r must be finite and >= 0, got {r}")
     w = math.exp(-r * r)

@@ -1,5 +1,10 @@
 """Tests for the counter-based sampling kernel against its float reference."""
 
+import os
+import sys
+import threading
+import types
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -255,3 +260,88 @@ class TestNumpyKernelMatchesReference:
         probs = np.array(weights) / sum(weights)
         assert_matches_reference(key, run0, runs, m, probs)
 
+
+
+class TestWorkerThreads:
+    """The calling thread and `_workers() - 1` threads take the chunks of one call
+    from a shared counter; no worker count changes a count."""
+
+    KEY = derive_key(31, 1)
+    PROBS = [0.1, 0.0, 0.6, 0.3]
+    CHUNK_1000 = kernels._BLOCK_TRIALS // 1000
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 50])
+    @pytest.mark.parametrize(
+        "m, run0, runs",
+        [
+            (1000, 0, 3 * CHUNK_1000 + 7),  # a run count that is no multiple of the chunk
+            (kernels._BLOCK_TRIALS + 3, 2, 5),  # a chunk of one run each
+            (20, 1234567, 2 * (kernels._BLOCK_TRIALS // 20) + 5),
+            (97, 9, 1),
+        ],
+        ids=["partial-chunk", "m-above-block", "run0", "one-run"],
+    )
+    def test_counts_do_not_depend_on_workers(self, monkeypatch, workers, m, run0, runs):
+        monkeypatch.setattr(kernels, "_workers", lambda: workers)
+        assert_matches_reference(self.KEY, run0, runs, m, self.PROBS)
+
+    def test_chunk_counter_under_thread_switches(self, monkeypatch):
+        # more threads than CPUs and a switch every microsecond race for 40 chunks
+        # of one run each: a chunk that no thread drew leaves a row of zeros
+        monkeypatch.setattr(kernels, "_workers", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert_matches_reference(self.KEY, 3, 40, kernels._BLOCK_TRIALS + 1, self.PROBS)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("workers, runs, started", [(3, 4 * CHUNK_1000, 2), (50, 4 * CHUNK_1000, 3),
+                                                        (50, CHUNK_1000, 0), (1, 4 * CHUNK_1000, 0)])
+    def test_threads_started(self, monkeypatch, workers, runs, started):
+        # min(workers, chunks) - 1 threads: a call of one chunk starts none
+        threads = []
+
+        class Counted(threading.Thread):
+            def start(self):
+                threads.append(self)
+                super().start()
+
+        monkeypatch.setattr(kernels, "_workers", lambda: workers)
+        monkeypatch.setattr(kernels, "threading", types.SimpleNamespace(Thread=Counted, Lock=threading.Lock))
+        before = threading.active_count()
+        categorical_counts(self.KEY, 0, runs, 1000, self.PROBS)
+        assert len(threads) == started
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("failing", ["worker", "caller"])
+    def test_an_exception_reaches_the_caller(self, monkeypatch, failing):
+        # one thread fails on its first write to the output rows, after the
+        # other has begun its own chunk; the call raises it once both are done
+        monkeypatch.setattr(kernels, "_workers", lambda: 2)
+        first = threading.Event()
+
+        class Rows:
+            def __init__(self, array):
+                self.array = array
+
+            def __setitem__(self, index, value):
+                on_caller = threading.current_thread() is threading.main_thread()
+                if on_caller == (failing == "caller"):
+                    first.set()
+                    raise RuntimeError(f"{failing} failed")
+                first.wait(timeout=30)
+                self.array[index] = value
+
+        out = np.zeros((4 * self.CHUNK_1000, len(self.PROBS)), dtype=np.int64)
+        before = threading.active_count()
+        cdf = np.cumsum(self.PROBS[:-1])
+        with pytest.raises(RuntimeError, match=f"^{failing} failed$"):
+            kernels._counts(self.KEY, cdf, 1000, 0, out.shape[0], Rows(out))
+        assert threading.active_count() == before
+
+    def test_workers_are_the_usable_cpus(self, monkeypatch):
+        if hasattr(os, "sched_getaffinity"):
+            assert kernels._workers() == len(os.sched_getaffinity(0))
+            monkeypatch.delattr(os, "sched_getaffinity")
+        assert kernels._workers() == (os.cpu_count() or 1)

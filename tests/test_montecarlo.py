@@ -20,7 +20,7 @@ from nlaphase import (
 )
 from nlaphase import fock, kernels
 from nlaphase.errors import NoDataError
-from nlaphase.montecarlo import _STREAM_DIRECT, _direct_setup
+from nlaphase.montecarlo import _STREAM_DIRECT, _direct_setup, _runs_with_data
 
 
 def _draw(probs, m: int, key: int, run: int) -> np.ndarray:
@@ -192,6 +192,27 @@ class TestNoRunLeft:
         monkeypatch.setattr(kernels, "categorical_counts", null_counts)
         with pytest.raises(NoDataError, match=r"gain=1\.0, n0=1, m=3, runs=5"):
             simulate_direct(SimConfig(gain=1.0, n0=1, m=3, runs=5))
+
+
+class TestRunsWithData:
+    """The no-data rule's filter: the count matrix itself when it keeps every run."""
+
+    CONFIG = SimConfig(gain=2.0, n0=2, m=4, runs=3)
+    COUNTS = np.array([[1, 0, 0, 0, 3], [0, 2, 0, 0, 2], [0, 0, 1, 0, 3]])
+
+    def test_every_run_kept_returns_counts_itself(self):
+        assert _runs_with_data(self.COUNTS, self.CONFIG, failure_informative=True) is self.COUNTS
+
+    def test_dropped_runs_leave_a_copy_of_the_rest(self):
+        # without an informative failure pair the third run has no data
+        got = _runs_with_data(self.COUNTS, self.CONFIG)
+        np.testing.assert_array_equal(got, self.COUNTS[:2])
+        assert not np.shares_memory(got, self.COUNTS)
+
+    def test_no_run_kept_raises(self):
+        counts = np.array([[0, 0, 0, 0, 4], [0, 0, 2, 2, 0]])
+        with pytest.raises(NoDataError, match=r"gain=2\.0, n0=2, m=4, runs=3"):
+            _runs_with_data(counts, self.CONFIG)
 
 
 class TestSimConfig:
