@@ -26,6 +26,11 @@ CASE names the layer:
   after it (`warm_s`), and the minor page faults (`ru_minflt`) of each.  Check:
   every tree's dataset has the sha256 that perfbench/digests.json records for
   the `fisher-sweep-large-r` workload.
+- `simulate`: the `mc-small-m` workload's call, `simulate --r 0.25 --gains
+  1,2,8 --n0-list 1,2 --m 20 --runs 50000 --seed 4`, as the first call after
+  import (`call_s`), with its minor page faults (`call_minflt`).  Check: every
+  tree's dataset has the seed-4 sha256 that perfbench/digests.json records for
+  `mc-small-m`.
 
 Each tree is given as LABEL=PATH to a `src` directory, for example a checkout
 of the parent commit and this one.  Each of RUNS rounds starts one fresh
@@ -149,34 +154,45 @@ out["sha256"] = digest.hexdigest()
 print(json.dumps(out))
 """
 
-FOCK = """
+# the first CLI call after import (`call_s`) with its minor page faults
+# (`call_minflt`), and the sha256 of the dataset it writes
+FIRST_CALL = """
 import hashlib, json, os, resource, sys, tempfile, time
 import nlaphase.cli as cli
-from nlaphase import fisher
 
 
 def minflt():
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
-argv = ["fisher-sweep", "--r", "16", "--n0-list", "1,2,3,4,5,6", "--seed", "4"]
 with tempfile.TemporaryDirectory() as tmp:
-    path = os.path.join(tmp, "fisher.csv")
+    path = os.path.join(tmp, "dataset.csv")
     faults, start = minflt(), time.perf_counter()
-    code = cli.main(argv + ["--output", path])
-    call_s, call_minflt = time.perf_counter() - start, minflt() - faults
+    code = cli.main(ARGV + ["--output", path])
+    figures = {"call_s": time.perf_counter() - start, "call_minflt": minflt() - faults}
     if code != 0:
-        sys.exit(f"fisher-sweep: exit {code}")
+        sys.exit(f"{ARGV[0]}: exit {code}")
     with open(path, "rb") as fh:
         sha256 = hashlib.sha256(fh.read()).hexdigest()
+"""
+
+FOCK = 'ARGV = ["fisher-sweep", "--r", "16", "--n0-list", "1,2,3,4,5,6", "--seed", "4"]' + FIRST_CALL + """
+from nlaphase import fisher
+
 faults, start = minflt(), time.perf_counter()
 fisher.sweep_gain(16.0, [1, 2, 3, 4, 5, 6])
-figures = {"call_s": call_s, "call_minflt": call_minflt,
-           "warm_s": time.perf_counter() - start, "warm_minflt": minflt() - faults}
+figures.update({"warm_s": time.perf_counter() - start, "warm_minflt": minflt() - faults})
 print(json.dumps({"figures": figures, "sha256": sha256, "failed": []}))
 """
 
-CASES = {"kernel": KERNEL, "setup": SETUP, "writer": WRITER, "fock": FOCK}
+SIMULATE = ('ARGV = ["simulate", "--r", "0.25", "--gains", "1,2,8", "--n0-list", "1,2", "--m", "20", '
+            '"--runs", "50000", "--seed", "4"]') + FIRST_CALL + """
+print(json.dumps({"figures": figures, "sha256": sha256, "failed": []}))
+"""
+
+CASES = {"kernel": KERNEL, "setup": SETUP, "writer": WRITER, "fock": FOCK, "simulate": SIMULATE}
+# cases whose dataset must have the sha256 that perfbench/digests.json records: (workload, seed key)
+RECORDED = {"fock": ("fisher-sweep-large-r", "any"), "simulate": ("mc-small-m", "4")}
 
 
 def labelled_tree(text):
@@ -259,9 +275,10 @@ def main():
         messages = dict.fromkeys(message for s in samples for message in s["failed"])
         failed += [f"{label}: {message}" for message in messages]
     digests = sorted({digest for tree in record["trees"].values() for digest in tree["sha256"]})
-    if args.case == "fock":
+    if args.case in RECORDED:
+        workload, seed = RECORDED[args.case]
         with open(DIGESTS) as fh:
-            record["recorded_sha256"] = json.load(fh)["fisher-sweep-large-r"]["any"]
+            record["recorded_sha256"] = json.load(fh)[workload][seed]
         if digests != [record["recorded_sha256"]]:
             failed.append(f"sha256 {digests} differ from the recorded {record['recorded_sha256']}")
     elif len(digests) > 1:

@@ -12,6 +12,8 @@ def as_int(name: str | None, value, minimum: int | None = None) -> int:
     value raises as well.  With `name` None the message starts at "must be",
     for a caller that names the value itself.
     """
+    if type(value) is int and (minimum is None or value >= minimum):
+        return value  # Python ints (bools are not), before the slower ABC check
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or (
         minimum is not None and value < minimum
     ):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateObservableError, NoDataError
+from .errors import DegenerateObservableError, NoDataError, as_float
 from .fock import CoherentParams, FockVector, coherent_state, inner_product
 from .fisher import qfi_pure
 from .nla import NlaParams, arm_weights
@@ -106,31 +106,54 @@ def five_outcome_probs(
 
 
 def _has_data(counts: np.ndarray, failure_informative: bool = False) -> np.ndarray:
-    """The no-data rule: True for each run (last axis: +, -, ... or s+, s-, f+, f-, null)
-    with at least one informative count.  The failure pair is informative only when
-    the failure branch carries phase information.  The count columns are added one by
-    one: a sum over a 2- or 4-wide last axis would run one inner loop per run."""
-    informative = counts[..., 0] + counts[..., 1]
-    if failure_informative:
-        informative += counts[..., 2]
-        informative += counts[..., 3]
-    return informative >= 1
+    """The no-data rule for nonnegative counts: True for each run (last axis: +, -, ...
+    or s+, s-, f+, f-, null) with at least one informative count.  The failure pair is
+    informative only when the failure branch carries phase information."""
+    return np.any(counts[..., : 4 if failure_informative else 2], axis=-1)
 
 
 def _counts(counts) -> np.ndarray:
     counts = np.asarray(counts)
-    if np.any(counts < 0):
+    if counts.size and counts.min() < 0:
         raise ValueError("counts must be nonnegative")
     return counts
 
 
-def _float_if_scalar(theta: np.ndarray):
+def _eigenvalue(name: str, lam) -> float:
+    lam = as_float(name, lam)
+    if not 0.0 < lam < math.inf:
+        raise ValueError(f"{name} must be a finite positive number, got {lam!r}")
+    return lam
+
+
+# runs per block of the estimators: each of a block's temporaries stays below
+# glibc's 128 KiB mmap threshold, so it reuses heap pages instead of faulting in new ones
+_BLOCK_RUNS = 1 << 13
+
+
+def _by_blocks(estimate, columns, shape, *args):
+    # estimate(*columns, *args) a block of runs at a time; a float for one run
+    columns = [c.reshape(-1) for c in columns]
+    theta = np.empty(columns[0].size)
+    for lo in range(0, theta.size, _BLOCK_RUNS):
+        block = slice(lo, lo + _BLOCK_RUNS)
+        theta[block] = estimate(*(c[block] for c in columns), *args)
+    theta = theta.reshape(shape)
     return theta if theta.ndim else float(theta)
 
 
-def _direct(n_plus: np.ndarray, n_minus: np.ndarray, lam: float) -> np.ndarray:
-    # a zero total yields 0 in place of 0/0; callers select such entries away
-    return lam * (n_plus - n_minus) / np.maximum(n_plus + n_minus, 1)
+def _with_data(informative: np.ndarray) -> np.ndarray:
+    if informative.min() < 1:
+        raise NoDataError("no informative counts")
+    return informative
+
+
+def _direct(n_plus, n_minus, lam: float, total=None) -> np.ndarray:
+    # total is n+ + n-, which without it must be at least 1 in every run; a zero
+    # total yields 0 in place of 0/0, which callers select away
+    if total is None:
+        total = _with_data(n_plus + n_minus)
+    return lam * (n_plus - n_minus) / np.maximum(total, 1)
 
 
 def mle_direct(n_plus, n_minus, lam: float):
@@ -139,12 +162,11 @@ def mle_direct(n_plus, n_minus, lam: float):
     n_plus and n_minus are counts or broadcastable arrays of per-run counts; the
     result is a float or an array of per-run estimates, each computed in the scalar
     formula's operation order.  Raises NoDataError if any run has n+ + n- = 0 and
-    ValueError on a negative count; an empty array gives an empty result.
+    ValueError on a negative count or unless lam is a finite positive number; an
+    empty array gives an empty result.
     """
-    pairs = _counts(np.stack(np.broadcast_arrays(n_plus, n_minus), axis=-1))
-    if not np.all(_has_data(pairs)):
-        raise NoDataError("no informative counts")
-    return _float_if_scalar(_direct(pairs[..., 0], pairs[..., 1], lam))
+    pair = np.broadcast_arrays(_counts(n_plus), _counts(n_minus))
+    return _by_blocks(_direct, pair, pair[0].shape, _eigenvalue("lam", lam))
 
 
 def mle_nla(counts, lambda_s: float, lambda_f: float | None):
@@ -157,21 +179,25 @@ def mle_nla(counts, lambda_s: float, lambda_f: float | None):
     counts is one run's (s+, s-, f+, f-, null) row, giving a float, or an array
     of such rows, giving an array of per-run estimates.  Raises NoDataError if any
     run has no informative count (n_s = 0 with a degenerate failure branch, else
-    n_s + n_f = 0) and ValueError on a negative count.
+    n_s + n_f = 0) and ValueError on a negative count or unless each lambda is a
+    finite positive number.
     """
+    lambda_s = _eigenvalue("lambda_s", lambda_s)
+    lambda_f = None if lambda_f is None else _eigenvalue("lambda_f", lambda_f)
     counts = _counts(counts)
     if counts.shape[-1:] != (5,):
         raise ValueError(f"count rows must hold 5 outcomes, got shape {counts.shape}")
-    if not np.all(_has_data(counts, lambda_f is not None)):
-        raise NoDataError("no informative counts")
-    s_plus, s_minus, f_plus, f_minus = (counts[..., i] for i in range(4))
-    theta_s = _direct(s_plus, s_minus, lambda_s)
-    if lambda_f is None:
-        return _float_if_scalar(theta_s)
-    theta_f = _direct(f_plus, f_minus, lambda_f)
-    n_s = s_plus + s_minus
-    n_f = f_plus + f_minus
-    w_s = n_s * lambda_f**2
-    w_f = n_f * lambda_s**2
-    combined = (w_s * theta_s + w_f * theta_f) / (w_s + w_f)
-    return _float_if_scalar(np.where(n_f == 0, theta_s, np.where(n_s == 0, theta_f, combined)))
+
+    def estimate(s_plus, s_minus, f_plus, f_minus):
+        if lambda_f is None:
+            return _direct(s_plus, s_minus, lambda_s)
+        n_s, n_f = s_plus + s_minus, f_plus + f_minus
+        _with_data(n_s + n_f)
+        theta_s = _direct(s_plus, s_minus, lambda_s, n_s)
+        theta_f = _direct(f_plus, f_minus, lambda_f, n_f)
+        w_s = n_s * lambda_f**2
+        w_f = n_f * lambda_s**2
+        combined = (w_s * theta_s + w_f * theta_f) / (w_s + w_f)
+        return np.where(n_f == 0, theta_s, np.where(n_s == 0, theta_f, combined))
+
+    return _by_blocks(estimate, (counts[..., i] for i in range(4)), counts.shape[:-1])

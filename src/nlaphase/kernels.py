@@ -208,9 +208,10 @@ def uniform_stream(key: int, start: int, count: int) -> np.ndarray:
 def categorical_counts(key: int, run0: int, runs: int, m: int, probs: np.ndarray) -> np.ndarray:
     """Outcome counts of `runs` experiments of m categorical trials each.
 
-    Row i holds the counts of run index run0 + i; the probability vector must be
-    finite, nonnegative and sum to 1 within 1e-9.  m, runs and run0 are integers
-    by `errors.as_int`.
+    Row i of the int64 matrix, which is column-major so that each category's
+    counts are contiguous, holds the counts of run index run0 + i.  The
+    probability vector must be finite, nonnegative and sum to 1 within 1e-9.
+    m, runs and run0 are integers by `errors.as_int`.
     """
     probs = np.asarray(probs, dtype=np.float64)
     if probs.ndim != 1 or probs.size < 1:
@@ -225,7 +226,7 @@ def categorical_counts(key: int, run0: int, runs: int, m: int, probs: np.ndarray
     if runs < 0 or run0 < 0:
         raise ValueError("runs and run0 must be nonnegative")
 
-    out = np.zeros((runs, probs.size), dtype=np.int64)
+    out = np.zeros((runs, probs.size), dtype=np.int64, order="F")
     if runs == 0:
         return out
     _counts(key, np.cumsum(probs[:-1]), m, run0, runs, out)

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import DegenerateObservableError, NoDataError, as_int
+from .errors import DegenerateObservableError, NoDataError, as_float, as_int
 from .estimator import (
+    _BLOCK_RUNS,
     _has_data,
     build_observable,
     five_outcome_probs,
@@ -90,18 +91,25 @@ def precision_from_samples(estimates, theta_true: float, m: int) -> PrecisionRep
 
     MSE is the plain mean of squared errors (bias included); the standard error of
     the precision follows from the sample variance of the squared errors through
-    the delta method.  A zero MSE yields the infinite-precision sentinel.
+    the delta method.  A zero MSE yields the infinite-precision sentinel.  m is an
+    integer >= 1 by `errors.as_int` and theta_true a number by `errors.as_float`.
     """
+    m = as_int("m", m, minimum=1)
+    theta_true = as_float("theta_true", theta_true)
     est = np.asarray(estimates, dtype=np.float64)
     if est.size < 1:
         raise ValueError("need at least one estimate")
-    sq = (est - theta_true) ** 2
+    sq = est - theta_true
+    np.square(sq, out=sq)
     mse = float(np.mean(sq))
     if mse == 0.0:
         return PrecisionReport(0.0, math.inf, math.nan, est.size)
     precision = 1.0 / (m * mse)
     if est.size > 1:
-        se_mse = float(np.std(sq, ddof=1)) / math.sqrt(est.size)
+        # np.std(sq, ddof=1)'s operations, on sq's own buffer
+        sq -= mse
+        np.square(sq, out=sq)
+        se_mse = math.sqrt(float(sq.sum()) / (est.size - 1)) / math.sqrt(est.size)
         stderr = precision * se_mse / mse
     else:
         stderr = math.nan
@@ -112,7 +120,8 @@ def _runs_with_data(
     counts: np.ndarray, config: SimConfig, failure_informative: bool = False
 ) -> np.ndarray:
     """The runs the no-data rule keeps (dropped runs show in runs_used): counts
-    itself when it keeps every run, else a copy of the kept rows.
+    itself when it keeps every run, else its first rows, into which the kept rows
+    move in place.
 
     Raises NoDataError naming the grid point when it keeps none.
     """
@@ -122,7 +131,15 @@ def _runs_with_data(
             f"no run has an informative count at gain={config.gain}, n0={config.n0}, "
             f"m={config.m}, runs={config.runs}"
         )
-    return counts if keep.all() else counts[keep]
+    if keep.all():
+        return counts
+    kept = 0  # in place and a block at a time: a whole copy would take fresh pages
+    for lo in range(0, keep.size, _BLOCK_RUNS):
+        rows = np.flatnonzero(keep[lo : lo + _BLOCK_RUNS]) + lo
+        for column in counts.T:
+            column[kept : kept + rows.size] = column[rows]
+        kept += rows.size
+    return counts[:kept]
 
 
 def _direct_setup(config: SimConfig):

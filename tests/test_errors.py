@@ -1,5 +1,6 @@
-"""Tests for the library's float check and the float parameters that use it."""
+"""Tests for the library's integer and float checks and the float parameters that use them."""
 
+import enum
 import fractions
 import math
 
@@ -16,7 +17,33 @@ from nlaphase import (
     qfi_coherent,
 )
 from nlaphase.cost import CostParams
-from nlaphase.errors import as_float
+from nlaphase.errors import as_float, as_int
+
+
+class TestAsInt:
+    @pytest.mark.parametrize("value", [0, 7, -3, 10**30, np.int64(5), np.uint8(7), enum.IntEnum("E", "A").A])
+    def test_integers_pass_as_ints(self, value):
+        got = as_int("m", value)
+        assert type(got) is int and got == value
+
+    def test_python_ints_return_themselves(self):
+        big = 10**30
+        assert as_int("m", big) is big and as_int("m", big, minimum=1) is big
+
+    @pytest.mark.parametrize("value", [True, False, np.True_, 2.0, 2.5, np.float64(3.0), "3", None, 1j])
+    def test_bools_floats_and_other_values_refused(self, value):
+        with pytest.raises(ValueError, match=r"^m must be an integer, got "):
+            as_int("m", value)
+
+    @pytest.mark.parametrize("value", [0, -1, np.int64(0)])
+    def test_minimum(self, value):
+        with pytest.raises(ValueError, match=r"^m must be an integer >= 1, got "):
+            as_int("m", value, minimum=1)
+        assert as_int("m", value, minimum=value) == value
+
+    def test_unnamed_message_starts_at_must_be(self):
+        with pytest.raises(ValueError, match=r"^must be an integer, got True$"):
+            as_int(None, True)
 
 
 class TestAsFloat:

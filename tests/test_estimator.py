@@ -302,7 +302,7 @@ class TestMleNla:
 
 
 class TestHasData:
-    """The no-data rule adds count columns; the reference reduces the last axis."""
+    """The no-data rule against the sum of the informative counts of each run."""
 
     @staticmethod
     def reference(counts, failure_informative):
@@ -439,3 +439,104 @@ class TestArrayEstimatorsMatchReference:
             assert hexes([got.mse, got.precision, got.stderr_precision]) == hexes(
                 [want.mse, want.precision, want.stderr_precision]
             )
+
+
+class TestEigenvalueChecks:
+    """lam, lambda_s and lambda_f must be finite positive numbers."""
+
+    BAD = [-2.0, 0.0, -0.0, True, False, np.True_, np.nan, np.inf, -np.inf, "2.0", None, 1j]
+
+    @pytest.mark.parametrize("lam", BAD)
+    def test_direct_refuses(self, lam):
+        with pytest.raises(ValueError, match=r"^lam must be a"):
+            mle_direct(5, 3, lam)
+
+    @pytest.mark.parametrize("lam", BAD)
+    def test_nla_refuses(self, lam):
+        with pytest.raises(ValueError, match=r"^lambda_s must be a"):
+            mle_nla([3, 1, 2, 2, 0], lam, 1.0)
+        if lam is not None:  # lambda_f = None marks a degenerate failure branch
+            with pytest.raises(ValueError, match=r"^lambda_f must be a"):
+                mle_nla([3, 1, 2, 2, 0], 1.0, lam)
+
+    def test_messages(self):
+        with pytest.raises(ValueError, match=r"^lam must be a finite positive number, got -2\.0$"):
+            mle_direct(5, 3, -2.0)
+        with pytest.raises(ValueError, match=r"^lambda_f must be a finite positive number, got inf$"):
+            mle_nla([3, 1, 2, 2, 0], 1.0, np.inf)
+        with pytest.raises(ValueError, match=r"^lam must be a number, got True$"):
+            mle_direct(5, 3, True)
+
+    @pytest.mark.parametrize("lam", [2, np.float32(0.5), np.float64(0.3), np.int64(3), 1e-300, 1e300])
+    def test_real_eigenvalues_keep_their_bits(self, lam):
+        want = float(lam) * 2 / 8
+        assert mle_direct(5, 3, lam).hex() == want.hex()
+        assert mle_nla([5, 3, 1, 0, 0], lam, None).hex() == want.hex()
+
+
+# The estimators before they read each count column once, written out: every
+# estimate must be the same double.
+
+
+def old_mle_direct(n_plus, n_minus, lam):
+    pairs = np.stack(np.broadcast_arrays(n_plus, n_minus), axis=-1)
+    return lam * (pairs[..., 0] - pairs[..., 1]) / np.maximum(pairs[..., 0] + pairs[..., 1], 1)
+
+
+def old_mle_nla(counts, lambda_s, lambda_f):
+    s_plus, s_minus, f_plus, f_minus = (counts[..., i] for i in range(4))
+    theta_s = lambda_s * (s_plus - s_minus) / np.maximum(s_plus + s_minus, 1)
+    if lambda_f is None:
+        return theta_s
+    theta_f = lambda_f * (f_plus - f_minus) / np.maximum(f_plus + f_minus, 1)
+    n_s = s_plus + s_minus
+    n_f = f_plus + f_minus
+    w_s = n_s * lambda_f**2
+    w_f = n_f * lambda_s**2
+    combined = (w_s * theta_s + w_f * theta_f) / (w_s + w_f)
+    return np.where(n_f == 0, theta_s, np.where(n_s == 0, theta_f, combined))
+
+
+class TestOnePassEstimatorsGiveTheOldDoubles:
+    # m = 20 rows over more than three estimator blocks; about a fifth of the runs
+    # have n_s = 0 and a tenth n_f = 0 (rows with neither are dropped)
+    RUNS = 3 * estimator._BLOCK_RUNS + 123
+
+    @classmethod
+    def matrix(cls, seed, order):
+        probs = [0.04, 0.04, 0.055, 0.055, 0.81]
+        counts = np.random.default_rng(seed).multinomial(20, probs, size=cls.RUNS)
+        counts = counts[counts[:, :4].sum(axis=1) >= 1]
+        return np.asarray(counts, order=order)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("seed", [4, 11])
+    @pytest.mark.parametrize("lambda_f", [None, 0.81, 2.9])
+    def test_nla(self, order, seed, lambda_f):
+        counts = self.matrix(seed, order)
+        n_s, n_f = counts[:, :2].sum(axis=1), counts[:, 2:4].sum(axis=1)
+        assert 0.1 < np.mean(n_s == 0) < 0.3 and 0.05 < np.mean(n_f == 0) < 0.2
+        if lambda_f is None:
+            counts = counts[n_s >= 1]
+        got = mle_nla(counts, 1.37, lambda_f)
+        assert got.dtype == np.float64 and np.array_equal(got, old_mle_nla(counts, 1.37, lambda_f))
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("seed", [4, 11])
+    def test_direct(self, order, seed):
+        counts = self.matrix(seed, order)
+        counts = counts[counts[:, :2].sum(axis=1) >= 1]
+        got = mle_direct(counts[:, 0], counts[:, 1], 0.61)
+        want = old_mle_direct(counts[:, 0], counts[:, 1], 0.61)
+        assert got.dtype == np.float64 and np.array_equal(got, want)
+
+    def test_shapes(self):
+        # one row gives a float, a stack of matrices an array of the same stack shape
+        counts = self.matrix(4, "F")[:600]
+        assert type(mle_nla(counts[7], 1.37, 0.81)) is float
+        stacked = counts.reshape(20, 30, 5)
+        assert np.array_equal(mle_nla(stacked, 1.37, 0.81), old_mle_nla(stacked, 1.37, 0.81))
+        pairs = counts[counts[:, :2].sum(axis=1) >= 1][:, :2]
+        got = mle_direct(pairs[:, :1], pairs[0, 1], 0.61)  # a column against one count
+        assert got.shape == (len(pairs), 1)
+        assert np.array_equal(got, old_mle_direct(pairs[:, :1], pairs[0, 1], 0.61))

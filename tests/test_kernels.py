@@ -170,6 +170,7 @@ def reference_counts(key, run0, runs, m, probs):
 
 def assert_matches_reference(key, run0, runs, m, probs):
     got = categorical_counts(key, run0, runs, m, probs)
+    assert got.dtype == np.int64 and got.flags.f_contiguous  # each category's counts contiguous
     np.testing.assert_array_equal(got, reference_counts(key, run0, runs, m, probs))
     return got
 
@@ -199,6 +200,14 @@ class TestNumpyKernelMatchesReference:
         got = assert_matches_reference(self.KEY, 3, 70, m, probs)
         if probs[-1] == 0.0:
             np.testing.assert_array_equal(got[:, -1], 0)
+
+    @pytest.mark.parametrize("probs", [[0.3, 0.3, 0.4], [0.0376, 0.0376, 0.4624, 0.4624, 0.0]])
+    def test_column_major_counts_at_m_20(self, probs):
+        # the simulate path's row length over three chunks and part of a fourth
+        runs = 3 * (kernels._BLOCK_TRIALS // 20) + 17
+        got = assert_matches_reference(self.KEY, 0, runs, 20, probs)
+        assert got.shape == (runs, len(probs)) and not got.flags.c_contiguous
+        assert all(got[:, j].flags.c_contiguous for j in range(len(probs)))
 
     @pytest.mark.parametrize("nudge", [None, 0.0, 1.0])
     def test_cdf_entries_on_and_next_to_drawn_uniforms(self, nudge):

@@ -18,7 +18,7 @@ from nlaphase import (
     simulate_direct,
     simulate_nla,
 )
-from nlaphase import fock, kernels
+from nlaphase import estimator, fock, kernels
 from nlaphase.errors import NoDataError
 from nlaphase.montecarlo import _STREAM_DIRECT, _direct_setup, _runs_with_data
 
@@ -78,6 +78,35 @@ class TestPrecisionFromSamples:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             precision_from_samples([], 0.0, 10)
+
+    @pytest.mark.parametrize("m", [-5, 0, 2.5, 1000.0, True, np.True_, None, "20"])
+    def test_m_must_be_an_integer_of_at_least_one(self, m):
+        with pytest.raises(ValueError, match=r"^m must be an integer >= 1, got "):
+            precision_from_samples([0.1, 0.2], 0.0, m)
+
+    @pytest.mark.parametrize("theta_true", [True, np.False_, "0.0", None, 1j])
+    def test_theta_true_must_be_a_number(self, theta_true):
+        with pytest.raises(ValueError, match=r"^theta_true must be a number, got "):
+            precision_from_samples([0.1, 0.2], theta_true, 20)
+
+    def test_numpy_scalars_accepted(self):
+        want = precision_from_samples([0.1, 0.2, 0.4], 0.0, 20)
+        assert precision_from_samples([0.1, 0.2, 0.4], np.float32(0.0), np.int64(20)) == want
+
+    @pytest.mark.parametrize("runs", [2, 7, 50_000])
+    @pytest.mark.parametrize("seed", [4, 11])
+    def test_the_old_expressions_bit_for_bit(self, runs, seed):
+        # the squared errors and their spread in their own buffer give the doubles
+        # of (est - theta)**2, np.mean and np.std(ddof=1)
+        est = np.random.default_rng(seed).normal(0.01, 0.3, runs)
+        sq = (est - 0.01) ** 2
+        mse = float(np.mean(sq))
+        precision = 1.0 / (20 * mse)
+        stderr = precision * (float(np.std(sq, ddof=1)) / math.sqrt(runs)) / mse
+        got = precision_from_samples(est, 0.01, 20)
+        assert [got.mse.hex(), got.precision.hex(), got.stderr_precision.hex()] == [
+            mse.hex(), precision.hex(), stderr.hex()]
+        assert got.runs_used == runs
 
 
 def _report_close(a: PrecisionReport, b: PrecisionReport, n_sigma=3.0) -> bool:
@@ -203,11 +232,25 @@ class TestRunsWithData:
     def test_every_run_kept_returns_counts_itself(self):
         assert _runs_with_data(self.COUNTS, self.CONFIG, failure_informative=True) is self.COUNTS
 
-    def test_dropped_runs_leave_a_copy_of_the_rest(self):
+    def test_dropped_runs_leave_the_rest_in_the_first_rows(self):
         # without an informative failure pair the third run has no data
-        got = _runs_with_data(self.COUNTS, self.CONFIG)
+        counts = self.COUNTS.copy()
+        got = _runs_with_data(counts, self.CONFIG)
         np.testing.assert_array_equal(got, self.COUNTS[:2])
-        assert not np.shares_memory(got, self.COUNTS)
+        assert np.shares_memory(got, counts)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("failure_informative", [False, True])
+    def test_kept_rows_across_blocks(self, order, failure_informative):
+        # a tenth to a half of the runs dropped, over more than three blocks of runs
+        rng = np.random.default_rng(7)
+        runs = 3 * estimator._BLOCK_RUNS + 11
+        counts = rng.multinomial(20, [0.02, 0.02, 0.03, 0.03, 0.9], size=runs)
+        counts = np.asarray(counts, order=order)
+        keep = counts[:, : 4 if failure_informative else 2].sum(axis=1) >= 1
+        assert 0.1 < 1 - keep.mean() < 0.6
+        want = counts[keep]
+        np.testing.assert_array_equal(_runs_with_data(counts, self.CONFIG, failure_informative), want)
 
     def test_no_run_kept_raises(self):
         counts = np.array([[0, 0, 0, 0, 4], [0, 0, 2, 2, 0]])
