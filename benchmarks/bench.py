@@ -9,8 +9,7 @@ CASE names the layer:
   per-run `bincount` of `searchsorted` over `uniform_stream`'s float uniforms.
 - `setup`: what comes before any work: `import nlaphase.cli` as the first thing
   in a fresh interpreter (`import_s`); the cumulative `-X importtime`
-  microseconds of `nlaphase.cli`, `scipy.special` (0 where it is not imported)
-  and `numpy` in a second interpreter, and the scipy.special share; then the
+  microseconds of `nlaphase.cli` and `numpy` in a second interpreter; then the
   240 `choose_cutoff` scans of `fisher-sweep --r 16 --n0-list 1,2,3,4,5,6`
   (default 40-gain grid), 5 times with the scan memo cleared before each
   (`choose_cutoff_s`, 5 samples per interpreter).  Check: every tree gives the
@@ -100,9 +99,8 @@ for line in stderr.splitlines():
     if len(parts) == 3 and parts[1].strip().isdigit():
         found.setdefault(parts[2].strip(), int(parts[1]))
 figures = {"import_s": import_s}
-for name in ("nlaphase.cli", "scipy.special", "numpy"):
+for name in ("nlaphase.cli", "numpy"):
     figures[name + "_us"] = found.get(name, 0)
-figures["scipy_special_share"] = figures["scipy.special_us"] / figures["nlaphase.cli_us"]
 
 points = [(n0, float(g)) for n0 in range(1, 7) for g in default_gain_grid()]
 figures["choose_cutoff_s"] = []

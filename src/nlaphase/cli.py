@@ -31,7 +31,7 @@ import numpy as np
 
 from . import __version__, kernels
 from .cost import CostParams, recommend_strategy
-from .errors import NoBreakevenError, as_float, as_int
+from .errors import NoBreakevenError, as_float, as_int, as_seed
 from .fisher import (
     branch_breakdown,
     default_gain_grid,
@@ -62,7 +62,8 @@ def _float(raw) -> float:
     """A float from flag text or a JSON number, checked by `errors.as_float`.
 
     Text goes through float(); every other value is as_float's to pass or
-    refuse, so a JSON true or false raises instead of becoming 1.0 or 0.0.
+    refuse, so a JSON true or false raises instead of becoming 1.0 or 0.0, and
+    NaN or an infinity, as text or as JSON, raises before any work.
     """
     if isinstance(raw, str):
         raw = float(raw)
@@ -84,10 +85,7 @@ def _nonempty_list(cast: Callable) -> Callable:
 
 
 def _seed(raw) -> int:
-    seed = _int(raw)
-    if not 0 <= seed < 1 << 64:
-        raise ValueError(f"must be a 64-bit unsigned integer, got {seed}")
-    return seed
+    return as_seed(None, _int(raw))
 
 
 def _bool(raw) -> bool:

@@ -27,7 +27,7 @@ __all__ = [
 class CostParams:
     """Per-sample costs (x acquire, y measure, z amplify) and precision budget epsilon.
 
-    Each is checked by `errors.as_float` and stored as a float.
+    Each is a finite float by `errors.as_float`: x, y and z >= 0, epsilon > 0.
     """
 
     x: float
@@ -36,14 +36,9 @@ class CostParams:
     epsilon: float
 
     def __post_init__(self):
-        for name in ("x", "y", "z", "epsilon"):
-            object.__setattr__(self, name, as_float(name, getattr(self, name)))
         for name in ("x", "y", "z"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v >= 0.0):
-                raise ValueError(f"{name} must be finite and >= 0, got {v}")
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
-            raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
+            object.__setattr__(self, name, as_float(name, getattr(self, name), minimum=0))
+        object.__setattr__(self, "epsilon", _positive("epsilon", self.epsilon))
 
 
 @dataclass(frozen=True)
@@ -56,11 +51,23 @@ class StrategyReport:
     breakeven_y: float | None
 
 
+def _positive(name: str, value) -> float:
+    value = as_float(name, value)
+    if value <= 0.0:
+        raise ValueError(f"{name} must be a finite number > 0, got {value}")
+    return value
+
+
+def _success_probability(p_s) -> float:
+    p_s = as_float("p_s", p_s)
+    if not 0.0 < p_s <= 1.0:
+        raise ValueError(f"p_s must lie in (0, 1], got {p_s}")
+    return p_s
+
+
 def cost_direct(params: CostParams, j_alpha: float) -> float:
-    """Cost epsilon*(x + y)/j_alpha of measuring every acquired sample."""
-    if j_alpha <= 0.0:
-        raise ValueError(f"j_alpha must be > 0, got {j_alpha}")
-    return params.epsilon * (params.x + params.y) / j_alpha
+    """Cost epsilon*(x + y)/j_alpha of measuring every acquired sample (j_alpha > 0)."""
+    return params.epsilon * (params.x + params.y) / _positive("j_alpha", j_alpha)
 
 
 def cost_postselect(params: CostParams, j_s: float, p_s: float) -> float:
@@ -68,11 +75,9 @@ def cost_postselect(params: CostParams, j_s: float, p_s: float) -> float:
 
     The budget needs epsilon/j_s measured samples, hence epsilon/(p_s*j_s)
     acquisitions and amplifications, of which the fraction p_s is measured.
+    j_s > 0 and p_s in (0, 1] are finite floats by `errors.as_float`.
     """
-    if j_s <= 0.0:
-        raise ValueError(f"j_s must be > 0, got {j_s}")
-    if not 0.0 < p_s <= 1.0:
-        raise ValueError(f"p_s must lie in (0, 1], got {p_s}")
+    j_s, p_s = _positive("j_s", j_s), _success_probability(p_s)
     return params.epsilon * (params.x + params.z + p_s * params.y) / (p_s * j_s)
 
 
@@ -81,12 +86,12 @@ def breakeven_y(x: float, z: float, j_alpha: float, j_s: float, p_s: float) -> f
 
     y* = ((j_alpha - p_s*j_s)*x + j_alpha*z) / (p_s*(j_s - j_alpha)); above it,
     post-selection wins.  Requires j_s > j_alpha, otherwise post-selection can
-    never win and NoBreakevenError is raised.
+    never win and NoBreakevenError is raised.  Every argument is a finite float
+    by `errors.as_float`: x and z >= 0, j_alpha > 0 and p_s in (0, 1].
     """
-    if j_alpha <= 0.0:
-        raise ValueError(f"j_alpha must be > 0, got {j_alpha}")
-    if not 0.0 < p_s <= 1.0:
-        raise ValueError(f"p_s must lie in (0, 1], got {p_s}")
+    x, z = as_float("x", x, minimum=0), as_float("z", z, minimum=0)
+    j_alpha, j_s = _positive("j_alpha", j_alpha), as_float("j_s", j_s)
+    p_s = _success_probability(p_s)
     if not j_s > j_alpha:
         raise NoBreakevenError(
             f"j_s = {j_s:.6g} does not exceed j_alpha = {j_alpha:.6g}; post-selection cannot win"

@@ -1,6 +1,11 @@
-"""Exception types raised by the library, all ValueError subclasses, and its integer and float checks."""
+"""Exception types raised by the library, all ValueError subclasses, and its argument rules."""
 
+import math
 import numbers
+
+
+def _subject(name: str | None) -> str:
+    return "" if name is None else f"{name} "
 
 
 def as_int(name: str | None, value, minimum: int | None = None) -> int:
@@ -17,30 +22,44 @@ def as_int(name: str | None, value, minimum: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or (
         minimum is not None and value < minimum
     ):
-        subject = "" if name is None else f"{name} "
         bound = "" if minimum is None else f" >= {minimum}"
-        raise ValueError(f"{subject}must be an integer{bound}, got {value!r}")
+        raise ValueError(f"{_subject(name)}must be an integer{bound}, got {value!r}")
     return int(value)
 
 
-def as_float(name: str | None, value) -> float:
-    """`value` as a float, or a ValueError that names the argument `name`.
+def as_seed(name: str | None, value) -> int:
+    """`value` as a 64-bit unsigned seed: an integer >= 0 by `as_int`, below 2**64."""
+    seed = as_int(name, value, minimum=0)
+    if seed >= 1 << 64:
+        raise ValueError(f"{_subject(name)}must be a 64-bit unsigned integer, got {seed}")
+    return seed
+
+
+def as_float(name: str | None, value, minimum: float | None = None) -> float:
+    """`value` as a finite float, or a ValueError that names the argument `name`.
 
     The float counterpart of `as_int`: Python and numpy real numbers (integers
     included) pass; bools, numpy bools and values that are not real numbers
     (complex numbers, strings, None) raise, so no parameter is taken from a
-    truth value.  A value too large for a double raises too.  With `name` None
-    the message starts at "must be".
+    truth value.  NaN, +-inf and a value too large for a double raise too, and
+    with `minimum` so does a smaller value.  With `name` None the message
+    starts at "must be".
     """
     if isinstance(value, float):  # Python and numpy doubles, before the slower ABC check
-        return float(value)
-    subject = "" if name is None else f"{name} "
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{subject}must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValueError(f"{subject}must be a number a double can hold, got {value!r}") from None
+        number = float(value)
+    elif isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{_subject(name)}must be a number, got {value!r}")
+    else:
+        try:
+            number = float(value)
+        except OverflowError:
+            raise ValueError(
+                f"{_subject(name)}must be a number a double can hold, got {value!r}"
+            ) from None
+    if math.isfinite(number) and (minimum is None or number >= minimum):
+        return number
+    bound = "" if minimum is None else f" >= {minimum:g}"
+    raise ValueError(f"{_subject(name)}must be a finite number{bound}, got {value!r}")
 
 
 class DimensionMismatchError(ValueError):

@@ -121,8 +121,8 @@ def _counts(counts) -> np.ndarray:
 
 def _eigenvalue(name: str, lam) -> float:
     lam = as_float(name, lam)
-    if not 0.0 < lam < math.inf:
-        raise ValueError(f"{name} must be a finite positive number, got {lam!r}")
+    if lam <= 0.0:
+        raise ValueError(f"{name} must be a finite number > 0, got {lam!r}")
     return lam
 
 

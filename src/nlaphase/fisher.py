@@ -74,10 +74,8 @@ def qfi_pure(psi: FockVector, dpsi: FockVector) -> float:
 
 
 def qfi_coherent(r: float) -> float:
-    """Closed form 4 r^2 for a coherent state of amplitude r (`errors.as_float`)."""
-    r = as_float("r", r)
-    if not (math.isfinite(r) and r >= 0.0):
-        raise ValueError(f"r must be finite and >= 0, got {r}")
+    """Closed form 4 r^2 for a coherent state of amplitude r >= 0 (`errors.as_float`)."""
+    r = as_float("r", r, minimum=0)
     return 4.0 * r * r
 
 
@@ -117,14 +115,12 @@ def branch_breakdown(r: float, params: NlaParams) -> FisherBreakdown:
 def j_nla_conditional(n_s: int, n_f: int, breakdown: FisherBreakdown) -> float:
     """Count-weighted information (n_s J_s + n_f J_f) / (n_s + n_f).
 
-    The counts are integers by `errors.as_int`: a bool or a float, integral
+    The counts are integers >= 0 by `errors.as_int`: a bool or a float, integral
     ones such as 3.0 included, raises a ValueError naming the count.
     """
-    n_s, n_f = as_int("n_s", n_s), as_int("n_f", n_f)
-    if n_s < 0 or n_f < 0:
-        raise ValueError("counts must be nonnegative")
+    n_s, n_f = as_int("n_s", n_s, minimum=0), as_int("n_f", n_f, minimum=0)
     m = n_s + n_f
-    if m < 1:
+    if m == 0:
         raise ValueError("need at least one event")
     return (n_s * breakdown.j_s + n_f * breakdown.j_f) / m
 
@@ -133,12 +129,10 @@ def min_ns_exceeding(m: int, breakdown: FisherBreakdown) -> int:
     """Smallest success count for which the conditional information beats j_alpha.
 
     Requires j_s > j_alpha; otherwise no count can cross and NoCrossingError is
-    raised.  m is an integer by `errors.as_int`: a bool or a float, integral
+    raised.  m is an integer >= 1 by `errors.as_int`: a bool or a float, integral
     ones such as 1000.0 included, raises a ValueError naming m.
     """
-    m = as_int("m", m)
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    m = as_int("m", m, minimum=1)
     if not breakdown.j_s > breakdown.j_alpha:
         raise NoCrossingError(
             f"j_s = {breakdown.j_s:.6g} does not exceed j_alpha = {breakdown.j_alpha:.6g}"
@@ -158,8 +152,9 @@ def binomial_tail(m: int, p: float, k):
 
     k is an int, giving a float, or a 1-d integer array of levels in [0, m], giving
     a float64 array; a scalar is computed as a one-row array.  m must be an integer
-    below 2**53 (`errors.as_int`: a bool or a float, integral ones such as 1000.0
-    included, raises).  Each row sums from an lgamma-based anchor term with the
+    in [0, 2**53) (`errors.as_int`: a bool or a float, integral ones such as 1000.0
+    included, raises) and p a finite float in [0, 1] (`errors.as_float`).  Each row
+    sums from an lgamma-based anchor term with the
     exact term-ratio recurrence, on the side where the anchor is representable:
     above the mode (m + 1) p directly, below it through the complement.  A row stops once a term falls below 1e-18 of
     its running sum or is exactly 0.0.  All rows walk at once in numpy blocks (see
@@ -168,8 +163,8 @@ def binomial_tail(m: int, p: float, k):
     underflows to 0.0 and stays 0.0 further out, so those rows are 0.0 sums
     without a walk: an upper tail of 0.0, or a complement of exactly 1.0.
     """
-    m = as_int("m", m)
-    if not 0.0 <= p <= 1.0:
+    m, p = as_int("m", m, minimum=0), as_float("p", p, minimum=0)
+    if not p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
     if not m < 2**53:  # above it int64 levels no longer convert to exact doubles
         raise ValueError(f"m must be below 2**53, got {m}")
@@ -276,12 +271,13 @@ def sweep_gain(r: float, n0_list, gains=None) -> list[dict]:
     """One row of breakdown figures per (n0, gain) grid point, n0-major order.
 
     Each row also carries copies normalized to j_alpha = 1 (NaN when r = 0).
+    Each gain and n0 goes to `NlaParams` as given.
     """
-    gains = default_gain_grid() if gains is None else np.asarray(gains, dtype=float)
-    if gains.size == 0:
+    gains = default_gain_grid() if gains is None else gains
+    if len(gains) == 0:
         raise ValueError("gain grid must be nonempty")
     # NlaParams checks every point before the first breakdown runs
-    points = [NlaParams(float(g), n0) for n0 in n0_list for g in gains]
+    points = [NlaParams(g, n0) for n0 in n0_list for g in gains]
     rows = []
     for params in points:
         b = branch_breakdown(r, params)
@@ -320,12 +316,10 @@ def sweep_fraction(m: int, breakdown: FisherBreakdown) -> dict[str, np.ndarray]:
     the first count whose conditional information exceeds j_alpha (all zero when
     there is no crossing).  n_s and the markers are int64, every other column is
     float64.  The tail column is one binomial_tail call over every n_s, through this
-    module's global name.  m is an integer by `errors.as_int`: a bool or a float,
-    integral ones such as 1000.0 included, raises a ValueError naming m.
+    module's global name.  m is an integer >= 1 by `errors.as_int`: a bool or a
+    float, integral ones such as 1000.0 included, raises a ValueError naming m.
     """
-    m = as_int("m", m)
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    m = as_int("m", m, minimum=1)
     most_likely = int(round(m * breakdown.p_s))
     try:
         crossing = min_ns_exceeding(m, breakdown)

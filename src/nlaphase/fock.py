@@ -71,19 +71,15 @@ _BLOCK = 64
 class CoherentParams:
     """Amplitude r >= 0 and phase theta (radians) of a coherent state r*e^{i*theta}.
 
-    Both are checked by `errors.as_float` and stored as floats.
+    Both are finite floats by `errors.as_float`.
     """
 
     r: float
     theta: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "r", as_float("r", self.r))
+        object.__setattr__(self, "r", as_float("r", self.r, minimum=0))
         object.__setattr__(self, "theta", as_float("theta", self.theta))
-        if not (math.isfinite(self.r) and self.r >= 0.0):
-            raise ValueError(f"coherent amplitude r must be finite and >= 0, got {self.r}")
-        if not math.isfinite(self.theta):
-            raise ValueError(f"coherent phase theta must be finite, got {self.theta}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,7 +167,7 @@ def choose_cutoff(params: CoherentParams, nla_n0: int, gain: float) -> int:
     sum and returns the first level whose tail is below 1e-12.  It starts
     at int(mu) - 1: every level N skipped there has N + 1 <= mu - 1, below the
     Poisson median (which is >= mu - ln 2), so its tail is >= 1/2.  Raises
-    ValueError for a gain that is not a number (`errors.as_float`) or not >= 1,
+    ValueError for a gain that is not a finite number >= 1 (`errors.as_float`),
     for an nla_n0 that is not an integer >= 1 (`errors.as_int`),
     when the cutoff would exceed 2**24, the largest state this package builds
     (g*r of about 4000), and, before any scan, for an r that `coherent_state`
@@ -182,9 +178,7 @@ def choose_cutoff(params: CoherentParams, nla_n0: int, gain: float) -> int:
     a repeated (start, mu) returns the int a first scan computes.  At large r the
     start int(mu) - 1 does not depend on nla_n0, so one scan serves every n0.
     """
-    gain = as_float("gain", gain)
-    if not (math.isfinite(gain) and gain >= 1.0):
-        raise ValueError(f"gain must be finite and >= 1, got {gain}")
+    gain = as_float("gain", gain, minimum=1)
     nla_n0 = as_int("nla_n0", nla_n0, minimum=1)
     amplitude = gain * params.r
     if not amplitude < _MAX_AMPLITUDE:

@@ -43,7 +43,7 @@ import threading
 
 import numpy as np
 
-from .errors import as_int
+from .errors import as_int, as_seed
 
 __all__ = ["categorical_counts", "derive_key", "uniform_stream"]
 
@@ -83,13 +83,9 @@ def _mix64(z: int) -> int:
 def derive_key(seed: int, stream_index: int) -> int:
     """Derive the 64-bit key of an independent stream from a master seed.
 
-    Both arguments are integers by `errors.as_int`.
+    seed is a seed by `errors.as_seed`, stream_index an integer >= 0 by `errors.as_int`.
     """
-    seed, stream_index = as_int("seed", seed), as_int("stream_index", stream_index)
-    if not 0 <= seed < 1 << 64:
-        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
-    if stream_index < 0:
-        raise ValueError(f"stream_index must be >= 0, got {stream_index}")
+    seed, stream_index = as_seed("seed", seed), as_int("stream_index", stream_index, minimum=0)
     return _mix64((seed + (stream_index + 1) * _GOLDEN) & _MASK64)
 
 
@@ -211,7 +207,7 @@ def categorical_counts(key: int, run0: int, runs: int, m: int, probs: np.ndarray
     Row i of the int64 matrix, which is column-major so that each category's
     counts are contiguous, holds the counts of run index run0 + i.  The
     probability vector must be finite, nonnegative and sum to 1 within 1e-9.
-    m, runs and run0 are integers by `errors.as_int`.
+    m >= 1, runs >= 0 and run0 >= 0 are integers by `errors.as_int`.
     """
     probs = np.asarray(probs, dtype=np.float64)
     if probs.ndim != 1 or probs.size < 1:
@@ -220,11 +216,8 @@ def categorical_counts(key: int, run0: int, runs: int, m: int, probs: np.ndarray
         raise ValueError("probabilities must be finite and nonnegative")
     if abs(float(probs.sum()) - 1.0) > 1e-9:
         raise ValueError(f"probabilities must sum to 1, got {float(probs.sum())!r}")
-    m, runs, run0 = as_int("m", m), as_int("runs", runs), as_int("run0", run0)
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if runs < 0 or run0 < 0:
-        raise ValueError("runs and run0 must be nonnegative")
+    m = as_int("m", m, minimum=1)
+    runs, run0 = as_int("runs", runs, minimum=0), as_int("run0", run0, minimum=0)
 
     out = np.zeros((runs, probs.size), dtype=np.int64, order="F")
     if runs == 0:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import DegenerateObservableError, NoDataError, as_float, as_int
+from .errors import DegenerateObservableError, NoDataError, as_float, as_int, as_seed
 from .estimator import (
     _BLOCK_RUNS,
     _has_data,
@@ -45,8 +45,8 @@ _STREAM_NLA = 1
 class SimConfig:
     """Complete, reproducible definition of one estimation experiment.
 
-    r, theta_true and gain are checked by `errors.as_float` and stored as floats;
-    n0, m, runs and seed are checked by `errors.as_int` and stored as ints.
+    r, theta_true and gain are finite floats by `errors.as_float`; n0, m and
+    runs are ints >= 1 by `errors.as_int` and seed a seed by `errors.as_seed`.
     """
 
     r: float = 0.25
@@ -58,21 +58,15 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # the amplitude, phase, gain and n0 checks of the parameter types
-        coherent = CoherentParams(self.r, self.theta_true)
+        # r, gain and n0 are checked as the parameter types check them
+        object.__setattr__(self, "r", CoherentParams(self.r).r)
+        object.__setattr__(self, "theta_true", as_float("theta_true", self.theta_true))
         nla = NlaParams(self.gain, self.n0)
-        object.__setattr__(self, "r", coherent.r)
-        object.__setattr__(self, "theta_true", coherent.theta)
         object.__setattr__(self, "gain", nla.gain)
         object.__setattr__(self, "n0", nla.n0)
-        for name in ("m", "runs", "seed"):
-            object.__setattr__(self, name, as_int(name, getattr(self, name)))
-        if self.m < 1:
-            raise ValueError(f"m must be >= 1, got {self.m}")
-        if self.runs < 1:
-            raise ValueError(f"runs must be >= 1, got {self.runs}")
-        if not 0 <= self.seed < 1 << 64:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
+        for name in ("m", "runs"):
+            object.__setattr__(self, name, as_int(name, getattr(self, name), minimum=1))
+        object.__setattr__(self, "seed", as_seed("seed", self.seed))
 
 
 @dataclass(frozen=True)
@@ -91,8 +85,9 @@ def precision_from_samples(estimates, theta_true: float, m: int) -> PrecisionRep
 
     MSE is the plain mean of squared errors (bias included); the standard error of
     the precision follows from the sample variance of the squared errors through
-    the delta method.  A zero MSE yields the infinite-precision sentinel.  m is an
-    integer >= 1 by `errors.as_int` and theta_true a number by `errors.as_float`.
+    the delta method.  A zero MSE yields the infinite-precision sentinel; a
+    non-finite one (a NaN or infinite estimate) raises ValueError.  m is an
+    integer >= 1 by `errors.as_int` and theta_true a finite float by `errors.as_float`.
     """
     m = as_int("m", m, minimum=1)
     theta_true = as_float("theta_true", theta_true)
@@ -102,6 +97,8 @@ def precision_from_samples(estimates, theta_true: float, m: int) -> PrecisionRep
     sq = est - theta_true
     np.square(sq, out=sq)
     mse = float(np.mean(sq))
+    if not math.isfinite(mse):
+        raise ValueError(f"estimates must give a finite mean square error, got {mse}")
     if mse == 0.0:
         return PrecisionReport(0.0, math.inf, math.nan, est.size)
     precision = 1.0 / (m * mse)

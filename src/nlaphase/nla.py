@@ -35,17 +35,14 @@ class NlaParams:
     """Amplifier gain g >= 1 and maximum faithfully amplified photon number n0 >= 1.
 
     g = 1 is the identity device: success is certain and leaves the state alone.
-    gain is checked by `errors.as_float` and stored as a float, n0 by
-    `errors.as_int` and stored as an int.
+    gain is a finite float by `errors.as_float`, n0 an int by `errors.as_int`.
     """
 
     gain: float
     n0: int
 
     def __post_init__(self):
-        object.__setattr__(self, "gain", as_float("gain", self.gain))
-        if not (math.isfinite(self.gain) and self.gain >= 1.0):
-            raise ValueError(f"gain must be finite and >= 1, got {self.gain}")
+        object.__setattr__(self, "gain", as_float("gain", self.gain, minimum=1))
         object.__setattr__(self, "n0", as_int("n0", self.n0, minimum=1))
 
 
@@ -67,10 +64,8 @@ def arm_weights(params: NlaParams, cutoff: int) -> tuple[np.ndarray, np.ndarray]
 
 def _head_weights(params: NlaParams, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
     # the weights of both arms on levels 0..n0, for an integer cutoff of at least n0
-    cutoff = as_int("cutoff", cutoff, minimum=0)
+    cutoff = as_int("cutoff", cutoff, minimum=params.n0)
     n0 = params.n0
-    if cutoff < n0:
-        raise ValueError(f"cutoff {cutoff} must be >= n0 = {n0}")
     # g^(n-n0) on the head: exponents <= 0, so g^positive never overflows
     ratio = np.power(params.gain, np.arange(n0 + 1, dtype=np.float64) - n0)
     return ratio, np.sqrt(np.maximum(0.0, 1.0 - ratio**2))
@@ -87,11 +82,9 @@ def heralding_probabilities(r: float, params: NlaParams) -> tuple[float, float]:
     2**-16, the complement's rounding error is above about 1e-11 of p_s.  In both cases
     `_scaled_branch_probabilities` computes both values instead.  Both are clamped
     to [0, 1], and p_f is 0.0 where P[N <= n0] is below the smallest normal double.
-    r is a float by `errors.as_float`.
+    r is a finite float >= 0 by `errors.as_float`.
     """
-    r = as_float("r", r)
-    if not (math.isfinite(r) and r >= 0.0):
-        raise ValueError(f"r must be finite and >= 0, got {r}")
+    r = as_float("r", r, minimum=0)
     w = math.exp(-r * r)
     try:
         g2 = params.gain**2

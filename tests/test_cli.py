@@ -550,8 +550,9 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "flag, value, field",
         [("--m", "x", "m"), ("--r", "abc", "r"), ("--seed", "1e3", "seed"),
-         ("--format", "xml", "format")],
-        ids=["m", "r", "seed", "format"],
+         ("--format", "xml", "format"), ("--r", "nan", "r"), ("--gain", "inf", "gain"),
+         ("--seed", str(1 << 64), "seed")],
+        ids=["m", "r", "seed", "format", "r-nan", "gain-inf", "seed-2**64"],
     )
     def test_invalid_flag_value(self, tmp_path, capsys, flag, value, field):
         out = tmp_path / "x.csv"
@@ -663,7 +664,7 @@ class TestExitCodes:
     def test_rerun_with_invalid_parameters(self, tmp_path, capsys):
         edited = edited_fraction_manifest(tmp_path, lambda m: m["parameters"].update(m=0))
         assert run("rerun", "--manifest", edited, "--output", tmp_path / "again.csv") == 2
-        assert "invalid configuration: m must be >= 1" in capsys.readouterr().err
+        assert "invalid configuration: m must be an integer >= 1, got 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["fisher-sweep", "cost"])
     def test_amplitude_with_underflowing_vacuum_amplitude(self, tmp_path, capsys, command):

@@ -460,9 +460,9 @@ class TestEigenvalueChecks:
                 mle_nla([3, 1, 2, 2, 0], 1.0, lam)
 
     def test_messages(self):
-        with pytest.raises(ValueError, match=r"^lam must be a finite positive number, got -2\.0$"):
+        with pytest.raises(ValueError, match=r"^lam must be a finite number > 0, got -2\.0$"):
             mle_direct(5, 3, -2.0)
-        with pytest.raises(ValueError, match=r"^lambda_f must be a finite positive number, got inf$"):
+        with pytest.raises(ValueError, match=r"^lambda_f must be a finite number, got inf$"):
             mle_nla([3, 1, 2, 2, 0], 1.0, np.inf)
         with pytest.raises(ValueError, match=r"^lam must be a number, got True$"):
             mle_direct(5, 3, True)

@@ -594,7 +594,7 @@ class TestSweeps:
             raise AssertionError("branch_breakdown called")
 
         monkeypatch.setattr(fisher, "branch_breakdown", no_breakdown)
-        with pytest.raises(ValueError, match=f"gain must be finite and >= 1, got {bad}"):
+        with pytest.raises(ValueError, match=f"^gain must be a finite number >= 1, got {bad}$"):
             sweep_gain(0.25, [1, 2], gains=[1.0, 2.0, bad])
 
     @pytest.mark.parametrize("n0", [2.5, True, "3"])

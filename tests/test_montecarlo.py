@@ -89,6 +89,13 @@ class TestPrecisionFromSamples:
         with pytest.raises(ValueError, match=r"^theta_true must be a number, got "):
             precision_from_samples([0.1, 0.2], theta_true, 20)
 
+    @pytest.mark.parametrize("estimates", [[0.1, math.nan], [0.1, math.inf], [-math.inf, 0.1]])
+    def test_non_finite_mean_square_error_refused(self, estimates):
+        # once an all-nan report (with a numpy RuntimeWarning) or precision 0.0
+        message = r"^estimates must give a finite mean square error, got (nan|inf)$"
+        with pytest.raises(ValueError, match=message):
+            precision_from_samples(estimates, 0.0, 20)
+
     def test_numpy_scalars_accepted(self):
         want = precision_from_samples([0.1, 0.2, 0.4], 0.0, 20)
         assert precision_from_samples([0.1, 0.2, 0.4], np.float32(0.0), np.int64(20)) == want
