@@ -33,6 +33,7 @@ from . import __version__, kernels
 from .cost import CostParams, recommend_strategy
 from .errors import NoBreakevenError, as_float, as_int, as_seed
 from .fisher import (
+    _grid_columns,
     branch_breakdown,
     default_gain_grid,
     qfi_coherent,
@@ -342,22 +343,15 @@ def _write_sidecars(command: str, output: Path, fmt: str, params: dict, hints: b
 # ---------------------------------------------------------------------------
 
 
-def _columns(rows: list[dict]) -> dict[str, list]:
-    """The column table of rows that all have the first row's keys."""
-    return {name: [row[name] for row in rows] for name in rows[0]}
+def run_probabilities(params: dict) -> dict[str, np.ndarray]:
+    points = [NlaParams(g, n0) for n0 in params["n0_list"] for g in params["gain_grid"]]
+    probs = [heralding_probabilities(params["r"], point) for point in points]
+    p_s, p_f = np.array(probs, dtype=np.float64).T
+    return {**_grid_columns(points), "p_s": p_s, "p_f": p_f}
 
 
-def run_probabilities(params: dict) -> dict[str, list]:
-    rows = []
-    for n0 in params["n0_list"]:
-        for g in params["gain_grid"]:
-            p_s, p_f = heralding_probabilities(params["r"], NlaParams(g, n0))
-            rows.append({"gain": g, "n0": n0, "p_s": p_s, "p_f": p_f})
-    return _columns(rows)
-
-
-def run_fisher_sweep(params: dict) -> dict[str, list]:
-    return _columns(sweep_gain(params["r"], params["n0_list"], params["gain_grid"]))
+def run_fisher_sweep(params: dict) -> dict[str, np.ndarray]:
+    return sweep_gain(params["r"], params["n0_list"], params["gain_grid"])
 
 
 def run_fraction(params: dict) -> dict[str, np.ndarray]:
@@ -365,7 +359,7 @@ def run_fraction(params: dict) -> dict[str, np.ndarray]:
     return sweep_fraction(params["m"], breakdown)
 
 
-def run_simulate(params: dict) -> dict[str, list]:
+def run_simulate(params: dict) -> dict[str, np.ndarray]:
     j_alpha = qfi_coherent(params["r"])
     if j_alpha <= 0.0:
         raise ConfigError("r: must be > 0 for a precision simulation")
@@ -385,22 +379,17 @@ def run_simulate(params: dict) -> dict[str, list]:
         for idx, (n0, g) in enumerate(product(params["n0_list"], params["gain_grid"]))
     ]
     direct = simulate_direct(base)
-    rows = []
-    for point in points:
-        nla = simulate_nla(point)
-        rows.append(
-            {
-                "gain": point.gain,
-                "n0": point.n0,
-                "precision_direct": direct.precision / j_alpha,
-                "stderr_direct": direct.stderr_precision / j_alpha,
-                "runs_used_direct": direct.runs_used,
-                "precision_nla": nla.precision / j_alpha,
-                "stderr_nla": nla.stderr_precision / j_alpha,
-                "runs_used_nla": nla.runs_used,
-            }
-        )
-    return _columns(rows)
+    reports = [simulate_nla(point) for point in points]
+    count = len(points)
+    return {
+        **_grid_columns(points),
+        "precision_direct": np.full(count, direct.precision / j_alpha),
+        "stderr_direct": np.full(count, direct.stderr_precision / j_alpha),
+        "runs_used_direct": np.full(count, direct.runs_used, dtype=np.int64),
+        "precision_nla": np.array([nla.precision for nla in reports]) / j_alpha,
+        "stderr_nla": np.array([nla.stderr_precision for nla in reports]) / j_alpha,
+        "runs_used_nla": np.array([nla.runs_used for nla in reports], dtype=np.int64),
+    }
 
 
 def run_cost(params: dict) -> dict:

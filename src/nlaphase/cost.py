@@ -100,15 +100,17 @@ def breakeven_y(x: float, z: float, j_alpha: float, j_s: float, p_s: float) -> f
 
 
 def recommend_strategy(params: CostParams, breakdown: FisherBreakdown) -> StrategyReport:
-    """Pick the cheaper strategy; ties go to direct (no amplifier hardware needed)."""
+    """Pick the cheaper strategy; ties go to direct (no amplifier hardware needed).
+
+    The breakdown's j_alpha, j_s and p_s are finite floats by `errors.as_float`,
+    j_s and p_s >= 0.
+    """
     c_direct = cost_direct(params, breakdown.j_alpha)
-    if breakdown.p_s > 0.0 and breakdown.j_s > 0.0:
-        c_post = cost_postselect(params, breakdown.j_s, breakdown.p_s)
-    else:
-        c_post = math.inf
-    try:
-        y_star = breakeven_y(params.x, params.z, breakdown.j_alpha, breakdown.j_s, breakdown.p_s)
-    except ValueError:  # NoBreakevenError included
-        y_star = None
+    j_s = as_float("j_s", breakdown.j_s, minimum=0)
+    p_s = as_float("p_s", breakdown.p_s, minimum=0)
+    c_post = cost_postselect(params, j_s, p_s) if p_s > 0.0 and j_s > 0.0 else math.inf
+    y_star = None
+    if p_s > 0.0 and j_s > breakdown.j_alpha:
+        y_star = breakeven_y(params.x, params.z, breakdown.j_alpha, j_s, p_s)
     strategy = "postselect" if c_post < c_direct else "direct"
     return StrategyReport(strategy, c_direct, c_post, y_star)

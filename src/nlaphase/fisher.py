@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -17,7 +18,7 @@ from .errors import NoCrossingError, as_float, as_int
 from .fock import (
     CoherentParams,
     FockVector,
-    _support,
+    _branch_cutoff,
     choose_cutoff,
     inner_product,
     phase_derivative,
@@ -88,16 +89,15 @@ def branch_breakdown(r: float, params: NlaParams) -> FisherBreakdown:
 
     The cutoff from `choose_cutoff` bounds the truncation.  The branch states
     are built only on the levels below it where the input's amplitude can be
-    nonzero, padded to a multiple of 64 (`fock._support`), and on at least
-    0..n0: every level above is 0.0 in both branches, and the figures are the
-    doubles that the states on the whole cutoff give.
+    nonzero, padded to a multiple of 64, and on at least 0..n0
+    (`fock._branch_cutoff`): every level above is 0.0 in both branches, and the
+    figures are the doubles that the states on the whole cutoff give.
     """
     input = CoherentParams(r, 0.0)
     cutoff = choose_cutoff(input, params.n0, params.gain)
     p_s, p_f = heralding_probabilities(r, params)
 
-    # choose_cutoff returns at least n0 + 1, so this stays within the cutoff
-    succ, fail = apply_branch(input, params, max(params.n0, _support(input, cutoff) - 1))
+    succ, fail = apply_branch(input, params, _branch_cutoff(input, cutoff, params.n0))
     j_s = qfi_pure(succ, phase_derivative(succ))
     j_f = 0.0 if fail is None else qfi_pure(fail, phase_derivative(fail))
 
@@ -267,44 +267,36 @@ def default_gain_grid(count: int = 40, g_max: float = 8.0) -> np.ndarray:
     return np.geomspace(1.0, g_max, count)
 
 
-def sweep_gain(r: float, n0_list, gains=None) -> list[dict]:
-    """One row of breakdown figures per (n0, gain) grid point, n0-major order.
+def _grid_columns(points: list) -> dict[str, np.ndarray]:
+    # the gain (float64) and n0 (int64) columns of grid points, one entry per point
+    gains = np.array([point.gain for point in points], dtype=np.float64)
+    return {"gain": gains, "n0": np.array([point.n0 for point in points], dtype=np.int64)}
 
-    Each row also carries copies normalized to j_alpha = 1 (NaN when r = 0).
-    Each gain and n0 goes to `NlaParams` as given.
+
+def sweep_gain(r: float, n0_list, gains=None) -> dict[str, np.ndarray]:
+    """The breakdown figures as columns: name -> numpy array, one entry per (n0, gain)
+    grid point in n0-major order.
+
+    n0 is int64 and every other column float64.  ps_js and pf_jf are p_s * j_s and
+    p_f * j_f, and each *_norm column is its figure over j_alpha = qfi_coherent(r),
+    all NaN when j_alpha is 0.0.  Each gain and n0 goes to `NlaParams` as given.
     """
     gains = default_gain_grid() if gains is None else gains
     if len(gains) == 0:
         raise ValueError("gain grid must be nonempty")
     # NlaParams checks every point before the first breakdown runs
     points = [NlaParams(g, n0) for n0 in n0_list for g in gains]
-    rows = []
-    for params in points:
-        b = branch_breakdown(r, params)
-        ja = b.j_alpha
-        norm = (lambda v: v / ja) if ja > 0.0 else (lambda v: float("nan"))
-        rows.append(
-            {
-                "gain": params.gain,
-                "n0": params.n0,
-                "j_alpha": b.j_alpha,
-                "j_s": b.j_s,
-                "j_f": b.j_f,
-                "j_ideal": b.j_ideal,
-                "p_s": b.p_s,
-                "p_f": b.p_f,
-                "ps_js": b.p_s * b.j_s,
-                "pf_jf": b.p_f * b.j_f,
-                "j_nla_asymptotic": b.j_nla_asymptotic,
-                "j_s_norm": norm(b.j_s),
-                "j_f_norm": norm(b.j_f),
-                "j_ideal_norm": norm(b.j_ideal),
-                "ps_js_norm": norm(b.p_s * b.j_s),
-                "pf_jf_norm": norm(b.p_f * b.j_f),
-                "j_nla_asymptotic_norm": norm(b.j_nla_asymptotic),
-            }
-        )
-    return rows
+    figures = attrgetter("j_s", "j_f", "j_ideal", "p_s", "p_f", "j_nla_asymptotic")
+    gathered = np.array([figures(branch_breakdown(r, params)) for params in points])
+    j_s, j_f, j_ideal, p_s, p_f, j_nla = gathered.reshape(-1, 6).T
+    j_alpha = qfi_coherent(r)
+    columns = _grid_columns(points)
+    columns.update(j_alpha=np.full(len(points), j_alpha), j_s=j_s, j_f=j_f, j_ideal=j_ideal)
+    columns.update(p_s=p_s, p_f=p_f, ps_js=p_s * j_s, pf_jf=p_f * j_f, j_nla_asymptotic=j_nla)
+    for name in ("j_s", "j_f", "j_ideal", "ps_js", "pf_jf", "j_nla_asymptotic"):
+        norm = columns[name] / j_alpha if j_alpha > 0.0 else np.full(len(points), math.nan)
+        columns[f"{name}_norm"] = norm
+    return columns
 
 
 def sweep_fraction(m: int, breakdown: FisherBreakdown) -> dict[str, np.ndarray]:

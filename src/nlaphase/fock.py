@@ -337,6 +337,14 @@ def _support(params: CoherentParams, cutoff: int) -> int:
     return min(_state_run(params)[0].size, cutoff + 1)
 
 
+def _branch_cutoff(params: CoherentParams, cutoff: int, n0: int) -> int:
+    """The cutoff to build the branch states of `params` on, for a cutoff from
+    `choose_cutoff` (at least n0 + 1): the last level of the state's run
+    (`_support`), and at least n0 for the arm weights.  Every level above it is
+    0.0 in both branches."""
+    return max(n0, _support(params, cutoff) - 1)
+
+
 def _state_run(params: CoherentParams) -> tuple[np.ndarray, np.complex128]:
     # the run of `params`' state and its alpha = r e^{i theta}; the run is keyed by the
     # bits of c_0 and alpha, the only inputs of the recurrence: `float.hex` tells -0.0

@@ -25,7 +25,7 @@ from .estimator import (
     mle_nla,
     outcome_probabilities,
 )
-from .fock import CoherentParams, choose_cutoff, coherent_state, phase_derivative
+from .fock import CoherentParams, _branch_cutoff, choose_cutoff, coherent_state, phase_derivative
 from .nla import NlaParams, apply_branch
 
 __all__ = [
@@ -159,12 +159,13 @@ def simulate_direct(config: SimConfig) -> PrecisionReport:
 
 
 def _nla_setup(config: SimConfig):
-    """Branch observables and the five-outcome distribution of the heralded experiment."""
+    """Branch observables and the five-outcome distribution of the heralded experiment,
+    from branch states on the input's run (`fock._branch_cutoff`)."""
     params = NlaParams(config.gain, config.n0)
     input0 = CoherentParams(config.r, 0.0)
     cutoff = choose_cutoff(input0, params.n0, params.gain)
 
-    succ, fail = apply_branch(input0, params, cutoff)
+    succ, fail = apply_branch(input0, params, _branch_cutoff(input0, cutoff, params.n0))
     obs_s = build_observable(succ, phase_derivative(succ))
 
     obs_f = None

@@ -336,14 +336,23 @@ class TestSimulate:
         assert a.read_bytes() != b.read_bytes()
 
     def test_large_r_bytes(self, tmp_path):
-        # two states per point, each extended past its run to a 17292-level cutoff at
-        # g = 8; the sha256 of the bytes written with numpy 2.4.6, one OpenBLAS thread
-        # or the default count
+        # a 17292-level cutoff at g = 8, far past the input's run, which the branch
+        # states stop at; the sha256 of the bytes written with numpy 2.4.6, on one CPU
+        # or two, one OpenBLAS thread or the default count
         out = tmp_path / "large-r.csv"
         assert run("simulate", "--r", 16, "--gains", "2,8", "--n0-list", "1,2", "--m", 20,
                    "--runs", 200, "--seed", 4, "--output", out) == 0
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digest == "e4f1cd170cbeb3ebee3434c7c7613d77e3da8d9a4958960df3328d29f8db7e9b"
+
+    def test_r30_bytes(self, tmp_path):
+        # no failure state at r = 30 (p_f is 0.0), and n0 = 4 above n0 = 1; recorded
+        # as test_large_r_bytes is
+        out = tmp_path / "r30.csv"
+        assert run("simulate", "--r", 30, "--gains", "2,8", "--n0-list", "1,4", "--m", 20,
+                   "--runs", 100, "--seed", 9, "--output", out) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == "a49256b6b72e1d8de08944c886ddf754da30d2fd9d58e83bce49697bdb9d4a60"
 
     @pytest.mark.parametrize("value", ["numba", "cuda"])
     def test_backend_variable_selects_nothing(self, tmp_path, monkeypatch, value):

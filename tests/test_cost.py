@@ -1,5 +1,8 @@
 """Tests for the abstention cost model."""
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -159,6 +162,15 @@ class TestRecommendStrategy:
             small = recommend_strategy(CostParams(1, y, 1, 1), b)
             large = recommend_strategy(CostParams(1, y, 1, 250), b)
             assert small.strategy == large.strategy
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -0.5])
+    @pytest.mark.parametrize("field", ["j_alpha", "j_s", "p_s"])
+    def test_bad_breakdown_field_raises(self, field, value):
+        # a NaN fails every comparison, and a negative p_s or j_s fails the > 0
+        # guards: neither may pass for a missing route or a missing break-even cost
+        b = replace(branch_breakdown(0.25, NlaParams(2.0, 2)), **{field: value})
+        with pytest.raises(ValueError, match=f"^{field} must be a finite number"):
+            recommend_strategy(CostParams(1, 18, 1, 1), b)
 
 
 class TestCostParams:

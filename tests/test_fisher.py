@@ -554,32 +554,64 @@ class TestSweeps:
     def test_large_r_rows_independent_of_call_order(self):
         # the rows of one sweep against branch_breakdown point by point in reverse
         # order in the same process, past both the amplitude cache and the scan memo
-        rows = sweep_gain(16.0, [1, 2, 3, 4, 5, 6])
-        for row in reversed(rows):
-            b = branch_breakdown(16.0, NlaParams(row["gain"], row["n0"]))
+        table = sweep_gain(16.0, [1, 2, 3, 4, 5, 6])
+        for i in reversed(range(table["gain"].size)):
+            gain, n0 = table["gain"][i].item(), table["n0"][i].item()
+            b = branch_breakdown(16.0, NlaParams(gain, n0))
             for name in ("j_alpha", "j_s", "j_f", "j_ideal", "p_s", "p_f", "j_nla_asymptotic"):
-                assert row[name].hex() == getattr(b, name).hex(), (row["n0"], row["gain"], name)
+                assert table[name][i].item().hex() == getattr(b, name).hex(), (n0, gain, name)
 
     def test_gain_one_rows(self):
-        rows = sweep_gain(0.25, [1, 2], gains=[1.0, 2.0])
-        g1 = [row for row in rows if row["gain"] == 1.0]
-        for row in g1:
-            assert row["p_s"] == pytest.approx(1.0, abs=1e-15)
-            assert row["j_s_norm"] == pytest.approx(1.0, abs=1e-9)
-            assert row["pf_jf"] == 0.0
+        table = sweep_gain(0.25, [1, 2], gains=[1.0, 2.0])
+        g1 = table["gain"] == 1.0
+        assert g1.sum() == 2
+        assert table["p_s"][g1] == pytest.approx(1.0, abs=1e-15)
+        assert table["j_s_norm"][g1] == pytest.approx(1.0, abs=1e-9)
+        assert (table["pf_jf"][g1] == 0.0).all()
 
     def test_p_s_monotone_in_gain(self):
-        rows = sweep_gain(0.25, [2])
-        ps = [row["p_s"] for row in rows]
+        ps = sweep_gain(0.25, [2])["p_s"]
         assert all(a >= b - 1e-15 for a, b in zip(ps, ps[1:]))
 
     def test_ideal_norm_is_gain_squared(self):
-        for row in sweep_gain(0.25, [1, 3], gains=[1.0, 1.7, 4.0]):
-            assert row["j_ideal_norm"] == pytest.approx(row["gain"] ** 2, abs=1e-12)
+        table = sweep_gain(0.25, [1, 3], gains=[1.0, 1.7, 4.0])
+        assert table["j_ideal_norm"] == pytest.approx(table["gain"] ** 2, abs=1e-12)
 
     def test_asymptotic_never_exceeds_one(self):
-        for row in sweep_gain(0.25, [1, 2, 3]):
-            assert row["j_nla_asymptotic_norm"] <= 1.0 + 1e-12
+        assert (sweep_gain(0.25, [1, 2, 3])["j_nla_asymptotic_norm"] <= 1.0 + 1e-12).all()
+
+    def test_column_table(self):
+        # n0-major columns: n0 int64, every other column float64
+        table = sweep_gain(0.25, [1, 3], gains=[1.0, 2.0, 8.0])
+        assert list(table) == [
+            "gain", "n0", "j_alpha", "j_s", "j_f", "j_ideal", "p_s", "p_f", "ps_js",
+            "pf_jf", "j_nla_asymptotic", "j_s_norm", "j_f_norm", "j_ideal_norm",
+            "ps_js_norm", "pf_jf_norm", "j_nla_asymptotic_norm",
+        ]
+        assert {name: column.dtype for name, column in table.items()} == {
+            name: np.dtype(np.int64 if name == "n0" else np.float64) for name in table
+        }
+        assert table["gain"].tolist() == [1.0, 2.0, 8.0] * 2
+        assert table["n0"].tolist() == [1, 1, 1, 3, 3, 3]
+
+    def test_derived_columns_are_the_scalar_doubles(self):
+        # each product and quotient is the double the scalar expression gives
+        table = sweep_gain(1.0, [1, 2], gains=[1.0, 1.5, 8.0])
+        j_alpha = qfi_coherent(1.0)
+        rows = [dict(zip(table, values)) for values in zip(*(c.tolist() for c in table.values()))]
+        for row in rows:
+            assert row["j_alpha"] == j_alpha
+            for name, value in (("ps_js", row["p_s"] * row["j_s"]), ("pf_jf", row["p_f"] * row["j_f"])):
+                assert row[name].hex() == value.hex()
+            for name in ("j_s", "j_f", "j_ideal", "ps_js", "pf_jf", "j_nla_asymptotic"):
+                assert row[f"{name}_norm"].hex() == (row[name] / j_alpha).hex()
+
+    @pytest.mark.parametrize("r", [0.0, 1e-170])
+    def test_norm_columns_are_nan_where_j_alpha_is_zero(self, r):
+        table = sweep_gain(r, [1, 2], gains=[1.0, 2.0])
+        assert (table["j_alpha"] == 0.0).all()
+        for name in table:
+            assert np.isnan(table[name]).all() == name.endswith("_norm"), name
 
     def test_empty_or_invalid_grid_rejected(self):
         with pytest.raises(ValueError):

@@ -382,16 +382,16 @@ class TestCoherentStateReuse:
             assert fock._support(params, c) == min(support, c + 1)
 
     def test_sweep_rows_match_the_reference_loop(self, monkeypatch):
-        def hex_rows(rows):
-            return [{k: float.hex(v) if isinstance(v, float) else v for k, v in row.items()} for row in rows]
+        def column_bytes(table):
+            return {name: column.tobytes() for name, column in table.items()}
 
-        reused = hex_rows(sweep_gain(16, [1, 6], gains=[1, 2.5, 8]))
+        reused = column_bytes(sweep_gain(16, [1, 6], gains=[1, 2.5, 8]))
         monkeypatch.setattr(
             nla,
             "coherent_state",
             lambda params, cutoff: FockVector(coherent_reference(params.r, params.theta, cutoff)),
         )
-        assert reused == hex_rows(sweep_gain(16, [1, 6], gains=[1, 2.5, 8]))
+        assert reused == column_bytes(sweep_gain(16, [1, 6], gains=[1, 2.5, 8]))
 
 
 class TestInnerProduct:
@@ -552,14 +552,14 @@ class TestStateArraysMatchOldExpressions:
 
     @pytest.mark.parametrize("r", REUSE_R)
     def test_sweep_rows(self, monkeypatch, r):
-        def hex_rows(rows):
-            return [{k: float.hex(v) if isinstance(v, float) else v for k, v in row.items()} for row in rows]
+        def column_bytes(table):
+            return {name: column.tobytes() for name, column in table.items()}
 
         # the longest cutoff first, then shorter ones: the kept run serves by prefix
-        got = hex_rows(sweep_gain(r, [8, 2, 1], gains=[8.0, 1.5, 1.0]))
+        got = column_bytes(sweep_gain(r, [8, 2, 1], gains=[8.0, 1.5, 1.0]))
         monkeypatch.setattr(fisher, "apply_branch", old_apply_branch)
         monkeypatch.setattr(fisher, "phase_derivative", old_phase_derivative)
-        assert got == hex_rows(sweep_gain(r, [8, 2, 1], gains=[8.0, 1.5, 1.0]))
+        assert got == column_bytes(sweep_gain(r, [8, 2, 1], gains=[8.0, 1.5, 1.0]))
 
 
 class TestHandOff:
