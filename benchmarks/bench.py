@@ -17,9 +17,12 @@ CASE names the layer:
 - `writer`: per format (json, csv) at m = 10000 and m = 100000 (r, gain and n0
   at their defaults 0.25, 2, 2), the `nlaphase fraction` call after import
   (`call_s`) and `cli._write_rows` alone on what the runner returns, columns or
-  (in trees before the column writer) rows (`write_s`).
+  (in trees before the column writer) rows (`write_s`); then per m the tail
+  column alone, `fisher.binomial_tail(m, p_s, 0..m)` at that point (`tail_s`;
+  trees before the array walk take one level a call).
   Check: the bytes equal `json.dump(rows, indent=2)` plus a newline, and
-  `csv.DictWriter` over the same rows, and every tree writes the same bytes.
+  `csv.DictWriter` over the same rows, and every tree writes the same bytes and
+  tail column.
 - `fock`: the `fisher-sweep --r 16 --n0-list 1,2,3,4,5,6` call as the first
   call after import (`call_s`), a warm `fisher.sweep_gain(16, [1, ..., 6])`
   after it (`warm_s`), and the minor page faults (`ru_minflt`) of each.  Check:
@@ -115,9 +118,12 @@ print(json.dumps({"figures": figures, "failed": [],
 
 WRITER = """
 import csv, hashlib, io, json, os, sys, tempfile, time
+import numpy as np
 import nlaphase.cli as cli
+from nlaphase import NlaParams, branch_breakdown, fisher
 
 out, digest = {"figures": {}, "failed": []}, hashlib.sha256()
+p_s = branch_breakdown(0.25, NlaParams(2.0, 2)).p_s
 with tempfile.TemporaryDirectory() as tmp:
     for m in (10000, 100000):
         params = {"m": m, "r": 0.25, "gain": 2.0, "n0": 2, "seed": 4}
@@ -148,6 +154,13 @@ with tempfile.TemporaryDirectory() as tmp:
             if written != buf.getvalue().encode():
                 oracle = "json.dump" if fmt == "json" else "csv.DictWriter"
                 out["failed"].append(f"{case}: bytes differ from the {oracle} oracle")
+        start = time.perf_counter()
+        try:
+            tails = fisher.binomial_tail(m, p_s, np.arange(m + 1))
+        except (TypeError, ValueError):  # a tree before the array walk: one level a call
+            tails = [fisher.binomial_tail(m, p_s, k) for k in range(m + 1)]
+        out["figures"][f"tail_s m={m}"] = time.perf_counter() - start
+        digest.update(np.asarray(tails).tobytes())
 out["sha256"] = digest.hexdigest()
 print(json.dumps(out))
 """

@@ -18,11 +18,12 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
+import io
 import json
-import math
 import sys
 from contextlib import nullcontext
 from dataclasses import replace
+from functools import partial
 from itertools import product
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -256,37 +257,62 @@ _ROWS_PER_BATCH = 1024
 _JSON_SPECIAL = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _batch(table: dict, lo: int) -> list:
-    """Rows lo to lo + _ROWS_PER_BATCH - 1 of each column, as lists of Python scalars."""
-    hi = lo + _ROWS_PER_BATCH
-    return [v[lo:hi].tolist() if isinstance(v, np.ndarray) else v[lo:hi] for v in table.values()]
+def _json_specials(values: list) -> list:
+    """Each float's text as json.dump writes it: its repr, or NaN, Infinity or -Infinity."""
+    return [_JSON_SPECIAL.get(t, t) for t in map(float.__repr__, values)]
 
 
-def _json_column(values: list) -> tuple[str, list]:
-    """The %-conversion and the values that give each value's text as json.dump writes it."""
-    kinds = set(map(type, values))
-    if kinds == {float}:
-        if all(map(math.isfinite, values)):
-            return "%r", values  # float.__repr__
-        return "%s", [_JSON_SPECIAL.get(t, t) for t in map(float.__repr__, values)]
-    if kinds == {int}:
-        return "%r", values  # int.__repr__
-    return "%s", list(map(json.dumps, values))  # bools, None, strings
+def _csv_fields(values: list, alone: bool) -> list:
+    """Each value's text as csv.writer writes it as a field: of a record of its own
+    when alone (where an empty field is quoted), else of a longer record."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    tail = len("\r\n" if alone else ",\r\n")
+    fields = []
+    for value in values:
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow((value,) if alone else (value, None))
+        fields.append(buf.getvalue()[:-tail])
+    return fields
 
 
-def _json_rows(names: list, batch: list, indent: str):
-    """The JSON object text of each row of a batch, as json.dump(indent=2) writes it at indent.
+def _cells(fmt: str, table: dict) -> list:
+    """Each column's %-conversion and the function that turns a batch of its values
+    (Python scalars) into what the conversion renders, None for the values as they are.
 
-    Every row fills one template: the keys and separators are fixed, and each
-    column's %-conversion renders its values.
+    Chosen once per table from each column's numpy dtype: ints, and floats in CSV or
+    all finite, take their repr, as both writers do; a JSON float column holding NaN
+    or an infinity takes json.dump's spellings; every other column (lists, bools)
+    goes value by value through json.dumps or the csv module's rules.
     """
-    columns = [_json_column(values) for values in batch]
-    items = ",\n".join(
-        f"{indent}  {json.dumps(name).replace('%', '%%')}: {conversion}"
-        for name, (conversion, _) in zip(names, columns)
-    )
-    template = f"{indent}{{\n{items}\n{indent}}}"
-    return map(template.__mod__, zip(*(values for _, values in columns)))
+    cells = []
+    for values in table.values():
+        kind = values.dtype.kind if isinstance(values, np.ndarray) else "O"
+        if kind in "iu" or (kind == "f" and (fmt == "csv" or np.isfinite(values).all())):
+            cells.append(("%r", None))
+        elif kind == "f":
+            cells.append(("%s", _json_specials))
+        elif fmt == "json":
+            cells.append(("%s", partial(map, json.dumps)))
+        else:
+            cells.append(("%s", partial(_csv_fields, alone=len(table) == 1)))
+    return cells
+
+
+def _batches(table: dict, cells: list, row: str, sep: str):
+    """The text of each batch of up to _ROWS_PER_BATCH rows: the row template repeated,
+    sep between, filled by one % over the batch's values in row-major order."""
+    width = len(table)
+    count = len(next(iter(table.values())))
+    for lo in range(0, count, _ROWS_PER_BATCH):
+        hi = min(lo + _ROWS_PER_BATCH, count)
+        values = [None] * ((hi - lo) * width)
+        for i, (column, (_, render)) in enumerate(zip(table.values(), cells)):
+            part = column[lo:hi]
+            part = part.tolist() if isinstance(part, np.ndarray) else part
+            values[i::width] = part if render is None else render(part)
+        yield sep.join([row] * (hi - lo)) % tuple(values)
 
 
 def _write_rows(output: Path | None, fmt: str, table: dict, one_object: bool = False) -> None:
@@ -296,27 +322,38 @@ def _write_rows(output: Path | None, fmt: str, table: dict, one_object: bool = F
     array or a list of Python scalars, every column of one length.  The CSV bytes are
     those of csv.DictWriter over the rows; the JSON bytes are those of
     json.dump(rows, indent=2) plus a newline, or of the one row's object when
-    one_object is set.  Rows are rendered _ROWS_PER_BATCH at a time.
+    one_object is set.  Each row fills one %-template of the format, its keys and
+    separators fixed and each column's conversion chosen once (`_cells`); rows are
+    rendered _ROWS_PER_BATCH at a time, a batch by one %.
     """
     names = list(table)
     count = len(table[names[0]])
+    cells = _cells(fmt, table)
+    if fmt == "csv":
+        row, sep = ",".join(conversion for conversion, _ in cells) + "\r\n", ""
+    else:
+        indent = "" if one_object else "  "
+        items = ",\n".join(
+            f"{indent}  {json.dumps(name).replace('%', '%%')}: {conversion}"
+            for name, (conversion, _) in zip(names, cells)
+        )
+        row, sep = f"{indent}{{\n{items}\n{indent}}}", ",\n"
     if output is None:
         sink = nullcontext(sys.stdout)
     else:
         sink = open(output, "w", newline="" if fmt == "csv" else None)
     with sink as fh:
         if fmt == "csv":
-            writer = csv.writer(fh)
-            writer.writerow(names)
-            for lo in range(0, count, _ROWS_PER_BATCH):
-                writer.writerows(zip(*_batch(table, lo)))
+            csv.writer(fh).writerow(names)
+            fh.writelines(_batches(table, cells, row, sep))
         elif one_object:
-            fh.write(next(_json_rows(names, _batch(table, 0), "")) + "\n")
+            fh.write(next(_batches(table, cells, row, sep)) + "\n")
         else:
-            sep = "[\n"
-            for lo in range(0, count, _ROWS_PER_BATCH):
-                fh.write(sep + ",\n".join(_json_rows(names, _batch(table, lo), "  ")))
-                sep = ",\n"
+            lead = "[\n"
+            for text in _batches(table, cells, row, sep):
+                fh.write(lead)
+                fh.write(text)
+                lead = ",\n"
             fh.write("\n]\n" if count else "[]\n")
 
 

@@ -38,10 +38,11 @@ __all__ = [
 ]
 
 _IMAG_OVERLAP_TOL = 1e-10
-# entries per 2-d block of the binomial tail walk, so its memory stays flat at any m;
-# the first block walks about _FIRST_TERMS entries, at least _FIRST_WIDTH per row,
-# so a single row (a scalar k) needs few blocks and a whole column starts narrow
-_BLOCK_TERMS = 1 << 16
+# entries per 2-d block of the binomial tail walk (64 KiB of doubles per block
+# array, which stays in L2), so its memory stays flat at any m; the first block
+# walks about _FIRST_TERMS entries, at least _FIRST_WIDTH per row, so a single row
+# (a scalar k) needs few blocks and a whole column starts narrow
+_BLOCK_TERMS = 1 << 13
 _FIRST_TERMS = 1 << 10
 _FIRST_WIDTH = 16
 
@@ -116,13 +117,17 @@ def j_nla_conditional(n_s: int, n_f: int, breakdown: FisherBreakdown) -> float:
     """Count-weighted information (n_s J_s + n_f J_f) / (n_s + n_f).
 
     The counts are integers >= 0 by `errors.as_int`: a bool or a float, integral
-    ones such as 3.0 included, raises a ValueError naming the count.
+    ones such as 3.0 included, raises a ValueError naming the count.  The
+    breakdown's j_s and j_f are finite floats >= 0 by `errors.as_float`, so a
+    hand-built NaN or negative field raises a ValueError naming it.
     """
     n_s, n_f = as_int("n_s", n_s, minimum=0), as_int("n_f", n_f, minimum=0)
+    j_s = as_float("j_s", breakdown.j_s, minimum=0)
+    j_f = as_float("j_f", breakdown.j_f, minimum=0)
     m = n_s + n_f
     if m == 0:
         raise ValueError("need at least one event")
-    return (n_s * breakdown.j_s + n_f * breakdown.j_f) / m
+    return (n_s * j_s + n_f * j_f) / m
 
 
 def min_ns_exceeding(m: int, breakdown: FisherBreakdown) -> int:
@@ -130,19 +135,20 @@ def min_ns_exceeding(m: int, breakdown: FisherBreakdown) -> int:
 
     Requires j_s > j_alpha; otherwise no count can cross and NoCrossingError is
     raised.  m is an integer >= 1 by `errors.as_int`: a bool or a float, integral
-    ones such as 1000.0 included, raises a ValueError naming m.
+    ones such as 1000.0 included, raises a ValueError naming m.  The breakdown's
+    j_alpha, j_s and j_f are finite floats >= 0 by `errors.as_float`.
     """
     m = as_int("m", m, minimum=1)
-    if not breakdown.j_s > breakdown.j_alpha:
-        raise NoCrossingError(
-            f"j_s = {breakdown.j_s:.6g} does not exceed j_alpha = {breakdown.j_alpha:.6g}"
-        )
-    span = breakdown.j_s - breakdown.j_f
-    n = max(0, min(m, int(math.floor(m * (breakdown.j_alpha - breakdown.j_f) / span)) + 1))
+    j_alpha = as_float("j_alpha", breakdown.j_alpha, minimum=0)
+    j_s = as_float("j_s", breakdown.j_s, minimum=0)
+    j_f = as_float("j_f", breakdown.j_f, minimum=0)
+    if not j_s > j_alpha:
+        raise NoCrossingError(f"j_s = {j_s:.6g} does not exceed j_alpha = {j_alpha:.6g}")
+    n = max(0, min(m, int(math.floor(m * (j_alpha - j_f) / (j_s - j_f))) + 1))
     # guard the floor against rounding at the boundary
-    while n > 0 and j_nla_conditional(n - 1, m - (n - 1), breakdown) > breakdown.j_alpha:
+    while n > 0 and j_nla_conditional(n - 1, m - (n - 1), breakdown) > j_alpha:
         n -= 1
-    while n <= m and j_nla_conditional(n, m - n, breakdown) <= breakdown.j_alpha:
+    while n <= m and j_nla_conditional(n, m - n, breakdown) <= j_alpha:
         n += 1
     return n
 
@@ -154,12 +160,14 @@ def binomial_tail(m: int, p: float, k):
     a float64 array; a scalar is computed as a one-row array.  m must be an integer
     in [0, 2**53) (`errors.as_int`: a bool or a float, integral ones such as 1000.0
     included, raises) and p a finite float in [0, 1] (`errors.as_float`).  Each row
-    sums from an lgamma-based anchor term with the
-    exact term-ratio recurrence, on the side where the anchor is representable:
-    above the mode (m + 1) p directly, below it through the complement.  A row stops once a term falls below 1e-18 of
+    sums from an lgamma-based anchor term with the exact term-ratio recurrence, on
+    the side where the anchor is representable: above the mode (m + 1) p directly,
+    below it through the complement.  A row stops once a term falls below 1e-18 of
     its running sum or is exactly 0.0.  All rows walk at once in numpy blocks (see
-    `_tail_sums`) that keep a scalar loop's operation order, so each value is the
-    double that walking the row alone gives.  Far from the mode the anchor
+    `_tail_sums`) that keep a scalar loop's operation order and take each level's
+    factor from one table per round, so each value is the double that walking the
+    row alone gives, and a scalar's walk needs memory for one block, not for 0..m
+    (a 0..m table would be 80 MB at m = 10**7).  Far from the mode the anchor
     underflows to 0.0 and stays 0.0 further out, so those rows are 0.0 sums
     without a walk: an upper tail of 0.0, or a complement of exactly 1.0.
     """
@@ -209,11 +217,17 @@ def _tail_sums(m: int, p: float, starts: np.ndarray, step: int) -> np.ndarray:
     The pmf falls away from the mode, so from the first anchor that underflows on
     every row is a 0.0 sum with no walk.
 
-    A block walks `width` levels of every pending row: np.multiply.accumulate gives
+    The walk goes in rounds.  A round walks `width` levels of every pending row,
+    a block of about _BLOCK_TERMS entries at a time: np.multiply.accumulate gives
     the terms from the carried term and np.add.accumulate the running sums from the
     carried sum, each in sequence along the row as the loop does.  Rows that do not
-    stop carry on into a block twice as wide; blocks hold about _BLOCK_TERMS
-    entries.  Entries past a row's stop may overflow and are discarded.
+    stop carry on into the next round, twice as wide.  Entries past a row's stop
+    may overflow and are discarded.  Each round computes the factors once, in one
+    table from the level before its nearest row to the farthest level a row
+    reaches, and a block row is a window of that table.  The table is built for
+    several rows that lie within as many levels as there are rows, as a whole
+    column does, so it is never longer than the rows plus one block row; a single
+    row, or rows farther apart, take the factors of their own levels.
     """
     log_m, log_p, log_q = math.lgamma(m + 1), math.log(p), math.log1p(-p)
     anchors = []
@@ -225,40 +239,56 @@ def _tail_sums(m: int, p: float, starts: np.ndarray, step: int) -> np.ndarray:
             break
         anchors.append(anchor)
     ratio = p / (1.0 - p) if step > 0 else (1.0 - p) / p
+
+    def factors(levels):  # the loop's factor at each int64 level
+        if step > 0:
+            return (m - levels) / (levels + 1) * ratio
+        return levels / (m - levels + 1) * ratio
+
     sums = np.zeros(starts.size)
+    if not anchors:  # every anchor underflows: no row walks
+        return sums
     rows = np.arange(len(anchors))
     term, total, j = np.array(anchors), np.zeros(rows.size), starts[: rows.size]
     width = max(_FIRST_WIDTH, _FIRST_TERMS // max(1, rows.size))
-    while rows.size:
-        height = max(1, _BLOCK_TERMS // width)
-        carried = []
-        for lo in range(0, rows.size, height):
-            block = slice(lo, lo + height)
-            # levels of the block; the last column only feeds the carried term
-            levels = j[block, None] + step * np.arange(width + 1)
-            at = levels[:, :-1]
-            factors = np.empty(levels.shape)
-            factors[:, 0] = term[block]
-            running = np.empty(levels.shape)
-            running[:, 0] = total[block]
-            with np.errstate(over="ignore", invalid="ignore"):
-                if step > 0:
-                    factors[:, 1:] = (m - at) / (at + 1) * ratio
+    with np.errstate(over="ignore", invalid="ignore"):
+        while rows.size:
+            height = max(1, _BLOCK_TERMS // width)
+            # each row's distance in levels from the nearest row, the first
+            at = (j - j[0]) * step
+            table = None
+            if rows.size > max(1, at[-1]):  # several rows, within as many levels as rows
+                line = factors(j[0] + step * np.arange(-1, at[-1] + width))
+                # its windows of width + 1 factors, as a view: row i starts at factor i
+                shape = (line.size - width, width + 1)
+                table = np.ndarray(shape, line.dtype, line, 0, line.strides * 2)
+            carried = []
+            for lo in range(0, rows.size, height):
+                block = slice(lo, lo + height)
+                # a row's factors from the level before its own on: the first column
+                # becomes its carried term, so the products are its terms, and the
+                # last term only feeds the next round
+                if table is None:
+                    terms = factors(j[block, None] + step * np.arange(-1, width))
                 else:
-                    factors[:, 1:] = at / (m - at + 1) * ratio
-                terms = np.multiply.accumulate(factors, axis=1)
+                    terms = table[at[block]]
+                terms[:, 0] = term[block]
+                np.multiply.accumulate(terms, axis=1, out=terms)
+                running = np.empty(terms.shape)
+                running[:, 0] = total[block]
                 running[:, 1:] = terms[:, :-1]
                 np.add.accumulate(running, axis=1, out=running)
                 stop = (terms[:, :-1] == 0.0) | (terms[:, :-1] < running[:, 1:] * 1e-18)
-            done = stop.any(axis=1)
-            first = stop.argmax(axis=1)[done]
-            sums[rows[block][done]] = running[done, first + 1]
-            going = ~done
-            carried.append(
-                (rows[block][going], terms[going, -1], running[going, -1], levels[going, -1])
-            )
-        rows, term, total, j = (np.concatenate(parts) for parts in zip(*carried))
-        width = min(2 * width, _BLOCK_TERMS)
+                done = stop.any(axis=1)
+                first = stop.argmax(axis=1)[done]
+                sums[rows[block][done]] = running[done, first + 1]
+                going = ~done
+                carried.append(
+                    (rows[block][going], terms[going, -1], running[going, -1], j[block][going])
+                )
+            rows, term, total, j = (np.concatenate(parts) for parts in zip(*carried))
+            j += step * width
+            width = min(2 * width, _BLOCK_TERMS)
     return sums
 
 

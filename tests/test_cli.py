@@ -13,6 +13,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import nlaphase
 from nlaphase import NlaParams, __version__, branch_breakdown, cli, fisher, fock, heralding_probabilities
@@ -219,6 +221,85 @@ class TestCsvBytes:
             assert out.read_bytes() == dict_writer_csv(rows)
         cli._write_rows(out, "csv", table_of([SPECIAL_ROW], SPECIAL_ROW), one_object=True)
         assert out.read_bytes() == dict_writer_csv([SPECIAL_ROW])
+
+    def test_cost_report_without_breakeven(self, tmp_path):
+        # gain 1 has no break-even: breakeven_y is None, an empty field, beside a string
+        out = tmp_path / "cost.csv"
+        assert run("cost", "--gain", 1, "--format", "csv", "--output", out) == 0
+        assert out.read_bytes() == (
+            b"x,y,z,epsilon,r,gain,n0,j_alpha,j_s,j_f,p_s,cost_direct,cost_postselect,"
+            b"breakeven_y,recommendation\r\n1.0,0.0,1.0,1.0,0.25,1.0,2,0.25,0.24999999986495614,"
+            b"0.0,1.0,4.0,8.000000004321404,,direct\r\n"
+        )
+
+
+# names that the CSV header quotes or the JSON row template escapes
+_NAMES = ["n", "p_s", "a,b", 'say "hi"', "100%", "two\nlines", "%r"]
+# repr switches to an exponent at 1e16 and below 1e-4
+_FLOATS = st.sampled_from(
+    [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e16,
+     9999999999999998.0, 1e-5, 9.999999999999999e-06, 1e-4, 1e300, -0.1]
+) | st.floats()
+_TEXT = st.text(st.sampled_from(list('ab ,"\n\r%{}:\\')), max_size=6)
+_POOLS = {
+    "int64": st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=6),
+    "float64": st.lists(_FLOATS, min_size=1, max_size=6),
+    "str": st.lists(_TEXT, min_size=1, max_size=6),
+    "none": st.just([None]),
+    "bool": st.just([True, False]),
+}
+
+
+@st.composite
+def column_tables(draw):
+    """A column table around the batch size: int64 and float64 numpy columns, and
+    list columns of str, None or bool, each filled from a small drawn pool."""
+    count = draw(st.sampled_from([0, 1, BATCH - 1, BATCH, BATCH + 1, 2 * BATCH + 1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    table = {}
+    for name in draw(st.lists(st.sampled_from(_NAMES), min_size=1, max_size=4, unique=True)):
+        kind = draw(st.sampled_from(sorted(_POOLS)))
+        pool = draw(_POOLS[kind])
+        values = [pool[i] for i in rng.integers(0, len(pool), count)]
+        table[name] = np.array(values, dtype=kind) if kind in ("int64", "float64") else values
+    return table
+
+
+def assert_same(got, want):
+    # names the first difference only: a diff of two long texts on every failing
+    # example would make shrinking take minutes
+    if got != want:
+        at = len(os.path.commonprefix([got, want]))
+        near = slice(max(0, at - 20), at + 20)
+        pytest.fail(f"differ at {at}: {got[near]!r} != {want[near]!r}")
+
+
+class TestWriterProperty:
+    """Any column table gives the bytes of csv.DictWriter and of json.dump(indent=2)."""
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(column_tables())
+    # one column: csv.writer quotes a record that is one empty field
+    @example(table={"n": [None] * (BATCH + 1)})
+    @example(table={"n": ["", "a"]})
+    def test_both_formats_match_their_oracles(self, tmp_path, table):
+        rows, names = rows_of(table), list(table)
+        out = tmp_path / "rows.out"
+        cli._write_rows(out, "json", table)
+        assert_same(out.read_text(), indented_json(rows))
+        cli._write_rows(out, "csv", table)
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=names)
+        writer.writeheader()
+        writer.writerows(rows)
+        assert_same(out.read_bytes(), buf.getvalue().encode())
+        if rows:  # the first row as one report
+            first = {name: values[:1] for name, values in table.items()}
+            cli._write_rows(out, "json", first, one_object=True)
+            assert_same(out.read_text(), indented_json(rows[0]))
+            cli._write_rows(out, "csv", first, one_object=True)
+            assert_same(out.read_bytes(), dict_writer_csv(rows[:1]))
 
 
 class TestProbabilities:

@@ -3,6 +3,7 @@
 import enum
 import fractions
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -187,7 +188,17 @@ ARGUMENTS = [
     ("branch_breakdown.r", "r", -0.5, lambda v: branch_breakdown(v, NlaParams(2.0, 2))),
     ("j_nla_conditional.n_s", "n_s", -1, lambda v: j_nla_conditional(v, 3, BREAKDOWN)),
     ("j_nla_conditional.n_f", "n_f", -1, lambda v: j_nla_conditional(3, v, BREAKDOWN)),
+    ("j_nla_conditional.j_s", "j_s", -1.0,
+     lambda v: j_nla_conditional(3, 1, replace(BREAKDOWN, j_s=v))),
+    ("j_nla_conditional.j_f", "j_f", -1.0,
+     lambda v: j_nla_conditional(3, 1, replace(BREAKDOWN, j_f=v))),
     ("min_ns_exceeding.m", "m", 0, lambda v: min_ns_exceeding(v, BREAKDOWN)),
+    ("min_ns_exceeding.j_alpha", "j_alpha", -1.0,
+     lambda v: min_ns_exceeding(100, replace(BREAKDOWN, j_alpha=v))),
+    ("min_ns_exceeding.j_s", "j_s", -1.0,
+     lambda v: min_ns_exceeding(100, replace(BREAKDOWN, j_s=v))),
+    ("min_ns_exceeding.j_f", "j_f", -1.0,
+     lambda v: min_ns_exceeding(100, replace(BREAKDOWN, j_f=v))),
     ("binomial_tail.m", "m", -1, lambda v: binomial_tail(v, 0.5, 0)),
     ("binomial_tail.p", "p", -0.1, lambda v: binomial_tail(10, v, 3)),
     ("sweep_gain.r", "r", -0.5, lambda v: sweep_gain(v, [1], gains=[2.0])),

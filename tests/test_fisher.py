@@ -4,8 +4,9 @@ import functools
 import json
 import math
 import random
-
+import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -249,6 +250,12 @@ class TestJnlaConditional:
         with pytest.raises(ValueError):
             j_nla_conditional(-1, 2, paper_breakdown())
 
+    def test_nan_branch_information_refused(self):
+        # FisherBreakdown checks none of its fields; its consumers check what they use
+        b = replace(branch_breakdown(0.25, NlaParams(2, 2)), j_f=math.nan)
+        with pytest.raises(ValueError, match="^j_f must be a finite number >= 0, got nan$"):
+            j_nla_conditional(1, 1, b)
+
 
 class TestMinNsExceeding:
     def test_paper_value(self):
@@ -441,6 +448,55 @@ class TestTailArrayWalk:
         got = binomial_tail(m, p, np.arange(m + 1))
         want = [reference_binomial_tail(m, p, k) for k in range(m + 1)]
         assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
+
+    def test_scalar_far_from_the_mode_walks_in_little_memory(self):
+        # one row walks about 13000 levels at m = 10**7; its factors come from its own
+        # levels, a block at a time, never from a table of all m + 1 levels (80 MB)
+        tracemalloc.start()
+        try:
+            got = binomial_tail(10**7, 0.5, 5_001_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == 0.26364792718641067
+        assert peak < 1 << 20, peak
+
+    @pytest.mark.parametrize("p", [0.5, 0.0752652662929847], ids=["half", "paper-p_s"])
+    @pytest.mark.parametrize("step", [1, -1], ids=["up", "down"])
+    def test_rows_across_many_blocks_are_the_docstring_loop(self, p, step):
+        # every start on one side of the mode, nearest first, as binomial_tail passes
+        # them; the rows nearest the mode walk the longest
+        m, mode = 100_000, (100_000 + 1) * p
+        if step > 0:
+            starts = np.arange(math.floor(mode) + 1, m + 1)
+        else:
+            starts = np.arange(math.floor(mode) - 1, -1, -1)
+        picked = np.r_[0:300, 300 : starts.size : 97]
+        walks = [docstring_tail_loop(m, p, start, step) for start in starts[picked].tolist()]
+        want = [total.hex() for total, _ in walks]
+        # the whole side (one factor table per round) and the picked rows alone
+        # (rows far apart, each on its own levels)
+        assert [v.hex() for v in fisher._tail_sums(m, p, starts, step)[picked].tolist()] == want
+        assert [v.hex() for v in fisher._tail_sums(m, p, starts[picked], step).tolist()] == want
+        # the nearest row carries on through the rounds of width 16, 32, ..., 256
+        assert walks[0][1] > 16 + 32 + 64 + 128 + 256
+
+
+def docstring_tail_loop(m, p, start, step):
+    """The loop of `_tail_sums`' docstring for one row: its sum and the terms it adds."""
+    term = math.exp(
+        math.lgamma(m + 1) - math.lgamma(start + 1) - math.lgamma(m - start + 1)
+        + start * math.log(p) + (m - start) * math.log1p(-p)
+    )
+    ratio = p / (1.0 - p) if step > 0 else (1.0 - p) / p
+    total, j, added = 0.0, start, 0
+    while True:
+        total += term
+        added += 1
+        if term == 0.0 or term < total * 1e-18 or j == (m if step > 0 else 0):
+            return total, added
+        term *= (m - j) / (j + 1) * ratio if step > 0 else j / (m - j + 1) * ratio
+        j += step
 
 
 def reference_binomial_tail(m, p, k):
