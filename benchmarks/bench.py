@@ -16,10 +16,9 @@ CASE names the layer:
   same cutoffs.
 - `writer`: per format (json, csv) at m = 10000 and m = 100000 (r, gain and n0
   at their defaults 0.25, 2, 2), the `nlaphase fraction` call after import
-  (`call_s`) and `cli._write_rows` alone on what the runner returns, columns or
-  (in trees before the column writer) rows (`write_s`); then per m the tail
-  column alone, `fisher.binomial_tail(m, p_s, 0..m)` at that point (`tail_s`;
-  trees before the array walk take one level a call).
+  (`call_s`) and `cli._write_rows` alone on the columns the runner returns
+  (`write_s`); then per m the tail column alone, `fisher.binomial_tail(m, p_s,
+  0..m)` at that point (`tail_s`).
   Check: the bytes equal `json.dump(rows, indent=2)` plus a newline, and
   `csv.DictWriter` over the same rows, and every tree writes the same bytes and
   tail column.
@@ -141,8 +140,7 @@ with tempfile.TemporaryDirectory() as tmp:
             start = time.perf_counter()
             cli._write_rows(path + ".alone", fmt, result)  # a new file, as the call wrote
             out["figures"]["write_s " + case] = time.perf_counter() - start
-            rows = result if isinstance(result, list) else [  # rows, or columns to rows
-                dict(zip(result, row)) for row in zip(*(c.tolist() for c in result.values()))]
+            rows = [dict(zip(result, row)) for row in zip(*(c.tolist() for c in result.values()))]
             buf = io.StringIO()
             if fmt == "json":
                 json.dump(rows, buf, indent=2)
@@ -155,12 +153,9 @@ with tempfile.TemporaryDirectory() as tmp:
                 oracle = "json.dump" if fmt == "json" else "csv.DictWriter"
                 out["failed"].append(f"{case}: bytes differ from the {oracle} oracle")
         start = time.perf_counter()
-        try:
-            tails = fisher.binomial_tail(m, p_s, np.arange(m + 1))
-        except (TypeError, ValueError):  # a tree before the array walk: one level a call
-            tails = [fisher.binomial_tail(m, p_s, k) for k in range(m + 1)]
+        tails = fisher.binomial_tail(m, p_s, np.arange(m + 1))
         out["figures"][f"tail_s m={m}"] = time.perf_counter() - start
-        digest.update(np.asarray(tails).tobytes())
+        digest.update(tails.tobytes())
 out["sha256"] = digest.hexdigest()
 print(json.dumps(out))
 """

@@ -112,10 +112,21 @@ def _has_data(counts: np.ndarray, failure_informative: bool = False) -> np.ndarr
     return np.any(counts[..., : 4 if failure_informative else 2], axis=-1)
 
 
-def _counts(counts) -> np.ndarray:
+_INT64_MAX = np.iinfo(np.int64).max
+
+
+def _counts(name: str, counts) -> np.ndarray:
+    # the one rule for estimator counts: an integer dtype, each count in [0, 2**63),
+    # taken as int64 (without a copy when it already is), so no count is rounded,
+    # read from a truth value or wrapped by unsigned arithmetic
     counts = np.asarray(counts)
+    if counts.dtype.kind not in "iu":
+        raise ValueError(f"{name} must be integer counts, got dtype {counts.dtype}")
+    if counts.dtype.kind == "u" and counts.size and counts.max() > _INT64_MAX:
+        raise ValueError(f"{name} must be at most 2**63 - 1, got {counts.max()}")
+    counts = counts.astype(np.int64, copy=False)
     if counts.size and counts.min() < 0:
-        raise ValueError("counts must be nonnegative")
+        raise ValueError(f"{name} must be nonnegative")
     return counts
 
 
@@ -162,10 +173,11 @@ def mle_direct(n_plus, n_minus, lam: float):
     n_plus and n_minus are counts or broadcastable arrays of per-run counts; the
     result is a float or an array of per-run estimates, each computed in the scalar
     formula's operation order.  Raises NoDataError if any run has n+ + n- = 0 and
-    ValueError on a negative count or unless lam is a finite positive number; an
-    empty array gives an empty result.
+    ValueError unless the counts are integers in [0, 2**63) (`_counts`: a bool or
+    float count raises) or unless lam is a finite positive number; an empty array
+    gives an empty result.
     """
-    pair = np.broadcast_arrays(_counts(n_plus), _counts(n_minus))
+    pair = np.broadcast_arrays(_counts("n_plus", n_plus), _counts("n_minus", n_minus))
     return _by_blocks(_direct, pair, pair[0].shape, _eigenvalue("lam", lam))
 
 
@@ -179,12 +191,12 @@ def mle_nla(counts, lambda_s: float, lambda_f: float | None):
     counts is one run's (s+, s-, f+, f-, null) row, giving a float, or an array
     of such rows, giving an array of per-run estimates.  Raises NoDataError if any
     run has no informative count (n_s = 0 with a degenerate failure branch, else
-    n_s + n_f = 0) and ValueError on a negative count or unless each lambda is a
-    finite positive number.
+    n_s + n_f = 0) and ValueError unless the counts are integers in [0, 2**63)
+    (`_counts`) and each lambda is a finite positive number.
     """
     lambda_s = _eigenvalue("lambda_s", lambda_s)
     lambda_f = None if lambda_f is None else _eigenvalue("lambda_f", lambda_f)
-    counts = _counts(counts)
+    counts = _counts("counts", counts)
     if counts.shape[-1:] != (5,):
         raise ValueError(f"count rows must hold 5 outcomes, got shape {counts.shape}")
 

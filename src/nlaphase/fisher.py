@@ -35,13 +35,17 @@ __all__ = [
     "binomial_tail",
     "sweep_gain",
     "sweep_fraction",
+    "default_gain_grid",
 ]
 
 _IMAG_OVERLAP_TOL = 1e-10
 # entries per 2-d block of the binomial tail walk (64 KiB of doubles per block
-# array, which stays in L2), so its memory stays flat at any m; the first block
-# walks about _FIRST_TERMS entries, at least _FIRST_WIDTH per row, so a single row
-# (a scalar k) needs few blocks and a whole column starts narrow
+# array, which stays in L2); a block of rows `width` levels wide holds at most
+# _BLOCK_TERMS // width rows, all within as many levels of its first, so its factor
+# line is at most that many levels longer than one row's and the walk's memory
+# stays flat at any m.  The first round walks about _FIRST_TERMS entries, at least
+# _FIRST_WIDTH per row, so a single row (a scalar k) needs few blocks and a whole
+# column starts narrow
 _BLOCK_TERMS = 1 << 13
 _FIRST_TERMS = 1 << 10
 _FIRST_WIDTH = 16
@@ -165,9 +169,9 @@ def binomial_tail(m: int, p: float, k):
     below it through the complement.  A row stops once a term falls below 1e-18 of
     its running sum or is exactly 0.0.  All rows walk at once in numpy blocks (see
     `_tail_sums`) that keep a scalar loop's operation order and take each level's
-    factor from one table per round, so each value is the double that walking the
-    row alone gives, and a scalar's walk needs memory for one block, not for 0..m
-    (a 0..m table would be 80 MB at m = 10**7).  Far from the mode the anchor
+    factor from one line per block, so each value is the double that walking the
+    row alone gives, and any walk needs memory for a few blocks, not for 0..m
+    (a 0..m line would be 80 MB at m = 10**7).  Far from the mode the anchor
     underflows to 0.0 and stays 0.0 further out, so those rows are 0.0 sums
     without a walk: an upper tail of 0.0, or a complement of exactly 1.0.
     """
@@ -217,17 +221,17 @@ def _tail_sums(m: int, p: float, starts: np.ndarray, step: int) -> np.ndarray:
     The pmf falls away from the mode, so from the first anchor that underflows on
     every row is a 0.0 sum with no walk.
 
-    The walk goes in rounds.  A round walks `width` levels of every pending row,
-    a block of about _BLOCK_TERMS entries at a time: np.multiply.accumulate gives
-    the terms from the carried term and np.add.accumulate the running sums from the
-    carried sum, each in sequence along the row as the loop does.  Rows that do not
-    stop carry on into the next round, twice as wide.  Entries past a row's stop
-    may overflow and are discarded.  Each round computes the factors once, in one
-    table from the level before its nearest row to the farthest level a row
-    reaches, and a block row is a window of that table.  The table is built for
-    several rows that lie within as many levels as there are rows, as a whole
-    column does, so it is never longer than the rows plus one block row; a single
-    row, or rows farther apart, take the factors of their own levels.
+    The walk goes in rounds.  A round walks `width` levels of every row still
+    walking, a block of at most `height = _BLOCK_TERMS // width` rows at a time:
+    np.multiply.accumulate gives the terms from the carried term and
+    np.add.accumulate the running sums from the carried sum, each in sequence
+    along the row as the loop does.  Rows that do not stop carry on into the next
+    round, twice as wide.  Entries past a row's stop may overflow and are
+    discarded.  A block holds only rows within `height` levels of its first row,
+    and takes its factors from one line, from the level before its first row to
+    the last level its last row reaches; each block row is a window of that line.
+    So a line is never longer than height + width levels, for a whole column, a
+    single row or rows far apart alike.
     """
     log_m, log_p, log_q = math.lgamma(m + 1), math.log(p), math.log1p(-p)
     anchors = []
@@ -248,30 +252,28 @@ def _tail_sums(m: int, p: float, starts: np.ndarray, step: int) -> np.ndarray:
     sums = np.zeros(starts.size)
     if not anchors:  # every anchor underflows: no row walks
         return sums
-    rows = np.arange(len(anchors))
-    term, total, j = np.array(anchors), np.zeros(rows.size), starts[: rows.size]
-    width = max(_FIRST_WIDTH, _FIRST_TERMS // max(1, rows.size))
+    term, total = np.array(anchors), np.zeros(len(anchors))
+    # each row's distance in levels from the first row: every row walks the same
+    # levels a round, so the distances hold from round to round
+    at = (starts[: term.size] - starts[0]) * step
+    walking = np.ones(term.size, dtype=bool)
+    walked, width = 0, max(_FIRST_WIDTH, _FIRST_TERMS // term.size)
     with np.errstate(over="ignore", invalid="ignore"):
-        while rows.size:
+        while (rows := np.flatnonzero(walking)).size:
             height = max(1, _BLOCK_TERMS // width)
-            # each row's distance in levels from the nearest row, the first
-            at = (j - j[0]) * step
-            table = None
-            if rows.size > max(1, at[-1]):  # several rows, within as many levels as rows
-                line = factors(j[0] + step * np.arange(-1, at[-1] + width))
-                # its windows of width + 1 factors, as a view: row i starts at factor i
+            lo, ats = 0, at[rows]
+            while lo < rows.size:
+                # at most height rows, all within height levels of the first
+                hi = min(lo + height, int(ats.searchsorted(ats[lo] + height)))
+                block, offsets = rows[lo:hi], ats[lo:hi] - ats[lo]
+                first = starts[block[0]] + step * walked
+                line = factors(first + step * np.arange(-1, offsets[-1] + width))
+                # the line's windows of width + 1 factors, as a view: a row's factors
+                # from the level before its own on; the first column becomes its
+                # carried term, so the products are its terms, and the last term
+                # only feeds the next round
                 shape = (line.size - width, width + 1)
-                table = np.ndarray(shape, line.dtype, line, 0, line.strides * 2)
-            carried = []
-            for lo in range(0, rows.size, height):
-                block = slice(lo, lo + height)
-                # a row's factors from the level before its own on: the first column
-                # becomes its carried term, so the products are its terms, and the
-                # last term only feeds the next round
-                if table is None:
-                    terms = factors(j[block, None] + step * np.arange(-1, width))
-                else:
-                    terms = table[at[block]]
+                terms = np.ndarray(shape, line.dtype, line, 0, line.strides * 2)[offsets]
                 terms[:, 0] = term[block]
                 np.multiply.accumulate(terms, axis=1, out=terms)
                 running = np.empty(terms.shape)
@@ -280,14 +282,11 @@ def _tail_sums(m: int, p: float, starts: np.ndarray, step: int) -> np.ndarray:
                 np.add.accumulate(running, axis=1, out=running)
                 stop = (terms[:, :-1] == 0.0) | (terms[:, :-1] < running[:, 1:] * 1e-18)
                 done = stop.any(axis=1)
-                first = stop.argmax(axis=1)[done]
-                sums[rows[block][done]] = running[done, first + 1]
-                going = ~done
-                carried.append(
-                    (rows[block][going], terms[going, -1], running[going, -1], j[block][going])
-                )
-            rows, term, total, j = (np.concatenate(parts) for parts in zip(*carried))
-            j += step * width
+                sums[block[done]] = running[done, stop.argmax(axis=1)[done] + 1]
+                walking[block[done]] = False
+                term[block], total[block] = terms[:, -1], running[:, -1]
+                lo = hi
+            walked += width
             width = min(2 * width, _BLOCK_TERMS)
     return sums
 

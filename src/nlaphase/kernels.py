@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import as_int, as_seed
 
-__all__ = ["categorical_counts", "derive_key", "uniform_stream"]
+__all__ = ["categorical_counts", "derive_key"]
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -207,7 +207,8 @@ def categorical_counts(key: int, run0: int, runs: int, m: int, probs: np.ndarray
     Row i of the int64 matrix, which is column-major so that each category's
     counts are contiguous, holds the counts of run index run0 + i.  The
     probability vector must be finite, nonnegative and sum to 1 within 1e-9.
-    m >= 1, runs >= 0 and run0 >= 0 are integers by `errors.as_int`.
+    key is a seed by `errors.as_seed`, as `derive_key` gives one, and m >= 1,
+    runs >= 0 and run0 >= 0 are integers by `errors.as_int`.
     """
     probs = np.asarray(probs, dtype=np.float64)
     if probs.ndim != 1 or probs.size < 1:
@@ -216,7 +217,7 @@ def categorical_counts(key: int, run0: int, runs: int, m: int, probs: np.ndarray
         raise ValueError("probabilities must be finite and nonnegative")
     if abs(float(probs.sum()) - 1.0) > 1e-9:
         raise ValueError(f"probabilities must sum to 1, got {float(probs.sum())!r}")
-    m = as_int("m", m, minimum=1)
+    key, m = as_seed("key", key), as_int("m", m, minimum=1)
     runs, run0 = as_int("runs", runs, minimum=0), as_int("run0", run0, minimum=0)
 
     out = np.zeros((runs, probs.size), dtype=np.int64, order="F")

@@ -217,6 +217,7 @@ ARGUMENTS = [
     ("precision_from_samples.m", "m", 0, lambda v: precision_from_samples([0.1, 0.2], 0.0, v)),
     ("derive_key.seed", "seed", -1, lambda v: derive_key(v, 0)),
     ("derive_key.stream_index", "stream_index", -1, lambda v: derive_key(4, v)),
+    ("categorical_counts.key", "key", -1, lambda v: categorical_counts(v, 0, 2, 5, [0.5, 0.5])),
     ("categorical_counts.run0", "run0", -1, lambda v: categorical_counts(1, v, 2, 5, [0.5, 0.5])),
     ("categorical_counts.runs", "runs", -1, lambda v: categorical_counts(1, 0, v, 5, [0.5, 0.5])),
     ("categorical_counts.m", "m", 0, lambda v: categorical_counts(1, 0, 2, v, [0.5, 0.5])),

@@ -301,6 +301,43 @@ class TestMleNla:
             mle_nla([6, 4, 0], 2.0, None)
 
 
+class TestCountRule:
+    """Counts are integers in [0, 2**63), taken as int64: unsigned subtraction once
+    wrapped (`mle_direct(np.uint8(1), np.uint8(3), 1.0)` gave 63.5) and float counts
+    once gave an estimate or a NoDataError."""
+
+    def test_unsigned_counts_do_not_wrap(self):
+        assert mle_direct(np.uint8(1), np.uint8(3), 1.0) == -0.5
+        pair = np.array([1, 5], np.uint64), np.array([3, 1], np.uint64)
+        assert mle_direct(*pair, 1.0).tolist() == [-0.5, 2 / 3]
+        assert mle_nla(np.array([1, 3, 0, 0, 0], np.uint32), 1.0, 2.0) == -0.5
+
+    @pytest.mark.parametrize(
+        "n_plus, n_minus", [(2.5, 1), (0.5, 0.2), (2.0, 1), (True, False), (np.True_, 1), ("3", 1), (2**64, 1)]
+    )
+    def test_non_integer_counts_refused(self, n_plus, n_minus):
+        with pytest.raises(ValueError, match=r"^n_plus must be integer counts, got dtype ") as raised:
+            mle_direct(n_plus, n_minus, 1.0)
+        assert raised.type is ValueError  # not a NoDataError
+
+    def test_non_integer_rows_refused(self):
+        with pytest.raises(ValueError, match=r"^counts must be integer counts, got dtype float64$"):
+            mle_nla([1.0, 3.0, 0.0, 0.0, 0.0], 1.0, 2.0)
+        with pytest.raises(ValueError, match=r"^counts must be integer counts, got dtype bool$"):
+            mle_nla(np.ones(5, dtype=bool), 1.0, 2.0)
+
+    @pytest.mark.parametrize("big", [np.uint64(2**63), 2**63, np.array([1, 2**64 - 1], np.uint64)])
+    def test_counts_above_int64_refused(self, big):
+        with pytest.raises(ValueError, match=r"^n_minus must be at most 2\*\*63 - 1, got "):
+            mle_direct(1, big, 1.0)
+
+    def test_int64_counts_are_not_copied(self):
+        counts = np.zeros((4, 5), dtype=np.int64, order="F")
+        counts[:, 0] = 1
+        assert estimator._counts("counts", counts) is counts
+        assert mle_nla(counts, 1.0, 2.0).tolist() == [1.0] * 4
+
+
 class TestHasData:
     """The no-data rule against the sum of the informative counts of each run."""
 

@@ -461,6 +461,21 @@ class TestTailArrayWalk:
         assert got == 0.26364792718641067
         assert peak < 1 << 20, peak
 
+    def test_rows_far_apart_walk_in_little_memory(self):
+        # two rows 983039 levels apart: a block holds only rows within its height in
+        # levels, so each walks on its own line; one line across both would be 7.5 MiB
+        m, p = 2**32, 0.5
+        mode, sigma = (m + 1) * p, math.sqrt(m * p * (1 - p))
+        ks = np.array([math.floor(mode) + 1, math.floor(mode) + int(30 * sigma)])
+        tracemalloc.start()
+        try:
+            got = binomial_tail(m, p, ks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [v.hex() for v in got.tolist()] == ["0x1.fffd631220a79p-2", "0x1.77c0420d81d40p-656"]
+        assert peak < 1 << 20, peak
+
     @pytest.mark.parametrize("p", [0.5, 0.0752652662929847], ids=["half", "paper-p_s"])
     @pytest.mark.parametrize("step", [1, -1], ids=["up", "down"])
     def test_rows_across_many_blocks_are_the_docstring_loop(self, p, step):
@@ -474,8 +489,8 @@ class TestTailArrayWalk:
         picked = np.r_[0:300, 300 : starts.size : 97]
         walks = [docstring_tail_loop(m, p, start, step) for start in starts[picked].tolist()]
         want = [total.hex() for total, _ in walks]
-        # the whole side (one factor table per round) and the picked rows alone
-        # (rows far apart, each on its own levels)
+        # the whole side (dense blocks, one factor line each) and the picked rows
+        # alone (rows far apart, few to a block)
         assert [v.hex() for v in fisher._tail_sums(m, p, starts, step)[picked].tolist()] == want
         assert [v.hex() for v in fisher._tail_sums(m, p, starts[picked], step).tolist()] == want
         # the nearest row carries on through the rounds of width 16, 32, ..., 256

@@ -128,6 +128,21 @@ class TestCategoricalCounts:
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             categorical_counts(derive_key(1, 0), run0, runs, m, [0.5, 0.5])
 
+    @pytest.mark.parametrize(
+        "key, rule",
+        [(1.5, "an integer >= 0"), (None, "an integer >= 0"), (2**70, "a 64-bit unsigned integer")],
+    )
+    def test_key_is_a_seed(self, key, rule):
+        # beside the bools, strings and negatives of test_errors.py: a key above 2**64
+        # was once taken mod 2**64, and a float or None leaked numpy's TypeError
+        with pytest.raises(ValueError, match=rf"^key must be {rule}, got "):
+            categorical_counts(key, 0, 5, 10, [0.5, 0.5])
+
+    def test_numpy_integer_key_accepted(self):
+        key = derive_key(1, 0)
+        got = categorical_counts(np.uint64(key), 0, 5, 10, [0.5, 0.5])
+        np.testing.assert_array_equal(got, categorical_counts(key, 0, 5, 10, [0.5, 0.5]))
+
     def test_numpy_integer_sizes_accepted(self):
         key = derive_key(1, 0)
         got = categorical_counts(key, np.int64(3), np.int32(5), np.uint16(10), [0.5, 0.5])
