@@ -18,12 +18,10 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
-import io
 import json
 import sys
 from contextlib import nullcontext
 from dataclasses import replace
-from functools import partial
 from itertools import product
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -262,41 +260,20 @@ def _json_specials(values: list) -> list:
     return [_JSON_SPECIAL.get(t, t) for t in map(float.__repr__, values)]
 
 
-def _csv_fields(values: list, alone: bool) -> list:
-    """Each value's text as csv.writer writes it as a field: of a record of its own
-    when alone (where an empty field is quoted), else of a longer record."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    tail = len("\r\n" if alone else ",\r\n")
-    fields = []
-    for value in values:
-        buf.seek(0)
-        buf.truncate()
-        writer.writerow((value,) if alone else (value, None))
-        fields.append(buf.getvalue()[:-tail])
-    return fields
-
-
 def _cells(fmt: str, table: dict) -> list:
     """Each column's %-conversion and the function that turns a batch of its values
     (Python scalars) into what the conversion renders, None for the values as they are.
 
     Chosen once per table from each column's numpy dtype: ints, and floats in CSV or
     all finite, take their repr, as both writers do; a JSON float column holding NaN
-    or an infinity takes json.dump's spellings; every other column (lists, bools)
-    goes value by value through json.dumps or the csv module's rules.
+    or an infinity takes json.dump's spellings.
     """
     cells = []
     for values in table.values():
-        kind = values.dtype.kind if isinstance(values, np.ndarray) else "O"
-        if kind in "iu" or (kind == "f" and (fmt == "csv" or np.isfinite(values).all())):
-            cells.append(("%r", None))
-        elif kind == "f":
+        if fmt == "json" and values.dtype.kind == "f" and not np.isfinite(values).all():
             cells.append(("%s", _json_specials))
-        elif fmt == "json":
-            cells.append(("%s", partial(map, json.dumps)))
         else:
-            cells.append(("%s", partial(_csv_fields, alone=len(table) == 1)))
+            cells.append(("%r", None))
     return cells
 
 
@@ -309,22 +286,20 @@ def _batches(table: dict, cells: list, row: str, sep: str):
         hi = min(lo + _ROWS_PER_BATCH, count)
         values = [None] * ((hi - lo) * width)
         for i, (column, (_, render)) in enumerate(zip(table.values(), cells)):
-            part = column[lo:hi]
-            part = part.tolist() if isinstance(part, np.ndarray) else part
+            part = column[lo:hi].tolist()
             values[i::width] = part if render is None else render(part)
         yield sep.join([row] * (hi - lo)) % tuple(values)
 
 
-def _write_rows(output: Path | None, fmt: str, table: dict, one_object: bool = False) -> None:
-    """Write a column table as CSV or JSON to output, or to stdout when output is None.
+def _write_rows(output: Path, fmt: str, table: dict) -> None:
+    """Write a column table as CSV or JSON to output.
 
-    table maps each column name, in order, to its values, one per row: a 1-d numpy
-    array or a list of Python scalars, every column of one length.  The CSV bytes are
-    those of csv.DictWriter over the rows; the JSON bytes are those of
-    json.dump(rows, indent=2) plus a newline, or of the one row's object when
-    one_object is set.  Each row fills one %-template of the format, its keys and
-    separators fixed and each column's conversion chosen once (`_cells`); rows are
-    rendered _ROWS_PER_BATCH at a time, a batch by one %.
+    table maps each column name, in order, to its values, one per row: a 1-d int or
+    float numpy array, every column of one length.  The CSV bytes are those of
+    csv.DictWriter over the rows; the JSON bytes are those of json.dump(rows,
+    indent=2) plus a newline.  Each row fills one %-template of the format, its keys
+    and separators fixed and each column's conversion chosen once (`_cells`); rows
+    are rendered _ROWS_PER_BATCH at a time, a batch by one %.
     """
     names = list(table)
     count = len(table[names[0]])
@@ -332,22 +307,15 @@ def _write_rows(output: Path | None, fmt: str, table: dict, one_object: bool = F
     if fmt == "csv":
         row, sep = ",".join(conversion for conversion, _ in cells) + "\r\n", ""
     else:
-        indent = "" if one_object else "  "
         items = ",\n".join(
-            f"{indent}  {json.dumps(name).replace('%', '%%')}: {conversion}"
+            f"    {json.dumps(name).replace('%', '%%')}: {conversion}"
             for name, (conversion, _) in zip(names, cells)
         )
-        row, sep = f"{indent}{{\n{items}\n{indent}}}", ",\n"
-    if output is None:
-        sink = nullcontext(sys.stdout)
-    else:
-        sink = open(output, "w", newline="" if fmt == "csv" else None)
-    with sink as fh:
+        row, sep = f"  {{\n{items}\n  }}", ",\n"
+    with open(output, "w", newline="" if fmt == "csv" else None) as fh:
         if fmt == "csv":
             csv.writer(fh).writerow(names)
             fh.writelines(_batches(table, cells, row, sep))
-        elif one_object:
-            fh.write(next(_batches(table, cells, row, sep)) + "\n")
         else:
             lead = "[\n"
             for text in _batches(table, cells, row, sep):
@@ -355,6 +323,20 @@ def _write_rows(output: Path | None, fmt: str, table: dict, one_object: bool = F
                 fh.write(text)
                 lead = ",\n"
             fh.write("\n]\n" if count else "[]\n")
+
+
+def _write_object(output: Path | None, fmt: str, obj: dict) -> None:
+    """Write one object to output, or to stdout when output is None: as CSV,
+    csv.DictWriter's header and one row; as JSON, json.dump(obj, indent=2) plus a newline."""
+    newline = "" if fmt == "csv" else None
+    with nullcontext(sys.stdout) if output is None else open(output, "w", newline=newline) as fh:
+        if fmt == "csv":
+            writer = csv.DictWriter(fh, fieldnames=list(obj))
+            writer.writeheader()
+            writer.writerow(obj)
+        else:
+            json.dump(obj, fh, indent=2)
+            fh.write("\n")
 
 
 def _write_sidecars(command: str, output: Path, fmt: str, params: dict, hints: bool) -> None:
@@ -367,9 +349,7 @@ def _write_sidecars(command: str, output: Path, fmt: str, params: dict, hints: b
         "output": str(output),
         "created_utc": _utc_now(),
     }
-    with open(str(output) + ".manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    _write_object(Path(str(output) + ".manifest.json"), "json", manifest)
     if hints:
         with open(str(output) + ".hints.txt", "w") as fh:
             fh.write(_COMMANDS[command].hints)
@@ -514,7 +494,7 @@ def main(argv=None) -> int:
         path = Path(output) if output else None
         result = _RUNNERS[command](params)
         if command == "cost":  # one report object
-            _write_rows(path, fmt, {name: [value] for name, value in result.items()}, one_object=True)
+            _write_object(path, fmt, result)
         else:
             _write_rows(path, fmt, result)
         if path is not None:

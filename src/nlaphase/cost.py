@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NoBreakevenError, as_float
+from .errors import NoBreakevenError, as_float, as_positive
 from .fisher import FisherBreakdown
 
 __all__ = [
@@ -38,7 +38,7 @@ class CostParams:
     def __post_init__(self):
         for name in ("x", "y", "z"):
             object.__setattr__(self, name, as_float(name, getattr(self, name), minimum=0))
-        object.__setattr__(self, "epsilon", _positive("epsilon", self.epsilon))
+        object.__setattr__(self, "epsilon", as_positive("epsilon", self.epsilon))
 
 
 @dataclass(frozen=True)
@@ -51,13 +51,6 @@ class StrategyReport:
     breakeven_y: float | None
 
 
-def _positive(name: str, value) -> float:
-    value = as_float(name, value)
-    if value <= 0.0:
-        raise ValueError(f"{name} must be a finite number > 0, got {value}")
-    return value
-
-
 def _success_probability(p_s) -> float:
     p_s = as_float("p_s", p_s)
     if not 0.0 < p_s <= 1.0:
@@ -67,7 +60,7 @@ def _success_probability(p_s) -> float:
 
 def cost_direct(params: CostParams, j_alpha: float) -> float:
     """Cost epsilon*(x + y)/j_alpha of measuring every acquired sample (j_alpha > 0)."""
-    return params.epsilon * (params.x + params.y) / _positive("j_alpha", j_alpha)
+    return params.epsilon * (params.x + params.y) / as_positive("j_alpha", j_alpha)
 
 
 def cost_postselect(params: CostParams, j_s: float, p_s: float) -> float:
@@ -77,7 +70,7 @@ def cost_postselect(params: CostParams, j_s: float, p_s: float) -> float:
     acquisitions and amplifications, of which the fraction p_s is measured.
     j_s > 0 and p_s in (0, 1] are finite floats by `errors.as_float`.
     """
-    j_s, p_s = _positive("j_s", j_s), _success_probability(p_s)
+    j_s, p_s = as_positive("j_s", j_s), _success_probability(p_s)
     return params.epsilon * (params.x + params.z + p_s * params.y) / (p_s * j_s)
 
 
@@ -90,7 +83,7 @@ def breakeven_y(x: float, z: float, j_alpha: float, j_s: float, p_s: float) -> f
     by `errors.as_float`: x and z >= 0, j_alpha > 0 and p_s in (0, 1].
     """
     x, z = as_float("x", x, minimum=0), as_float("z", z, minimum=0)
-    j_alpha, j_s = _positive("j_alpha", j_alpha), as_float("j_s", j_s)
+    j_alpha, j_s = as_positive("j_alpha", j_alpha), as_float("j_s", j_s)
     p_s = _success_probability(p_s)
     if not j_s > j_alpha:
         raise NoBreakevenError(

@@ -62,6 +62,15 @@ def as_float(name: str | None, value, minimum: float | None = None) -> float:
     raise ValueError(f"{_subject(name)}must be a finite number{bound}, got {value!r}")
 
 
+def as_positive(name: str, value) -> float:
+    """`value` as a finite float > 0: `as_float`, then a ValueError naming `name` for
+    zero or a negative value."""
+    number = as_float(name, value)
+    if number <= 0.0:
+        raise ValueError(f"{name} must be a finite number > 0, got {number!r}")
+    return number
+
+
 class DimensionMismatchError(ValueError):
     """Two Fock vectors carry different cutoffs."""
 

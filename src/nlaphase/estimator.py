@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateObservableError, NoDataError, as_float
+from .errors import DegenerateObservableError, NoDataError, as_positive
 from .fock import CoherentParams, FockVector, coherent_state, inner_product
 from .fisher import qfi_pure
 from .nla import NlaParams, arm_weights
@@ -130,13 +130,6 @@ def _counts(name: str, counts) -> np.ndarray:
     return counts
 
 
-def _eigenvalue(name: str, lam) -> float:
-    lam = as_float(name, lam)
-    if lam <= 0.0:
-        raise ValueError(f"{name} must be a finite number > 0, got {lam!r}")
-    return lam
-
-
 # runs per block of the estimators: each of a block's temporaries stays below
 # glibc's 128 KiB mmap threshold, so it reuses heap pages instead of faulting in new ones
 _BLOCK_RUNS = 1 << 13
@@ -178,7 +171,7 @@ def mle_direct(n_plus, n_minus, lam: float):
     gives an empty result.
     """
     pair = np.broadcast_arrays(_counts("n_plus", n_plus), _counts("n_minus", n_minus))
-    return _by_blocks(_direct, pair, pair[0].shape, _eigenvalue("lam", lam))
+    return _by_blocks(_direct, pair, pair[0].shape, as_positive("lam", lam))
 
 
 def mle_nla(counts, lambda_s: float, lambda_f: float | None):
@@ -194,8 +187,8 @@ def mle_nla(counts, lambda_s: float, lambda_f: float | None):
     n_s + n_f = 0) and ValueError unless the counts are integers in [0, 2**63)
     (`_counts`) and each lambda is a finite positive number.
     """
-    lambda_s = _eigenvalue("lambda_s", lambda_s)
-    lambda_f = None if lambda_f is None else _eigenvalue("lambda_f", lambda_f)
+    lambda_s = as_positive("lambda_s", lambda_s)
+    lambda_f = None if lambda_f is None else as_positive("lambda_f", lambda_f)
     counts = _counts("counts", counts)
     if counts.shape[-1:] != (5,):
         raise ValueError(f"count rows must hold 5 outcomes, got shape {counts.shape}")

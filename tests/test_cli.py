@@ -57,15 +57,10 @@ def dict_writer_csv(rows):
 
 
 def rows_of(table):
-    """The rows of a column table (name -> list or numpy array), values as Python scalars."""
-    columns = [v.tolist() if isinstance(v, np.ndarray) else v for v in table.values()]
+    """The rows of a column table (name -> numpy array), values as Python scalars."""
+    columns = [v.tolist() for v in table.values()]
     assert len({len(v) for v in columns}) == 1, "columns of unequal length"
     return [dict(zip(table, row)) for row in zip(*columns)]
-
-
-def table_of(rows, names):
-    """The column table of rows, as a runner returns it."""
-    return {name: [row[name] for row in rows] for name in names}
 
 
 def captured_rows(monkeypatch, command):
@@ -152,21 +147,21 @@ class TestJsonBytes:
         assert produced[0]["breakeven_y"] is None and isinstance(produced[0]["recommendation"], str)
         assert capsys.readouterr().out == indented_json(produced[0])
 
-    def test_special_values(self, tmp_path):
-        out = tmp_path / "rows.json"
-        for rows in ([SPECIAL_ROW, SPECIAL_OTHER], [SPECIAL_ROW], []):
-            cli._write_rows(out, "json", table_of(rows, SPECIAL_ROW))
-            assert out.read_text() == indented_json(rows)
-        cli._write_rows(out, "json", table_of([SPECIAL_ROW], SPECIAL_ROW), one_object=True)
-        assert out.read_text() == indented_json(SPECIAL_ROW)
+    def test_special_values(self, tmp_path, capsys):
+        # one object, as the cost report and the manifests are written, to a file and to stdout
+        out = tmp_path / "report.json"
+        for obj in (SPECIAL_ROW, SPECIAL_OTHER):
+            cli._write_object(out, "json", obj)
+            assert out.read_text() == indented_json(obj)
+            cli._write_object(None, "json", obj)
+            assert capsys.readouterr().out == indented_json(obj)
 
     def test_numpy_columns(self, tmp_path):
-        # float64 columns with and without non-finite values, int64 and bool columns
+        # float64 columns with and without non-finite values, and an int64 column
         table = {
             "n": np.arange(-2, 3),
             "x": np.array([0.1, 1e200, 5e-324, -0.0, 2.0]),
             "y": np.array([np.nan, np.inf, -np.inf, 1.5, -1e-300]),
-            "b": np.array([True, False, True, True, False]),
         }
         out = tmp_path / "rows.json"
         cli._write_rows(out, "json", table)
@@ -177,12 +172,8 @@ class TestJsonBytes:
         ids=["0", "1", "B-1", "B", "B+1", "2B+1"],
     )
     def test_row_counts_around_the_batch_size(self, tmp_path, count):
-        # a string holds a row boundary of the JSON text; numpy and list columns mix
-        rows = [
-            {"n": i, "value": i / 7, "text": '"},\n    {"' if i % 2 else "}, {", "flag": i % 3 == 0}
-            for i in range(count)
-        ]
-        table = {**table_of(rows, ["n", "value", "text", "flag"]), "value": np.arange(count) / 7}
+        rows = [{"n": i, "value": i / 7} for i in range(count)]
+        table = {"n": np.arange(count), "value": np.arange(count) / 7}
         out = tmp_path / "rows.json"
         cli._write_rows(out, "json", table)
         assert out.read_text() == indented_json(rows)
@@ -192,9 +183,9 @@ class TestJsonBytes:
 
     @pytest.mark.parametrize("command, args", COMMAND_CASES, ids=COMMAND_IDS)
     def test_runners_return_python_scalars(self, tmp_path, monkeypatch, command, args):
-        # the writers take list columns and the manifest takes parameters as they are,
-        # so no numpy scalar may reach them (numpy arrays go through tolist); simulate
-        # and cost refuse r = 0
+        # the one-object writer takes the cost report and the manifest's parameters as
+        # they are, so no numpy scalar may reach them (the column writer takes numpy
+        # arrays through tolist); simulate and cost refuse r = 0
         produced = captured_rows(monkeypatch, command)
         assert run(command, *args, "--output", tmp_path / "data.out") == 0
         rows = produced[0] if isinstance(produced[0], list) else [produced[0]]
@@ -214,13 +205,14 @@ class TestCsvBytes:
         rows = produced[0] if isinstance(produced[0], list) else [produced[0]]
         assert out.read_bytes() == dict_writer_csv(rows)
 
-    def test_special_values(self, tmp_path):
-        out = tmp_path / "rows.csv"
-        for rows in ([SPECIAL_ROW, SPECIAL_OTHER], [SPECIAL_ROW]):
-            cli._write_rows(out, "csv", table_of(rows, SPECIAL_ROW))
-            assert out.read_bytes() == dict_writer_csv(rows)
-        cli._write_rows(out, "csv", table_of([SPECIAL_ROW], SPECIAL_ROW), one_object=True)
-        assert out.read_bytes() == dict_writer_csv([SPECIAL_ROW])
+    def test_special_values(self, tmp_path, capsys):
+        # one object, as the cost report is written, to a file and to stdout
+        out = tmp_path / "report.csv"
+        for obj in (SPECIAL_ROW, SPECIAL_OTHER):
+            cli._write_object(out, "csv", obj)
+            assert out.read_bytes() == dict_writer_csv([obj])
+            cli._write_object(None, "csv", obj)
+            assert capsys.readouterr().out.encode() == dict_writer_csv([obj])
 
     def test_cost_report_without_breakeven(self, tmp_path):
         # gain 1 has no break-even: breakeven_y is None, an empty field, beside a string
@@ -250,19 +242,31 @@ _POOLS = {
 }
 
 
+_NUMERIC = ["float64", "int64"]  # the dtypes of the figure runners' columns
+_NAME_LISTS = st.lists(st.sampled_from(_NAMES), min_size=1, max_size=4, unique=True)
+
+
 @st.composite
 def column_tables(draw):
-    """A column table around the batch size: int64 and float64 numpy columns, and
-    list columns of str, None or bool, each filled from a small drawn pool."""
+    """A column table around the batch size: int64 and float64 numpy columns, each
+    filled from a small drawn pool."""
     count = draw(st.sampled_from([0, 1, BATCH - 1, BATCH, BATCH + 1, 2 * BATCH + 1]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     table = {}
-    for name in draw(st.lists(st.sampled_from(_NAMES), min_size=1, max_size=4, unique=True)):
-        kind = draw(st.sampled_from(sorted(_POOLS)))
+    for name in draw(_NAME_LISTS):
+        kind = draw(st.sampled_from(_NUMERIC))
         pool = draw(_POOLS[kind])
-        values = [pool[i] for i in rng.integers(0, len(pool), count)]
-        table[name] = np.array(values, dtype=kind) if kind in ("int64", "float64") else values
+        table[name] = np.array([pool[i] for i in rng.integers(0, len(pool), count)], dtype=kind)
     return table
+
+
+@st.composite
+def objects(draw):
+    """One row as a report holds it: each value from the str, None, bool, int or float pool."""
+    return {
+        name: draw(st.sampled_from(draw(_POOLS[draw(st.sampled_from(sorted(_POOLS)))])))
+        for name in draw(_NAME_LISTS)
+    }
 
 
 def assert_same(got, want):
@@ -275,14 +279,13 @@ def assert_same(got, want):
 
 
 class TestWriterProperty:
-    """Any column table gives the bytes of csv.DictWriter and of json.dump(indent=2)."""
+    """Any column table, and any one object, gives the bytes of csv.DictWriter and of
+    json.dump(indent=2)."""
 
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(column_tables())
-    # one column: csv.writer quotes a record that is one empty field
-    @example(table={"n": [None] * (BATCH + 1)})
-    @example(table={"n": ["", "a"]})
+    @example(table={"n": np.full(BATCH + 1, np.nan)})
     def test_both_formats_match_their_oracles(self, tmp_path, table):
         rows, names = rows_of(table), list(table)
         out = tmp_path / "rows.out"
@@ -294,12 +297,19 @@ class TestWriterProperty:
         writer.writeheader()
         writer.writerows(rows)
         assert_same(out.read_bytes(), buf.getvalue().encode())
-        if rows:  # the first row as one report
-            first = {name: values[:1] for name, values in table.items()}
-            cli._write_rows(out, "json", first, one_object=True)
-            assert_same(out.read_text(), indented_json(rows[0]))
-            cli._write_rows(out, "csv", first, one_object=True)
-            assert_same(out.read_bytes(), dict_writer_csv(rows[:1]))
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(objects())
+    # one field: csv.writer quotes a record that is one empty field
+    @example(obj={"n": None})
+    @example(obj={"n": ""})
+    def test_one_object_matches_its_oracles(self, tmp_path, obj):
+        out = tmp_path / "report.out"
+        cli._write_object(out, "json", obj)
+        assert_same(out.read_text(), indented_json(obj))
+        cli._write_object(out, "csv", obj)
+        assert_same(out.read_bytes(), dict_writer_csv([obj]))
 
 
 class TestProbabilities:
