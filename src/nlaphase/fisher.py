@@ -19,6 +19,7 @@ from .fock import (
     CoherentParams,
     FockVector,
     _branch_cutoff,
+    _log_pmf,
     choose_cutoff,
     inner_product,
     phase_derivative,
@@ -39,16 +40,11 @@ __all__ = [
 ]
 
 _IMAG_OVERLAP_TOL = 1e-10
-# entries per 2-d block of the binomial tail walk (64 KiB of doubles per block
-# array, which stays in L2); a block of rows `width` levels wide holds at most
-# _BLOCK_TERMS // width rows, all within as many levels of its first, so its factor
-# line is at most that many levels longer than one row's and the walk's memory
-# stays flat at any m.  The first round walks about _FIRST_TERMS entries, at least
-# _FIRST_WIDTH per row, so a single row (a scalar k) needs few blocks and a whole
-# column starts narrow
-_BLOCK_TERMS = 1 << 13
-_FIRST_TERMS = 1 << 10
-_FIRST_WIDTH = 16
+# entries a round of the binomial tail walk aims at: each row still walking
+# advances max(16, _WALK_TERMS // rows) levels, so a single row (a scalar k) takes
+# few rounds and its temporaries stay in L2, while a whole column walks 16 levels
+# a round, about 17 entries per row
+_WALK_TERMS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -97,6 +93,10 @@ def branch_breakdown(r: float, params: NlaParams) -> FisherBreakdown:
     nonzero, padded to a multiple of 64, and on at least 0..n0
     (`fock._branch_cutoff`): every level above is 0.0 in both branches, and the
     figures are the doubles that the states on the whole cutoff give.
+
+    Where p_f underflows to 0.0 at g > 1, `apply_branch` gives no failure state,
+    but the failure law is still a distribution: j_f is then its 4 Var(n), taken
+    from log weights (`_failure_information`).
     """
     input = CoherentParams(r, 0.0)
     cutoff = choose_cutoff(input, params.n0, params.gain)
@@ -104,7 +104,10 @@ def branch_breakdown(r: float, params: NlaParams) -> FisherBreakdown:
 
     succ, fail = apply_branch(input, params, _branch_cutoff(input, cutoff, params.n0))
     j_s = qfi_pure(succ, phase_derivative(succ))
-    j_f = 0.0 if fail is None else qfi_pure(fail, phase_derivative(fail))
+    if fail is not None:
+        j_f = qfi_pure(fail, phase_derivative(fail))
+    else:
+        j_f = _failure_information(input.r, params) if params.gain > 1.0 else 0.0
 
     return FisherBreakdown(
         j_alpha=qfi_coherent(r),
@@ -115,6 +118,19 @@ def branch_breakdown(r: float, params: NlaParams) -> FisherBreakdown:
         p_f=p_f,
         j_nla_asymptotic=p_s * j_s + p_f * j_f,
     )
+
+
+def _failure_information(r: float, params: NlaParams) -> float:
+    # 4 Var(n) under the failure law on levels 0..n0-1, whose weights are the Poisson
+    # pmf times 1 - g^(2(n - n0)); in logs, shifted by their maximum before exp, so
+    # they stay representable where their sum p_f underflows
+    n = np.arange(params.n0)
+    log_w = np.array([_log_pmf(k, r * r) for k in range(params.n0)], dtype=np.float64)
+    log_w += np.log(-np.expm1(2.0 * (n - params.n0) * math.log(params.gain)))
+    w = np.exp(log_w - log_w.max())
+    w /= w.sum()
+    mean = w @ n
+    return 4.0 * float(w @ (n - mean) ** 2)
 
 
 def j_nla_conditional(n_s: int, n_f: int, breakdown: FisherBreakdown) -> float:
@@ -167,11 +183,12 @@ def binomial_tail(m: int, p: float, k):
     sums from an lgamma-based anchor term with the exact term-ratio recurrence, on
     the side where the anchor is representable: above the mode (m + 1) p directly,
     below it through the complement.  A row stops once a term falls below 1e-18 of
-    its running sum or is exactly 0.0.  All rows walk at once in numpy blocks (see
-    `_tail_sums`) that keep a scalar loop's operation order and take each level's
-    factor from one line per block, so each value is the double that walking the
-    row alone gives, and any walk needs memory for a few blocks, not for 0..m
-    (a 0..m line would be 80 MB at m = 10**7).  Far from the mode the anchor
+    its running sum or is exactly 0.0.  All rows walk at once, a round of levels at
+    a time (see `_tail_sums`), keeping a scalar loop's operation order and taking
+    each factor from the row's own level, so each value is the double that walking
+    the row alone gives.  A round's temporaries grow with the rows still walking,
+    about 17 entries each, not with m: a scalar walks in rounds of 8193 entries,
+    where a 0..m table would be 80 MB at m = 10**7.  Far from the mode the anchor
     underflows to 0.0 and stays 0.0 further out, so those rows are 0.0 sums
     without a walk: an upper tail of 0.0, or a complement of exactly 1.0.
     """
@@ -215,23 +232,22 @@ def _tail_sums(m: int, p: float, starts: np.ndarray, step: int) -> np.ndarray:
     total * 1e-18 or j is the last level; term *= factor(j); j += step` from the
     anchor exp(log pmf(start)), taken through math.lgamma and math.exp.  The factor
     is (m - j) / (j + 1) * ratio upward and j / (m - j + 1) * ratio downward,
-    computed from int64 levels below 2**53, so each is the loop's double.  At the
-    last level (m or 0) the factor is 0.0, so the term after it is 0.0 and stops
-    the row with its sum unchanged: the walk needs no check of its own for the end.
+    computed from levels held as doubles, which are exact below 2**53, so each is
+    the loop's double.  At the last level (m or 0) the factor is 0.0, so the term
+    after it is 0.0 and stops the row with its sum unchanged: the walk needs no
+    check of its own for the end.
     The pmf falls away from the mode, so from the first anchor that underflows on
     every row is a 0.0 sum with no walk.
 
-    The walk goes in rounds.  A round walks `width` levels of every row still
-    walking, a block of at most `height = _BLOCK_TERMS // width` rows at a time:
-    np.multiply.accumulate gives the terms from the carried term and
-    np.add.accumulate the running sums from the carried sum, each in sequence
-    along the row as the loop does.  Rows that do not stop carry on into the next
-    round, twice as wide.  Entries past a row's stop may overflow and are
-    discarded.  A block holds only rows within `height` levels of its first row,
-    and takes its factors from one line, from the level before its first row to
-    the last level its last row reaches; each block row is a window of that line.
-    So a line is never longer than height + width levels, for a whole column, a
-    single row or rows far apart alike.
+    The walk goes in rounds.  A round advances every row still walking by `width
+    = max(16, _WALK_TERMS // rows)` levels in one (rows, width + 1) array: the
+    carried term, then the factors at the row's own levels.  np.multiply.accumulate
+    gives the terms from the carried term and np.add.accumulate the running sums
+    from the carried sum, each in sequence along the row as the loop does.  Rows
+    that stop write their sum and drop out; the others carry on into the next
+    round.  Entries past a row's stop may overflow and are discarded.  A round's
+    temporaries hold about max(_WALK_TERMS, 17 x walking rows) entries, for a
+    whole column, a single row or rows far apart alike.
     """
     log_m, log_p, log_q = math.lgamma(m + 1), math.log(p), math.log1p(-p)
     anchors = []
@@ -243,51 +259,34 @@ def _tail_sums(m: int, p: float, starts: np.ndarray, step: int) -> np.ndarray:
             break
         anchors.append(anchor)
     ratio = p / (1.0 - p) if step > 0 else (1.0 - p) / p
-
-    def factors(levels):  # the loop's factor at each int64 level
-        if step > 0:
-            return (m - levels) / (levels + 1) * ratio
-        return levels / (m - levels + 1) * ratio
-
     sums = np.zeros(starts.size)
-    if not anchors:  # every anchor underflows: no row walks
-        return sums
     term, total = np.array(anchors), np.zeros(len(anchors))
-    # each row's distance in levels from the first row: every row walks the same
-    # levels a round, so the distances hold from round to round
-    at = (starts[: term.size] - starts[0]) * step
-    walking = np.ones(term.size, dtype=bool)
-    walked, width = 0, max(_FIRST_WIDTH, _FIRST_TERMS // term.size)
+    rows = np.arange(term.size)  # the rows still walking
+    at = starts[: term.size]  # the level of each row's carried term
     with np.errstate(over="ignore", invalid="ignore"):
-        while (rows := np.flatnonzero(walking)).size:
-            height = max(1, _BLOCK_TERMS // width)
-            lo, ats = 0, at[rows]
-            while lo < rows.size:
-                # at most height rows, all within height levels of the first
-                hi = min(lo + height, int(ats.searchsorted(ats[lo] + height)))
-                block, offsets = rows[lo:hi], ats[lo:hi] - ats[lo]
-                first = starts[block[0]] + step * walked
-                line = factors(first + step * np.arange(-1, offsets[-1] + width))
-                # the line's windows of width + 1 factors, as a view: a row's factors
-                # from the level before its own on; the first column becomes its
-                # carried term, so the products are its terms, and the last term
-                # only feeds the next round
-                shape = (line.size - width, width + 1)
-                terms = np.ndarray(shape, line.dtype, line, 0, line.strides * 2)[offsets]
-                terms[:, 0] = term[block]
-                np.multiply.accumulate(terms, axis=1, out=terms)
-                running = np.empty(terms.shape)
-                running[:, 0] = total[block]
-                running[:, 1:] = terms[:, :-1]
-                np.add.accumulate(running, axis=1, out=running)
-                stop = (terms[:, :-1] == 0.0) | (terms[:, :-1] < running[:, 1:] * 1e-18)
-                done = stop.any(axis=1)
-                sums[block[done]] = running[done, stop.argmax(axis=1)[done] + 1]
-                walking[block[done]] = False
-                term[block], total[block] = terms[:, -1], running[:, -1]
-                lo = hi
-            walked += width
-            width = min(2 * width, _BLOCK_TERMS)
+        while rows.size:
+            width = max(16, _WALK_TERMS // rows.size)
+            terms = np.empty((rows.size, width + 1))
+            terms[:, 0] = term
+            # the row's levels, then the loop's factor at each, in place
+            factors = terms[:, 1:]
+            np.add(at[:, None], step * np.arange(width), out=factors)
+            if step > 0:
+                np.divide(m - factors, factors + 1, out=factors)
+            else:
+                np.divide(factors, m - factors + 1, out=factors)
+            factors *= ratio
+            np.multiply.accumulate(terms, axis=1, out=terms)
+            running = np.empty(terms.shape)
+            running[:, 0] = total
+            running[:, 1:] = terms[:, :-1]
+            np.add.accumulate(running, axis=1, out=running)
+            stop = (terms[:, :-1] == 0.0) | (terms[:, :-1] < running[:, 1:] * 1e-18)
+            done = stop.any(axis=1)
+            sums[rows[done]] = running[done, stop.argmax(axis=1)[done] + 1]
+            going = ~done
+            rows, at = rows[going], at[going] + step * width
+            term, total = terms[going, -1], running[going, -1]
     return sums
 
 

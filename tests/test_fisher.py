@@ -8,6 +8,7 @@ import tracemalloc
 import warnings
 from dataclasses import replace
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -67,6 +68,17 @@ def qfi_finite_difference_oracle(r, g, n0, branch, hi_cutoff=60, h=1e-5):
     dpsi = (normalized(h) - normalized(-h)) / (2 * h)
     overlap = np.vdot(psi, dpsi)
     return 4.0 * (np.vdot(dpsi, dpsi).real - abs(overlap) ** 2)
+
+
+def mpmath_failure_information(r, g, n0, dps=60):
+    """4 Var(n) under the failure law, Poisson(r^2) times 1 - g^(2(n - n0)) on levels
+    0..n0-1, summed at `dps` digits: no state vector, no double that can underflow."""
+    with mp.workdps(dps):
+        mu, g = mp.mpf(r) ** 2, mp.mpf(g)
+        w = [mp.exp(-mu) * mu**n / mp.factorial(n) * (1 - g ** (2 * (n - n0))) for n in range(n0)]
+        total = mp.fsum(w)
+        mean = mp.fsum(n * x for n, x in enumerate(w)) / total
+        return float(4 * mp.fsum((n - mean) ** 2 * x for n, x in enumerate(w)) / total)
 
 
 def paper_breakdown():
@@ -189,6 +201,19 @@ class TestBranchBreakdown:
         b = branch_breakdown(37.6, NlaParams(1.0, 1))
         assert b.j_s == pytest.approx(b.j_alpha, rel=1e-8)
 
+    @pytest.mark.parametrize(
+        "r, g, n0", [(30.0, 2.0, 3), (27.0, 2.0, 3), (37.6, 8.0, 6), (37.6, 1.05, 6)]
+    )
+    def test_failure_information_where_p_f_underflows(self, r, g, n0):
+        # failure is too rare for a double and apply_branch gives no failure state,
+        # yet the failure law is a distribution with information 4 Var(n) > 0
+        b = branch_breakdown(r, NlaParams(g, n0))
+        assert b.p_f == 0.0 and apply_branch(CoherentParams(r), NlaParams(g, n0), 64)[1] is None
+        assert b.j_f > 0.0
+        assert b.j_f == pytest.approx(mpmath_failure_information(r, g, n0), rel=1e-12)
+        # p_f * j_f is still 0.0, so the asymptotic average is unchanged
+        assert b.j_nla_asymptotic == b.p_s * b.j_s
+
     @pytest.mark.parametrize("r", [38.7, 40.0])
     def test_underflowing_vacuum_amplitude_raises(self, r):
         # e^{-r^2/2} underflows to 0.0; a zero c_0 would give j_s = 0.0, not 4 r^2
@@ -204,15 +229,22 @@ class TestSupportPrefix:
 
     @pytest.mark.parametrize("r", [0.25, 1.0, 5.0, 16.0, 30.0, 37.6])
     def test_figures_match_the_full_cutoff_states(self, r):
+        # where p_f underflows at g > 1 there is no failure state to compare with:
+        # j_f is checked against the mpmath failure law to 1e-12 (relative) instead
         input = CoherentParams(r)
         for n0 in range(1, 7):
             for g in default_gain_grid():
-                params = NlaParams(float(g), n0)
+                params, at = NlaParams(float(g), n0), (n0, float(g))
                 b = branch_breakdown(r, params)
                 succ, fail = apply_branch(input, params, choose_cutoff(input, n0, float(g)))
-                j_f = 0.0 if fail is None else qfi_pure(fail, phase_derivative(fail))
-                want = (qfi_pure(succ, phase_derivative(succ)).hex(), j_f.hex())
-                assert (b.j_s.hex(), b.j_f.hex()) == want, (n0, float(g))
+                assert b.j_s.hex() == qfi_pure(succ, phase_derivative(succ)).hex(), at
+                if fail is not None:
+                    assert b.j_f.hex() == qfi_pure(fail, phase_derivative(fail)).hex(), at
+                elif g > 1.0:
+                    want = mpmath_failure_information(r, float(g), n0)
+                    assert b.j_f == pytest.approx(want, rel=1e-12, abs=0.0), at
+                else:
+                    assert b.j_f == 0.0, at
 
     def test_large_r_works_on_a_short_prefix(self):
         # at r = 16, g = 8 the cutoff is 17292 and the amplitudes are 0.0 from 1544 on
@@ -439,19 +471,18 @@ class TestTailArrayWalk:
         assert tails[0] == 1.0 and np.all(np.diff(tails) <= 0.0)
         assert np.all((tails >= 0.0) & (tails <= 1.0))
 
-    def test_blocks_smaller_than_the_rows(self, monkeypatch):
-        # a block budget below one row's walk: every row carries on through many blocks
+    def test_rounds_narrower_than_the_rows(self, monkeypatch):
+        # a round budget below one row's walk: every round runs at the floor width of
+        # 16 levels, so every row carries on through many rounds
         m, p = 3000, 0.4
-        monkeypatch.setattr(fisher, "_BLOCK_TERMS", 64)
-        monkeypatch.setattr(fisher, "_FIRST_TERMS", 1)
-        monkeypatch.setattr(fisher, "_FIRST_WIDTH", 1)
+        monkeypatch.setattr(fisher, "_WALK_TERMS", 64)
         got = binomial_tail(m, p, np.arange(m + 1))
         want = [reference_binomial_tail(m, p, k) for k in range(m + 1)]
         assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
 
     def test_scalar_far_from_the_mode_walks_in_little_memory(self):
         # one row walks about 13000 levels at m = 10**7; its factors come from its own
-        # levels, a block at a time, never from a table of all m + 1 levels (80 MB)
+        # levels, a round at a time, never from a table of all m + 1 levels (80 MB)
         tracemalloc.start()
         try:
             got = binomial_tail(10**7, 0.5, 5_001_000)
@@ -462,8 +493,9 @@ class TestTailArrayWalk:
         assert peak < 1 << 20, peak
 
     def test_rows_far_apart_walk_in_little_memory(self):
-        # two rows 983039 levels apart: a block holds only rows within its height in
-        # levels, so each walks on its own line; one line across both would be 7.5 MiB
+        # two rows 983039 levels apart: each takes its factors from its own levels, so
+        # a round holds two rows of width + 1 entries; one table across both would be
+        # 7.5 MiB
         m, p = 2**32, 0.5
         mode, sigma = (m + 1) * p, math.sqrt(m * p * (1 - p))
         ks = np.array([math.floor(mode) + 1, math.floor(mode) + int(30 * sigma)])
@@ -489,12 +521,25 @@ class TestTailArrayWalk:
         picked = np.r_[0:300, 300 : starts.size : 97]
         walks = [docstring_tail_loop(m, p, start, step) for start in starts[picked].tolist()]
         want = [total.hex() for total, _ in walks]
-        # the whole side (dense blocks, one factor line each) and the picked rows
-        # alone (rows far apart, few to a block)
+        # the whole side (many rows, narrow rounds) and the picked rows alone (rows
+        # far apart, fewer to a round)
         assert [v.hex() for v in fisher._tail_sums(m, p, starts, step)[picked].tolist()] == want
         assert [v.hex() for v in fisher._tail_sums(m, p, starts[picked], step).tolist()] == want
-        # the nearest row carries on through the rounds of width 16, 32, ..., 256
+        # the nearest row walks more than 496 levels: it carries on through many rounds
         assert walks[0][1] > 16 + 32 + 64 + 128 + 256
+
+    def test_whole_column_walks_in_less_than_ten_columns(self):
+        # a round's temporaries grow with the rows still walking, about 17 entries
+        # each, never with m: the whole column stays below ten result columns
+        m = 100_000
+        ks = np.arange(m + 1)
+        tracemalloc.start()
+        try:
+            binomial_tail(m, 0.5, ks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 8 * (m + 1), peak
 
 
 def docstring_tail_loop(m, p, start, step):
