@@ -207,6 +207,9 @@ def _load_config(path: str | None) -> dict:
     if not isinstance(nested, dict):
         raise ConfigError("config: 'cost' must be a JSON object")
     flat.update(nested)
+    for name in flat:
+        if name not in _FIELDS:
+            raise ConfigError(f"config: unknown key {name!r}")
     return flat
 
 

@@ -95,12 +95,11 @@ def breakeven_y(x: float, z: float, j_alpha: float, j_s: float, p_s: float) -> f
 def recommend_strategy(params: CostParams, breakdown: FisherBreakdown) -> StrategyReport:
     """Pick the cheaper strategy; ties go to direct (no amplifier hardware needed).
 
-    The breakdown's j_alpha, j_s and p_s are finite floats by `errors.as_float`,
-    j_s and p_s >= 0.
+    The breakdown's j_alpha must be > 0 (`cost_direct`); a route with p_s or j_s
+    of 0.0 costs inf.
     """
     c_direct = cost_direct(params, breakdown.j_alpha)
-    j_s = as_float("j_s", breakdown.j_s, minimum=0)
-    p_s = as_float("p_s", breakdown.p_s, minimum=0)
+    j_s, p_s = breakdown.j_s, breakdown.p_s
     c_post = cost_postselect(params, j_s, p_s) if p_s > 0.0 and j_s > 0.0 else math.inf
     y_star = None
     if p_s > 0.0 and j_s > breakdown.j_alpha:

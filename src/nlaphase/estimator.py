@@ -86,21 +86,18 @@ def five_outcome_probs(
 ) -> np.ndarray:
     """Outcome vector [s+, s-, f+, f-, null] of the heralded measurement on a coherent input.
 
-    p_{s,+-} = |<c_{s,+-}| E_s |alpha>|^2 and likewise for the failure pair; the
-    null outcome absorbs the remainder.  Pass obs_f = None when the failure branch
-    is degenerate: f+- are then 0 and the failure mass p_f is counted as null.
+    p_{s,+-} = |<c_{s,+-}| E_s |alpha>|^2 (`outcome_probabilities` of the
+    projected input) and likewise for the failure pair; the null outcome absorbs
+    the remainder.  Pass obs_f = None when the failure branch is degenerate: f+-
+    are then 0 and the failure mass p_f is counted as null.
     """
     cutoff = obs_s.c_plus.cutoff
     alpha = coherent_state(input, cutoff)
     w_s, w_f = arm_weights(params, cutoff)
-    projected_s = FockVector(w_s * alpha.amplitudes)
-    p_s_plus = abs(inner_product(obs_s.c_plus, projected_s)) ** 2
-    p_s_minus = abs(inner_product(obs_s.c_minus, projected_s)) ** 2
+    p_s_plus, p_s_minus = outcome_probabilities(obs_s, FockVector(w_s * alpha.amplitudes))[:2]
     p_f_plus = p_f_minus = 0.0
     if obs_f is not None:
-        projected_f = FockVector(w_f * alpha.amplitudes)
-        p_f_plus = abs(inner_product(obs_f.c_plus, projected_f)) ** 2
-        p_f_minus = abs(inner_product(obs_f.c_minus, projected_f)) ** 2
+        p_f_plus, p_f_minus = outcome_probabilities(obs_f, FockVector(w_f * alpha.amplitudes))[:2]
     p_null = max(0.0, 1.0 - p_s_plus - p_s_minus - p_f_plus - p_f_minus)
     return np.array([p_s_plus, p_s_minus, p_f_plus, p_f_minus, p_null])
 

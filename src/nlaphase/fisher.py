@@ -41,15 +41,20 @@ __all__ = [
 
 _IMAG_OVERLAP_TOL = 1e-10
 # entries a round of the binomial tail walk aims at: each row still walking
-# advances max(16, _WALK_TERMS // rows) levels, so a single row (a scalar k) takes
-# few rounds and its temporaries stay in L2, while a whole column walks 16 levels
-# a round, about 17 entries per row
+# advances max(16, _WALK_TERMS // rows) levels, at most m + 1, so a single row (a
+# scalar k) takes few rounds and its temporaries stay in L2, while a whole column
+# walks 16 levels a round, about 17 entries per row
 _WALK_TERMS = 1 << 13
 
 
 @dataclass(frozen=True)
 class FisherBreakdown:
-    """Per-sample information of every route: no amplifier, both branches, ideal limit."""
+    """Per-sample information of every route: no amplifier, both branches, ideal limit.
+
+    Every field is a finite float >= 0 by `errors.as_float`, and p_s and p_f are at
+    most 1: a bad field raises a ValueError naming it where the record is made, so
+    its readers take the fields as they are.
+    """
 
     j_alpha: float
     j_s: float
@@ -57,7 +62,18 @@ class FisherBreakdown:
     j_ideal: float
     p_s: float
     p_f: float
-    j_nla_asymptotic: float
+
+    def __post_init__(self):
+        for name in ("j_alpha", "j_s", "j_f", "j_ideal", "p_s", "p_f"):
+            object.__setattr__(self, name, as_float(name, getattr(self, name), minimum=0))
+        for name in ("p_s", "p_f"):
+            if getattr(self, name) > 1.0:
+                raise ValueError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
+
+    @property
+    def j_nla_asymptotic(self) -> float:
+        """The probability-weighted average p_s j_s + p_f j_f, at most j_alpha."""
+        return self.p_s * self.j_s + self.p_f * self.j_f
 
 
 def qfi_pure(psi: FockVector, dpsi: FockVector) -> float:
@@ -116,7 +132,6 @@ def branch_breakdown(r: float, params: NlaParams) -> FisherBreakdown:
         j_ideal=4.0 * (params.gain * r) ** 2,
         p_s=p_s,
         p_f=p_f,
-        j_nla_asymptotic=p_s * j_s + p_f * j_f,
     )
 
 
@@ -137,17 +152,13 @@ def j_nla_conditional(n_s: int, n_f: int, breakdown: FisherBreakdown) -> float:
     """Count-weighted information (n_s J_s + n_f J_f) / (n_s + n_f).
 
     The counts are integers >= 0 by `errors.as_int`: a bool or a float, integral
-    ones such as 3.0 included, raises a ValueError naming the count.  The
-    breakdown's j_s and j_f are finite floats >= 0 by `errors.as_float`, so a
-    hand-built NaN or negative field raises a ValueError naming it.
+    ones such as 3.0 included, raises a ValueError naming the count.
     """
     n_s, n_f = as_int("n_s", n_s, minimum=0), as_int("n_f", n_f, minimum=0)
-    j_s = as_float("j_s", breakdown.j_s, minimum=0)
-    j_f = as_float("j_f", breakdown.j_f, minimum=0)
     m = n_s + n_f
     if m == 0:
         raise ValueError("need at least one event")
-    return (n_s * j_s + n_f * j_f) / m
+    return (n_s * breakdown.j_s + n_f * breakdown.j_f) / m
 
 
 def min_ns_exceeding(m: int, breakdown: FisherBreakdown) -> int:
@@ -155,13 +166,10 @@ def min_ns_exceeding(m: int, breakdown: FisherBreakdown) -> int:
 
     Requires j_s > j_alpha; otherwise no count can cross and NoCrossingError is
     raised.  m is an integer >= 1 by `errors.as_int`: a bool or a float, integral
-    ones such as 1000.0 included, raises a ValueError naming m.  The breakdown's
-    j_alpha, j_s and j_f are finite floats >= 0 by `errors.as_float`.
+    ones such as 1000.0 included, raises a ValueError naming m.
     """
     m = as_int("m", m, minimum=1)
-    j_alpha = as_float("j_alpha", breakdown.j_alpha, minimum=0)
-    j_s = as_float("j_s", breakdown.j_s, minimum=0)
-    j_f = as_float("j_f", breakdown.j_f, minimum=0)
+    j_alpha, j_s, j_f = breakdown.j_alpha, breakdown.j_s, breakdown.j_f
     if not j_s > j_alpha:
         raise NoCrossingError(f"j_s = {j_s:.6g} does not exceed j_alpha = {j_alpha:.6g}")
     n = max(0, min(m, int(math.floor(m * (j_alpha - j_f) / (j_s - j_f))) + 1))
@@ -240,14 +248,15 @@ def _tail_sums(m: int, p: float, starts: np.ndarray, step: int) -> np.ndarray:
     every row is a 0.0 sum with no walk.
 
     The walk goes in rounds.  A round advances every row still walking by `width
-    = max(16, _WALK_TERMS // rows)` levels in one (rows, width + 1) array: the
-    carried term, then the factors at the row's own levels.  np.multiply.accumulate
-    gives the terms from the carried term and np.add.accumulate the running sums
-    from the carried sum, each in sequence along the row as the loop does.  Rows
-    that stop write their sum and drop out; the others carry on into the next
-    round.  Entries past a row's stop may overflow and are discarded.  A round's
-    temporaries hold about max(_WALK_TERMS, 17 x walking rows) entries, for a
-    whole column, a single row or rows far apart alike.
+    = max(16, _WALK_TERMS // rows)` levels, capped at the m + 1 that no row walks
+    past, in one (rows, width + 1) array: the carried term, then the factors at the
+    row's own levels.  np.multiply.accumulate gives the terms from the carried term
+    and np.add.accumulate the running sums from the carried sum, each in sequence
+    along the row as the loop does.  Rows that stop write their sum and drop out;
+    the others carry on into the next round.  Entries past a row's stop may
+    overflow and are discarded.  A round's temporaries hold about
+    max(_WALK_TERMS, 17 x walking rows) entries, for a whole column, a single row
+    or rows far apart alike.
     """
     log_m, log_p, log_q = math.lgamma(m + 1), math.log(p), math.log1p(-p)
     anchors = []
@@ -265,7 +274,7 @@ def _tail_sums(m: int, p: float, starts: np.ndarray, step: int) -> np.ndarray:
     at = starts[: term.size]  # the level of each row's carried term
     with np.errstate(over="ignore", invalid="ignore"):
         while rows.size:
-            width = max(16, _WALK_TERMS // rows.size)
+            width = min(m + 1, max(16, _WALK_TERMS // rows.size))
             terms = np.empty((rows.size, width + 1))
             terms[:, 0] = term
             # the row's levels, then the loop's factor at each, in place
@@ -290,9 +299,9 @@ def _tail_sums(m: int, p: float, starts: np.ndarray, step: int) -> np.ndarray:
     return sums
 
 
-def default_gain_grid(count: int = 40, g_max: float = 8.0) -> np.ndarray:
-    """Log-spaced gain grid on [1, g_max]; log spacing resolves the steep small-g region."""
-    return np.geomspace(1.0, g_max, count)
+def default_gain_grid() -> np.ndarray:
+    """40 log-spaced gains on [1, 8]; log spacing resolves the steep small-g region."""
+    return np.geomspace(1.0, 8.0, 40)
 
 
 def _grid_columns(points: list) -> dict[str, np.ndarray]:

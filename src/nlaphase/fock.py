@@ -63,7 +63,7 @@ _STIRLERR = (
     0.005554733551962801,
 )
 # The Fock path works on a state's first k * _BLOCK levels, the fewest that hold all
-# its nonzero amplitudes (see `_support`)
+# its nonzero amplitudes (see `_branch_cutoff`)
 _BLOCK = 64
 
 
@@ -119,9 +119,6 @@ class FockVector:
     def norm_sq(self) -> float:
         return float(np.vdot(self.amplitudes, self.amplitudes).real)
 
-    def photon_numbers(self) -> np.ndarray:
-        return np.arange(self.cutoff + 1)
-
 
 def _frozen_amplitudes(amps: np.ndarray) -> np.ndarray:
     # checks a complex128 array as FockVector amplitudes and marks it read-only; the
@@ -160,7 +157,8 @@ def choose_cutoff(params: CoherentParams, nla_n0: int, gain: float) -> int:
     a truncation bound, not the length of the work: the branch states carry the
     input's photon distribution, whose amplitudes are 0.0 from some level on (at
     r = 16, g = 8 from 1544, against a cutoff of 17292), and `branch_breakdown`
-    works only on the levels below that, padded to a multiple of 64 (`_support`).
+    works only on the levels below that, padded to a multiple of 64
+    (`_branch_cutoff`).
 
     The scan builds the Poisson pmf once, from one term in Loader's saddle-point
     form upward by the ratio recurrence, takes every tail as a reverse cumulative
@@ -312,18 +310,19 @@ def coherent_state(params: CoherentParams, cutoff: int) -> FockVector:
     return FockVector._wrap(np.concatenate([run, tail]))
 
 
-def _support(params: CoherentParams, cutoff: int) -> int:
-    """The number of levels of `params`' state on 0..cutoff that work must cover.
+def _branch_cutoff(params: CoherentParams, cutoff: int, n0: int) -> int:
+    """The cutoff to build the branch states of `params` on, for a cutoff from
+    `choose_cutoff` (at least n0 + 1): the last level of the state's run, at most
+    the cutoff, and at least n0 for the arm weights.
 
-    That is the size of the state's run: the levels below the first one whose
-    amplitude is 0.0, rounded up to a multiple of 64, capped at cutoff + 1.  The
-    run is the one `coherent_state` keeps and views, so the amplitudes are built
-    only up to it, not to the cutoff.
+    The run holds the levels below the first one whose amplitude is 0.0, rounded
+    up to a multiple of 64.  It is the one `coherent_state` keeps and views, so
+    the amplitudes are built only up to it, not to the cutoff.
 
     Every array the Fock path derives from the state (branch states, phase
     derivatives) is 0.0 from the same level on.  A computation on the first L
-    levels, L this count or any longer length, gives the doubles it gives on all
-    cutoff + 1 of them:
+    levels, L the run's size or any longer length, gives the doubles it gives on
+    all cutoff + 1 of them:
     - elementwise operations give the same doubles on a prefix;
     - the only reductions are the inner products (`np.vdot`, OpenBLAS `zdotc`).
       The levels past L add products of +-0.0, which leave every nonzero
@@ -334,15 +333,7 @@ def _support(params: CoherentParams, cutoff: int) -> int:
       is a multiple of 64, or the whole vector), each in the same block and
       lane, so each lane adds the same terms in the same order.
     """
-    return min(_state_run(params)[0].size, cutoff + 1)
-
-
-def _branch_cutoff(params: CoherentParams, cutoff: int, n0: int) -> int:
-    """The cutoff to build the branch states of `params` on, for a cutoff from
-    `choose_cutoff` (at least n0 + 1): the last level of the state's run
-    (`_support`), and at least n0 for the arm weights.  Every level above it is
-    0.0 in both branches."""
-    return max(n0, _support(params, cutoff) - 1)
+    return max(n0, min(_state_run(params)[0].size - 1, cutoff))
 
 
 def _state_run(params: CoherentParams) -> tuple[np.ndarray, np.complex128]:

@@ -635,6 +635,22 @@ class TestConfigFile:
         assert run("cost", "--config", config) == 2
         assert "invalid configuration: strict" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, values, key",
+        [
+            ("probabilities", {"gians": [1, 3]}, "gians"),
+            ("cost", {"cost": {"epsilom": 5}}, "epsilom"),
+        ],
+        ids=["flat", "nested"],
+    )
+    def test_unknown_key_refused(self, tmp_path, capsys, command, values, key):
+        # a misspelt key must not run the default in its place
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(values))
+        assert run(command, "--config", config, "--output", tmp_path / "x.out") == 2
+        assert f"invalid configuration: config: unknown key '{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "x.out").exists()
+
     def test_unreadable_config_is_configuration_error(self, tmp_path):
         assert run("probabilities", "--config", tmp_path / "missing.json",
                    "--output", tmp_path / "x.csv") == 2

@@ -28,7 +28,6 @@ def make_breakdown(j_alpha, j_s, p_s, j_f=0.0):
         j_ideal=4 * j_s,
         p_s=p_s,
         p_f=p_f,
-        j_nla_asymptotic=p_s * j_s + p_f * j_f,
     )
 
 
@@ -167,10 +166,11 @@ class TestRecommendStrategy:
     @pytest.mark.parametrize("field", ["j_alpha", "j_s", "p_s"])
     def test_bad_breakdown_field_raises(self, field, value):
         # a NaN fails every comparison, and a negative p_s or j_s fails the > 0
-        # guards: neither may pass for a missing route or a missing break-even cost
-        b = replace(branch_breakdown(0.25, NlaParams(2.0, 2)), **{field: value})
+        # guards: neither may pass for a missing route or a missing break-even cost.
+        # The record refuses such a field where it is made
+        b = branch_breakdown(0.25, NlaParams(2.0, 2))
         with pytest.raises(ValueError, match=f"^{field} must be a finite number"):
-            recommend_strategy(CostParams(1, 18, 1, 1), b)
+            recommend_strategy(CostParams(1, 18, 1, 1), replace(b, **{field: value}))
 
 
 class TestCostParams:

@@ -3,7 +3,7 @@
 import enum
 import fractions
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -159,16 +159,16 @@ class TestFloatParameters:
         coherent = CoherentParams(np.float32(0.5), np.int64(1))
         config = SimConfig(r=1, theta_true=np.float64(0.01), gain=np.int64(2))
         costs = CostParams(1, np.int64(0), 1, fractions.Fraction(1, 2))
+        breakdown = FisherBreakdown(np.float64(1.0), 2, np.float32(0.5), 4, np.int64(1), 0)
         stored = [coherent.r, coherent.theta, NlaParams(np.int64(2), 2).gain, config.r,
-                  config.theta_true, config.gain, costs.x, costs.y, costs.z, costs.epsilon]
+                  config.theta_true, config.gain, costs.x, costs.y, costs.z, costs.epsilon,
+                  *(getattr(breakdown, f.name) for f in fields(breakdown))]
         assert [type(v) for v in stored] == [float] * len(stored)
         assert coherent == CoherentParams(0.5, 1.0)
         assert config == SimConfig(r=1.0, theta_true=0.01, gain=2.0)
 
 
-BREAKDOWN = FisherBreakdown(
-    j_alpha=0.25, j_s=0.5, j_f=0.1, j_ideal=1.0, p_s=0.5, p_f=0.5, j_nla_asymptotic=0.3
-)
+BREAKDOWN = FisherBreakdown(j_alpha=0.25, j_s=0.5, j_f=0.1, j_ideal=1.0, p_s=0.5, p_f=0.5)
 COSTS = CostParams(1.0, 0.0, 1.0, 1.0)
 # (case, the argument's name, a value below its minimum or None, the call that takes it)
 ARGUMENTS = [
@@ -186,6 +186,10 @@ ARGUMENTS = [
      lambda v: heralding_probabilities(v, NlaParams(2.0, 2))),
     ("qfi_coherent.r", "r", -0.5, lambda v: qfi_coherent(v)),
     ("branch_breakdown.r", "r", -0.5, lambda v: branch_breakdown(v, NlaParams(2.0, 2))),
+    *[
+        (f"FisherBreakdown.{name}", name, -1.0, lambda v, name=name: replace(BREAKDOWN, **{name: v}))
+        for name in ("j_alpha", "j_s", "j_f", "j_ideal", "p_s", "p_f")
+    ],
     ("j_nla_conditional.n_s", "n_s", -1, lambda v: j_nla_conditional(v, 3, BREAKDOWN)),
     ("j_nla_conditional.n_f", "n_f", -1, lambda v: j_nla_conditional(3, v, BREAKDOWN)),
     ("j_nla_conditional.j_s", "j_s", -1.0,
@@ -237,7 +241,7 @@ ARGUMENTS = [
     ("breakeven_y.j_s", "j_s", None, lambda v: breakeven_y(1, 1, 4.0, v, 0.5)),
     ("breakeven_y.p_s", "p_s", 0.0, lambda v: breakeven_y(1, 1, 4.0, 8.0, v)),
 ]
-BAD = {"nan": math.nan, "inf": math.inf, "bool": True, "text": "2"}
+BAD = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "bool": True, "text": "2"}
 
 
 @pytest.mark.parametrize(
@@ -255,3 +259,10 @@ def test_every_argument_refuses_what_its_rule_refuses(name, call, value):
     `cost_direct(costs, nan)` once returned nan and `binomial_tail(10, True, 3)` 1.0."""
     with pytest.raises(ValueError, match=rf"^{name} must "):
         call(value)
+
+
+@pytest.mark.parametrize("name", ["p_s", "p_f"])
+def test_breakdown_probabilities_above_one_refused(name):
+    with pytest.raises(ValueError, match=rf"^{name} must lie in \[0, 1\], got 1.5$"):
+        replace(BREAKDOWN, **{name: 1.5})
+    assert getattr(replace(BREAKDOWN, **{name: 1.0}), name) == 1.0

@@ -131,6 +131,21 @@ class TestQfiCoherent:
             qfi_coherent(-1.0)
 
 
+class TestFisherBreakdown:
+    def test_average_follows_a_replaced_field(self):
+        # j_nla_asymptotic is derived from the fields, never a stored copy of them
+        b = paper_breakdown()
+        for name in ("j_s", "j_f", "p_s", "p_f"):
+            c = replace(b, **{name: getattr(b, name) / 2})
+            assert c.j_nla_asymptotic == c.p_s * c.j_s + c.p_f * c.j_f, name
+            assert c.j_nla_asymptotic < b.j_nla_asymptotic, name
+
+    def test_average_is_not_a_field(self):
+        with pytest.raises(TypeError):
+            FisherBreakdown(1.0, 2.0, 0.5, 4.0, 0.5, 0.5, j_nla_asymptotic=1.25)
+        assert FisherBreakdown(1.0, 2.0, 0.5, 4.0, 0.5, 0.5).j_nla_asymptotic == 1.25
+
+
 class TestBranchBreakdown:
     def test_identity_device(self):
         # at g = 1 the internal cutoff is the tightest admissible one, which
@@ -251,12 +266,12 @@ class TestSupportPrefix:
         input = CoherentParams(16.0)
         cutoff = choose_cutoff(input, 1, 8.0)
         assert cutoff == 17292
-        assert fock._support(input, cutoff) == 1600
+        assert fock._branch_cutoff(input, cutoff, 1) == 1599
         # the run holds the levels up to the first 0.0, padded to 64
         run = fock._state_run(input)[0]
         assert run.size == 1600 and int((run == 0).argmax()) == 1544 and not run[1544:].any()
         # no 0.0 inside a small cutoff: the whole vector is worked on
-        assert fock._support(CoherentParams(0.25), 9) == 10
+        assert fock._branch_cutoff(CoherentParams(0.25), 9, 1) == 9
 
 
 class TestJnlaConditional:
@@ -283,10 +298,10 @@ class TestJnlaConditional:
             j_nla_conditional(-1, 2, paper_breakdown())
 
     def test_nan_branch_information_refused(self):
-        # FisherBreakdown checks none of its fields; its consumers check what they use
-        b = replace(branch_breakdown(0.25, NlaParams(2, 2)), j_f=math.nan)
+        # FisherBreakdown refuses the field where the record is made
+        b = branch_breakdown(0.25, NlaParams(2, 2))
         with pytest.raises(ValueError, match="^j_f must be a finite number >= 0, got nan$"):
-            j_nla_conditional(1, 1, b)
+            j_nla_conditional(1, 1, replace(b, j_f=math.nan))
 
 
 class TestMinNsExceeding:
@@ -302,9 +317,7 @@ class TestMinNsExceeding:
 
     def test_boundary_contract(self):
         # j_s exactly equal to j_alpha means no crossing
-        b = FisherBreakdown(
-            j_alpha=0.25, j_s=0.25, j_f=0.1, j_ideal=1.0, p_s=0.5, p_f=0.5, j_nla_asymptotic=0.175
-        )
+        b = FisherBreakdown(j_alpha=0.25, j_s=0.25, j_f=0.1, j_ideal=1.0, p_s=0.5, p_f=0.5)
         with pytest.raises(NoCrossingError):
             min_ns_exceeding(100, b)
 
@@ -527,6 +540,29 @@ class TestTailArrayWalk:
         assert [v.hex() for v in fisher._tail_sums(m, p, starts[picked], step).tolist()] == want
         # the nearest row walks more than 496 levels: it carries on through many rounds
         assert walks[0][1] > 16 + 32 + 64 + 128 + 256
+
+    def test_small_column_walks_no_further_than_m(self, monkeypatch):
+        # each round is capped at m + 1 levels, the most any row can walk: at m = 20
+        # the m rows above level 0 take at most m + 2 accumulate entries each
+        m, p = 20, 0.0752652662929847
+        entries = []
+
+        class CountingNumpy:
+            class multiply:
+                @staticmethod
+                def accumulate(a, *args, **kwargs):
+                    entries.append(a.size)
+                    return np.multiply.accumulate(a, *args, **kwargs)
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+        monkeypatch.setattr(fisher, "np", CountingNumpy())
+        got = binomial_tail(m, p, np.arange(m + 1))
+        monkeypatch.undo()
+        want = [reference_binomial_tail(m, p, k) for k in range(m + 1)]
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
+        assert sum(entries) <= m * (m + 2), entries
 
     def test_whole_column_walks_in_less_than_ten_columns(self):
         # a round's temporaries grow with the rows still walking, about 17 entries

@@ -232,7 +232,7 @@ class TestCoherentState:
         r = 0.25
         n = choose_cutoff(CoherentParams(r), 2, 2.0)
         v = coherent_state(CoherentParams(r), n)
-        mean_n = float(np.sum(v.photon_numbers() * np.abs(v.amplitudes) ** 2))
+        mean_n = float(np.sum(np.arange(v.cutoff + 1) * np.abs(v.amplitudes) ** 2))
         assert abs(mean_n - r**2) < 1e-12
         with mp.workdps(40):
             series = mp.fsum(
@@ -368,18 +368,18 @@ class TestCoherentStateReuse:
         # zeros the recurrence gives, not a fill
         params = CoherentParams(r, theta)
         cutoff = int(r * r) + 2000
-        support = fock._support(params, cutoff)
+        last = fock._branch_cutoff(params, cutoff, 1)
         run = fock._state_run(params)[0]
         want = coherent_reference(r, theta, cutoff)
         zero_from = int((want == 0).argmax())
         assert not want[zero_from:].any() and want[zero_from - 1] != 0
-        assert support == run.size == -(-zero_from // 64) * 64 < cutoff
+        assert last + 1 == run.size == -(-zero_from // 64) * 64 < cutoff
         assert run.tobytes() == want[: run.size].tobytes()
         if theta != 0.0:
             assert np.signbit(want[zero_from:].view(np.float64)).any()
         for c in (zero_from - 1, zero_from, zero_from + 5, run.size - 1, run.size, cutoff):
             assert coherent_state(params, c).amplitudes.tobytes() == want[: c + 1].tobytes(), c
-            assert fock._support(params, c) == min(support, c + 1)
+            assert fock._branch_cutoff(params, c, 1) == min(last, c)
 
     def test_sweep_rows_match_the_reference_loop(self, monkeypatch):
         def column_bytes(table):
