@@ -196,6 +196,17 @@ def _read_object(path, what: str) -> dict:
     return data
 
 
+_COST_BLOCK = ("x", "y", "z", "epsilon", "strict")  # the keys of a config's `cost` object
+
+
+def _refuse_unknown(keys, known, what: str, where: str = "") -> None:
+    """The one unknown-key check of config files and manifests: a key outside
+    `known` is a configuration error that names it."""
+    for name in keys:
+        if name not in known:
+            raise ConfigError(f"{what}: unknown key {name!r}{where}")
+
+
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
@@ -206,11 +217,12 @@ def _load_config(path: str | None) -> dict:
     nested = flat.pop("cost", {})
     if not isinstance(nested, dict):
         raise ConfigError("config: 'cost' must be a JSON object")
-    flat.update(nested)
-    for name in flat:
-        if name not in _FIELDS:
-            raise ConfigError(f"config: unknown key {name!r}")
-    return flat
+    _refuse_unknown(flat, _FIELDS, "config")
+    _refuse_unknown(nested, _COST_BLOCK, "config", " in 'cost'")
+    for name in nested:
+        if name in flat:
+            raise ConfigError(f"config: key {name!r} given both at the top level and in 'cost'")
+    return {**flat, **nested}
 
 
 def _load_manifest(path: str) -> tuple[str, dict, str | None]:
@@ -224,6 +236,7 @@ def _load_manifest(path: str) -> tuple[str, dict, str | None]:
         raise ConfigError(f"unknown command {command!r} in manifest")
     if not isinstance(parameters, dict):
         raise ConfigError("parameters: must be a JSON object")
+    _refuse_unknown(parameters, _COMMANDS[command].params, "parameters")
     if not isinstance(output, (str, type(None))):
         raise ConfigError(f"output: must be a path, got {output!r}")
     return command, {**parameters, "format": manifest.get("format")}, output

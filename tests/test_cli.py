@@ -2,7 +2,6 @@
 
 import csv
 import hashlib
-import io
 import json
 import math
 import os
@@ -19,6 +18,8 @@ from hypothesis import strategies as st
 import nlaphase
 from nlaphase import NlaParams, __version__, branch_breakdown, cli, fisher, fock, heralding_probabilities
 from nlaphase.cli import main
+
+import oracle
 
 
 def read_csv(path):
@@ -38,22 +39,6 @@ def edited_fraction_manifest(tmp_path, edit):
     edited = tmp_path / "edited.json"
     edited.write_text(json.dumps(manifest))
     return edited
-
-
-def indented_json(rows):
-    """The dataset as json.dump(indent=2) writes it with the pure-Python encoder, plus a newline."""
-    buf = io.StringIO()
-    json.dump(rows, buf, indent=2)
-    return buf.getvalue() + "\n"
-
-
-def dict_writer_csv(rows):
-    """The dataset as csv.DictWriter writes it, header first."""
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(rows[0]))
-    writer.writeheader()
-    writer.writerows(rows)
-    return buf.getvalue().encode()
 
 
 def rows_of(table):
@@ -80,7 +65,7 @@ def captured_rows(monkeypatch, command):
 
 
 def test_import_loads_no_scipy():
-    # numpy is the only runtime dependency; scipy is a test oracle only
+    # numpy is the only runtime dependency
     code = "import nlaphase.cli, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(nlaphase.__file__)))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
@@ -138,23 +123,23 @@ class TestJsonBytes:
         produced = captured_rows(monkeypatch, command)
         out = tmp_path / "data.json"
         assert run(command, *args, "--format", "json", "--output", out) == 0
-        assert out.read_text() == indented_json(produced[0])
+        assert out.read_text() == oracle.json_text(produced[0])
 
     def test_cost_report_on_stdout(self, monkeypatch, capsys):
         # gain 1 has no break-even: the report holds a None beside its string
         produced = captured_rows(monkeypatch, "cost")
         assert run("cost", "--gain", 1) == 0
         assert produced[0]["breakeven_y"] is None and isinstance(produced[0]["recommendation"], str)
-        assert capsys.readouterr().out == indented_json(produced[0])
+        assert capsys.readouterr().out == oracle.json_text(produced[0])
 
     def test_special_values(self, tmp_path, capsys):
         # one object, as the cost report and the manifests are written, to a file and to stdout
         out = tmp_path / "report.json"
         for obj in (SPECIAL_ROW, SPECIAL_OTHER):
             cli._write_object(out, "json", obj)
-            assert out.read_text() == indented_json(obj)
+            assert out.read_text() == oracle.json_text(obj)
             cli._write_object(None, "json", obj)
-            assert capsys.readouterr().out == indented_json(obj)
+            assert capsys.readouterr().out == oracle.json_text(obj)
 
     def test_numpy_columns(self, tmp_path):
         # float64 columns with and without non-finite values, and an int64 column
@@ -165,7 +150,7 @@ class TestJsonBytes:
         }
         out = tmp_path / "rows.json"
         cli._write_rows(out, "json", table)
-        assert out.read_text() == indented_json(rows_of(table))
+        assert out.read_text() == oracle.json_text(rows_of(table))
 
     @pytest.mark.parametrize(
         "count", [0, 1, BATCH - 1, BATCH, BATCH + 1, 2 * BATCH + 1],
@@ -176,10 +161,10 @@ class TestJsonBytes:
         table = {"n": np.arange(count), "value": np.arange(count) / 7}
         out = tmp_path / "rows.json"
         cli._write_rows(out, "json", table)
-        assert out.read_text() == indented_json(rows)
+        assert out.read_text() == oracle.json_text(rows)
         if rows:
             cli._write_rows(out, "csv", table)
-            assert out.read_bytes() == dict_writer_csv(rows)
+            assert out.read_bytes() == oracle.csv_bytes(rows)
 
     @pytest.mark.parametrize("command, args", COMMAND_CASES, ids=COMMAND_IDS)
     def test_runners_return_python_scalars(self, tmp_path, monkeypatch, command, args):
@@ -203,16 +188,16 @@ class TestCsvBytes:
         out = tmp_path / "data.csv"
         assert run(command, *args, "--format", "csv", "--output", out) == 0
         rows = produced[0] if isinstance(produced[0], list) else [produced[0]]
-        assert out.read_bytes() == dict_writer_csv(rows)
+        assert out.read_bytes() == oracle.csv_bytes(rows)
 
     def test_special_values(self, tmp_path, capsys):
         # one object, as the cost report is written, to a file and to stdout
         out = tmp_path / "report.csv"
         for obj in (SPECIAL_ROW, SPECIAL_OTHER):
             cli._write_object(out, "csv", obj)
-            assert out.read_bytes() == dict_writer_csv([obj])
+            assert out.read_bytes() == oracle.csv_bytes([obj])
             cli._write_object(None, "csv", obj)
-            assert capsys.readouterr().out.encode() == dict_writer_csv([obj])
+            assert capsys.readouterr().out.encode() == oracle.csv_bytes([obj])
 
     def test_cost_report_without_breakeven(self, tmp_path):
         # gain 1 has no break-even: breakeven_y is None, an empty field, beside a string
@@ -290,13 +275,9 @@ class TestWriterProperty:
         rows, names = rows_of(table), list(table)
         out = tmp_path / "rows.out"
         cli._write_rows(out, "json", table)
-        assert_same(out.read_text(), indented_json(rows))
+        assert_same(out.read_text(), oracle.json_text(rows))
         cli._write_rows(out, "csv", table)
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=names)
-        writer.writeheader()
-        writer.writerows(rows)
-        assert_same(out.read_bytes(), buf.getvalue().encode())
+        assert_same(out.read_bytes(), oracle.csv_bytes(rows, names))
 
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -307,9 +288,9 @@ class TestWriterProperty:
     def test_one_object_matches_its_oracles(self, tmp_path, obj):
         out = tmp_path / "report.out"
         cli._write_object(out, "json", obj)
-        assert_same(out.read_text(), indented_json(obj))
+        assert_same(out.read_text(), oracle.json_text(obj))
         cli._write_object(out, "csv", obj)
-        assert_same(out.read_bytes(), dict_writer_csv([obj]))
+        assert_same(out.read_bytes(), oracle.csv_bytes([obj]))
 
 
 class TestProbabilities:
@@ -553,6 +534,18 @@ class TestManifests:
         run(*args, "--output", b)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_rerun_refuses_an_unknown_parameter(self, tmp_path, capsys):
+        # a manifest's parameters go through the config file's unknown-key check
+        out = tmp_path / "probs.csv"
+        assert run("probabilities", "--gains", "1,2", "--n0-list", "1", "--output", out) == 0
+        manifest = tmp_path / "probs.csv.manifest.json"
+        record = json.loads(manifest.read_text())
+        record["parameters"]["gians"] = [5]
+        manifest.write_text(json.dumps(record))
+        assert run("rerun", "--manifest", manifest, "--output", tmp_path / "again.csv") == 2
+        assert "invalid configuration: parameters: unknown key 'gians'" in capsys.readouterr().err
+        assert not (tmp_path / "again.csv").exists()
+
     def test_hints_sidecar(self, tmp_path):
         out = tmp_path / "probs.csv"
         run("probabilities", "--gains", "1,2", "--n0-list", "1", "--output", out,
@@ -636,19 +629,22 @@ class TestConfigFile:
         assert "invalid configuration: strict" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "command, values, key",
+        "command, values, message",
         [
-            ("probabilities", {"gians": [1, 3]}, "gians"),
-            ("cost", {"cost": {"epsilom": 5}}, "epsilom"),
+            ("probabilities", {"gians": [1, 3]}, "unknown key 'gians'"),
+            ("cost", {"cost": {"epsilom": 5}}, "unknown key 'epsilom' in 'cost'"),
+            # the cost block holds x, y, z, epsilon and strict only
+            ("probabilities", {"cost": {"r": 30}}, "unknown key 'r' in 'cost'"),
+            ("cost", {"x": 1, "cost": {"x": 2}}, "key 'x' given both at the top level and in 'cost'"),
         ],
-        ids=["flat", "nested"],
+        ids=["flat", "nested", "top-level-key-in-cost", "in-both"],
     )
-    def test_unknown_key_refused(self, tmp_path, capsys, command, values, key):
-        # a misspelt key must not run the default in its place
+    def test_unknown_key_refused(self, tmp_path, capsys, command, values, message):
+        # a misspelt or misplaced key must not run another value in its place
         config = tmp_path / "config.json"
         config.write_text(json.dumps(values))
         assert run(command, "--config", config, "--output", tmp_path / "x.out") == 2
-        assert f"invalid configuration: config: unknown key '{key}'" in capsys.readouterr().err
+        assert f"invalid configuration: config: {message}\n" == capsys.readouterr().err
         assert not (tmp_path / "x.out").exists()
 
     def test_unreadable_config_is_configuration_error(self, tmp_path):

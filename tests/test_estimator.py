@@ -27,6 +27,8 @@ from nlaphase import (
 from nlaphase import estimator, kernels, montecarlo
 from nlaphase.errors import DegenerateObservableError, DimensionMismatchError, NoDataError
 
+import oracle
+
 
 def coherent_family(r, theta=0.0, n0=2, gain=2.0):
     # the conservative amplified-bound cutoff keeps truncation residues at
@@ -53,12 +55,6 @@ def branch_observables(r, gain, n0):
         except DegenerateObservableError:
             obs_f = None
     return params, obs_s, obs_f
-
-
-def rebuild_matrix(lam, psi0, dpsi0):
-    """Independent reconstruction of the observable as a dense matrix."""
-    outer = np.outer(psi0.amplitudes, dpsi0.amplitudes.conj())
-    return 2.0 * lam**2 * (outer + outer.conj().T)
 
 
 class TestBuildObservable:
@@ -99,7 +95,7 @@ class TestBuildObservable:
             dstate = phase_derivative(out)
             families.append((build_observable(out, dstate), out, dstate))
         for obs, psi0, dpsi0 in families:
-            mat = rebuild_matrix(obs.lam, psi0, dpsi0)
+            mat = oracle.observable_matrix(obs.lam, psi0, dpsi0)
             cp, cm = obs.c_plus.amplitudes, obs.c_minus.amplitudes
             assert np.vdot(cp, mat @ cp).real == pytest.approx(obs.lam, abs=1e-10)
             assert np.vdot(cm, mat @ cm).real == pytest.approx(-obs.lam, abs=1e-10)
@@ -107,7 +103,7 @@ class TestBuildObservable:
 
     def test_zero_trace(self):
         obs, psi0, dpsi0 = coherent_observable(0.25)
-        mat = rebuild_matrix(obs.lam, psi0, dpsi0)
+        mat = oracle.observable_matrix(obs.lam, psi0, dpsi0)
         cp, cm = obs.c_plus.amplitudes, obs.c_minus.amplitudes
         trace = np.vdot(cp, mat @ cp).real + np.vdot(cm, mat @ cm).real
         assert abs(trace) < 1e-10
@@ -339,11 +335,7 @@ class TestCountRule:
 
 
 class TestHasData:
-    """The no-data rule against the sum of the informative counts of each run."""
-
-    @staticmethod
-    def reference(counts, failure_informative):
-        return counts[..., : 4 if failure_informative else 2].sum(axis=-1) >= 1
+    """The no-data rule against the informative counts of each run."""
 
     @pytest.mark.parametrize("failure_informative", [False, True])
     def test_matches_the_axis_reduce(self, failure_informative):
@@ -354,51 +346,8 @@ class TestHasData:
         cases = [counts, counts[:, :4], counts[3], counts[9], counts[20], counts.reshape(40, 50, 5)]
         for c in cases:
             got = estimator._has_data(c, failure_informative)
-            want = self.reference(c, failure_informative)
+            want = oracle.mle(c, 1.0, 1.0 if failure_informative else None)[1]
             assert got.shape == want.shape and np.array_equal(got, want)
-
-
-# Reference: the scalar estimators and the per-run loop that dropped no-data runs,
-# as they were before the estimators took arrays.  The array path must give the
-# same doubles.
-
-
-def reference_direct(n_plus, n_minus, lam):
-    total = n_plus + n_minus
-    if total < 1:
-        raise NoDataError("no informative counts")
-    return lam * (n_plus - n_minus) / total
-
-
-def reference_nla(row, lambda_s, lambda_f):
-    s_plus, s_minus, f_plus, f_minus, _ = (int(c) for c in row)
-    n_s = s_plus + s_minus
-    n_f = f_plus + f_minus
-    if lambda_f is None:
-        if n_s < 1:
-            raise NoDataError("no informative counts (degenerate failure branch)")
-        return reference_direct(s_plus, s_minus, lambda_s)
-    if n_s + n_f < 1:
-        raise NoDataError("no informative counts")
-    if n_f == 0:
-        return reference_direct(s_plus, s_minus, lambda_s)
-    if n_s == 0:
-        return reference_direct(f_plus, f_minus, lambda_f)
-    theta_s = reference_direct(s_plus, s_minus, lambda_s)
-    theta_f = reference_direct(f_plus, f_minus, lambda_f)
-    w_s = n_s * lambda_f**2
-    w_f = n_f * lambda_s**2
-    return (w_s * theta_s + w_f * theta_f) / (w_s + w_f)
-
-
-def reference_estimates(rows, estimate):
-    kept = []
-    for row in rows:
-        try:
-            kept.append(estimate(row))
-        except NoDataError:
-            continue
-    return kept
 
 
 def hexes(values):
@@ -414,26 +363,23 @@ class TestArrayEstimatorsMatchReference:
     @settings(max_examples=300, deadline=None)
     @given(rows=rows_st, lambda_s=lam_st, lambda_f=st.none() | lam_st)
     def test_nla_rows(self, rows, lambda_s, lambda_f):
-        kept, want = [], []
-        for row in rows:
-            try:
-                want.append(reference_nla(row, lambda_s, lambda_f))
-            except NoDataError:
+        counts = np.array(rows, dtype=np.int64)
+        want, has_data = oracle.mle(counts, lambda_s, lambda_f)
+        for row, estimate, ok in zip(rows, want, has_data):
+            if ok:
+                assert hexes([mle_nla(row, lambda_s, lambda_f)]) == hexes([estimate])
+            else:
                 with pytest.raises(NoDataError):
                     mle_nla(row, lambda_s, lambda_f)
-                continue
-            kept.append(row)
-            assert hexes([mle_nla(row, lambda_s, lambda_f)]) == hexes(want[-1:])
-        got = mle_nla(np.array(kept, dtype=np.int64).reshape(-1, 5), lambda_s, lambda_f)
-        assert hexes(got) == hexes(want)
+        assert hexes(mle_nla(counts[has_data], lambda_s, lambda_f)) == hexes(want[has_data])
 
     @settings(max_examples=300, deadline=None)
     @given(rows=rows_st, lam=lam_st)
     def test_direct_rows(self, rows, lam):
         pairs = np.array(rows, dtype=np.int64)[:, :2]
-        want = reference_estimates(pairs, lambda pair: reference_direct(int(pair[0]), int(pair[1]), lam))
-        kept = pairs[pairs.sum(axis=1) >= 1]
-        assert hexes(mle_direct(kept[:, 0], kept[:, 1], lam)) == hexes(want)
+        want, has_data = oracle.mle(pairs, lam)
+        kept = pairs[has_data]
+        assert hexes(mle_direct(kept[:, 0], kept[:, 1], lam)) == hexes(want[has_data])
         if len(kept) < len(pairs):
             with pytest.raises(NoDataError):
                 mle_direct(pairs[:, 0], pairs[:, 1], lam)
@@ -456,13 +402,15 @@ class TestArrayEstimatorsMatchReference:
         obs, probs = montecarlo._direct_setup(config)
         key = kernels.derive_key(config.seed, montecarlo._STREAM_DIRECT)
         counts = kernels.categorical_counts(key, 0, config.runs, config.m, probs)
-        direct = reference_estimates(counts, lambda row: reference_direct(int(row[0]), int(row[1]), obs.lam))
+        estimates, has_data = oracle.mle(counts, obs.lam)
+        direct = estimates[has_data]
 
         obs_s, obs_f, probs = montecarlo._nla_setup(config)
         lam_f = None if obs_f is None else obs_f.lam
         key = kernels.derive_key(config.seed, montecarlo._STREAM_NLA)
         counts = kernels.categorical_counts(key, 0, config.runs, config.m, probs)
-        nla = reference_estimates(counts, lambda row: reference_nla(row, obs_s.lam, lam_f))
+        estimates, has_data = oracle.mle(counts, obs_s.lam, lam_f)
+        nla = estimates[has_data]
 
         assert (lam_f is None) == (config.n0 == 1 or config.gain == 1.0)
         if (config.gain, config.n0) == (8.0, 1):
@@ -511,30 +459,10 @@ class TestEigenvalueChecks:
         assert mle_nla([5, 3, 1, 0, 0], lam, None).hex() == want.hex()
 
 
-# The estimators before they read each count column once, written out: every
-# estimate must be the same double.
-
-
-def old_mle_direct(n_plus, n_minus, lam):
-    pairs = np.stack(np.broadcast_arrays(n_plus, n_minus), axis=-1)
-    return lam * (pairs[..., 0] - pairs[..., 1]) / np.maximum(pairs[..., 0] + pairs[..., 1], 1)
-
-
-def old_mle_nla(counts, lambda_s, lambda_f):
-    s_plus, s_minus, f_plus, f_minus = (counts[..., i] for i in range(4))
-    theta_s = lambda_s * (s_plus - s_minus) / np.maximum(s_plus + s_minus, 1)
-    if lambda_f is None:
-        return theta_s
-    theta_f = lambda_f * (f_plus - f_minus) / np.maximum(f_plus + f_minus, 1)
-    n_s = s_plus + s_minus
-    n_f = f_plus + f_minus
-    w_s = n_s * lambda_f**2
-    w_f = n_f * lambda_s**2
-    combined = (w_s * theta_s + w_f * theta_f) / (w_s + w_f)
-    return np.where(n_f == 0, theta_s, np.where(n_s == 0, theta_f, combined))
-
-
 class TestOnePassEstimatorsGiveTheOldDoubles:
+    """The estimators read each count column once; every estimate must be the double
+    of the whole-array expressions they replaced."""
+
     # m = 20 rows over more than three estimator blocks; about a fifth of the runs
     # have n_s = 0 and a tenth n_f = 0 (rows with neither are dropped)
     RUNS = 3 * estimator._BLOCK_RUNS + 123
@@ -556,7 +484,7 @@ class TestOnePassEstimatorsGiveTheOldDoubles:
         if lambda_f is None:
             counts = counts[n_s >= 1]
         got = mle_nla(counts, 1.37, lambda_f)
-        assert got.dtype == np.float64 and np.array_equal(got, old_mle_nla(counts, 1.37, lambda_f))
+        assert got.dtype == np.float64 and np.array_equal(got, oracle.mle(counts, 1.37, lambda_f)[0])
 
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("seed", [4, 11])
@@ -564,7 +492,7 @@ class TestOnePassEstimatorsGiveTheOldDoubles:
         counts = self.matrix(seed, order)
         counts = counts[counts[:, :2].sum(axis=1) >= 1]
         got = mle_direct(counts[:, 0], counts[:, 1], 0.61)
-        want = old_mle_direct(counts[:, 0], counts[:, 1], 0.61)
+        want = oracle.mle(counts, 0.61)[0]
         assert got.dtype == np.float64 and np.array_equal(got, want)
 
     def test_shapes(self):
@@ -572,8 +500,9 @@ class TestOnePassEstimatorsGiveTheOldDoubles:
         counts = self.matrix(4, "F")[:600]
         assert type(mle_nla(counts[7], 1.37, 0.81)) is float
         stacked = counts.reshape(20, 30, 5)
-        assert np.array_equal(mle_nla(stacked, 1.37, 0.81), old_mle_nla(stacked, 1.37, 0.81))
+        assert np.array_equal(mle_nla(stacked, 1.37, 0.81), oracle.mle(stacked, 1.37, 0.81)[0])
         pairs = counts[counts[:, :2].sum(axis=1) >= 1][:, :2]
         got = mle_direct(pairs[:, :1], pairs[0, 1], 0.61)  # a column against one count
         assert got.shape == (len(pairs), 1)
-        assert np.array_equal(got, old_mle_direct(pairs[:, :1], pairs[0, 1], 0.61))
+        want = oracle.mle(np.stack(np.broadcast_arrays(pairs[:, :1], pairs[0, 1]), axis=-1), 0.61)[0]
+        assert np.array_equal(got, want)

@@ -1,6 +1,5 @@
 """Tests for the branch Fisher information bookkeeping."""
 
-import functools
 import json
 import math
 import random
@@ -8,18 +7,14 @@ import tracemalloc
 import warnings
 from dataclasses import replace
 
-import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import gammainc
-from scipy.stats import binom
 
 from nlaphase import (
     CoherentParams,
     FisherBreakdown,
-    FockVector,
     NlaParams,
     apply_branch,
     binomial_tail,
@@ -40,45 +35,13 @@ from nlaphase import (
 from nlaphase.cli import main
 from nlaphase.errors import NoCrossingError
 
+import oracle
+
 # frozen from the high-cutoff mpmath brute-force oracle (numerical derivative of
 # the normalized branch amplitudes at 50 digits); see also the float64
-# finite-difference oracle below which re-derives them at test time
+# finite-difference oracle, which re-derives them at test time
 J_S_PAPER_POINT = 0.948176848961115
 J_F_PAPER_POINT = 0.181405895691610
-
-
-def qfi_finite_difference_oracle(r, g, n0, branch, hi_cutoff=60, h=1e-5):
-    """Brute-force branch QFI: explicit amplitudes in a large basis, numerically
-    normalized, differentiated by central differences.  Independent of the
-    production path (no recurrence, no closed-form probability, no i*n rule)."""
-
-    def normalized(theta):
-        alpha = r * np.exp(1j * theta)
-        n = np.arange(hi_cutoff + 1, dtype=float)
-        log_fact = np.cumsum(np.log(np.maximum(n, 1.0)))
-        amps = np.exp(-r**2 / 2) * alpha ** n * np.exp(-log_fact / 2)
-        if branch == "success":
-            w = np.where(n <= n0, float(g) ** (n - n0), 1.0)
-        else:
-            w = np.where(n <= n0, np.sqrt(np.maximum(0.0, 1.0 - float(g) ** (2 * (n - n0)))), 0.0)
-        v = w * amps
-        return v / np.linalg.norm(v)
-
-    psi = normalized(0.0)
-    dpsi = (normalized(h) - normalized(-h)) / (2 * h)
-    overlap = np.vdot(psi, dpsi)
-    return 4.0 * (np.vdot(dpsi, dpsi).real - abs(overlap) ** 2)
-
-
-def mpmath_failure_information(r, g, n0, dps=60):
-    """4 Var(n) under the failure law, Poisson(r^2) times 1 - g^(2(n - n0)) on levels
-    0..n0-1, summed at `dps` digits: no state vector, no double that can underflow."""
-    with mp.workdps(dps):
-        mu, g = mp.mpf(r) ** 2, mp.mpf(g)
-        w = [mp.exp(-mu) * mu**n / mp.factorial(n) * (1 - g ** (2 * (n - n0))) for n in range(n0)]
-        total = mp.fsum(w)
-        mean = mp.fsum(n * x for n, x in enumerate(w)) / total
-        return float(4 * mp.fsum((n - mean) ** 2 * x for n, x in enumerate(w)) / total)
 
 
 def paper_breakdown():
@@ -162,13 +125,16 @@ class TestBranchBreakdown:
         assert b.j_s == pytest.approx(J_S_PAPER_POINT, abs=1e-12)
         assert b.j_f == pytest.approx(J_F_PAPER_POINT, abs=1e-12)
         assert b.j_nla_asymptotic < b.j_alpha
+        # the frozen values are 4 Var(n) under each arm's law
+        for arm, frozen in (("success", J_S_PAPER_POINT), ("failure", J_F_PAPER_POINT)):
+            assert oracle.arm_information_mp(0.25, 2.0, 2, arm) == pytest.approx(frozen, abs=1e-12)
 
     @pytest.mark.parametrize("g", [1.5, 2.0, 4.0])
     @pytest.mark.parametrize("n0", [1, 2, 3])
     def test_against_finite_difference_oracle(self, g, n0):
         b = branch_breakdown(0.25, NlaParams(g, n0))
-        assert b.j_s == pytest.approx(qfi_finite_difference_oracle(0.25, g, n0, "success"), abs=1e-7)
-        assert b.j_f == pytest.approx(qfi_finite_difference_oracle(0.25, g, n0, "failure"), abs=1e-7)
+        assert b.j_s == pytest.approx(oracle.qfi_finite_difference(0.25, g, n0, "success"), abs=1e-7)
+        assert b.j_f == pytest.approx(oracle.qfi_finite_difference(0.25, g, n0, "failure"), abs=1e-7)
 
     @pytest.mark.parametrize("r", [0.1, 0.25, 0.5])
     @pytest.mark.parametrize("g", [1.5, 2.0, 4.0])
@@ -225,7 +191,7 @@ class TestBranchBreakdown:
         b = branch_breakdown(r, NlaParams(g, n0))
         assert b.p_f == 0.0 and apply_branch(CoherentParams(r), NlaParams(g, n0), 64)[1] is None
         assert b.j_f > 0.0
-        assert b.j_f == pytest.approx(mpmath_failure_information(r, g, n0), rel=1e-12)
+        assert b.j_f == pytest.approx(oracle.arm_information_mp(r, g, n0, "failure"), rel=1e-12)
         # p_f * j_f is still 0.0, so the asymptotic average is unchanged
         assert b.j_nla_asymptotic == b.p_s * b.j_s
 
@@ -256,7 +222,7 @@ class TestSupportPrefix:
                 if fail is not None:
                     assert b.j_f.hex() == qfi_pure(fail, phase_derivative(fail)).hex(), at
                 elif g > 1.0:
-                    want = mpmath_failure_information(r, float(g), n0)
+                    want = oracle.arm_information_mp(r, float(g), n0, "failure")
                     assert b.j_f == pytest.approx(want, rel=1e-12, abs=0.0), at
                 else:
                     assert b.j_f == 0.0, at
@@ -382,13 +348,13 @@ class TestBinomialTail:
         b = paper_breakdown()
         assert binomial_tail(1000, b.p_s, 90) == pytest.approx(0.0468, abs=0.0005)
 
-    def test_against_scipy_oracle(self):
+    def test_against_mpmath_oracle(self):
         rng = np.random.default_rng(7321)
         for _ in range(200):
             m = int(rng.integers(1, 3000))
             p = float(rng.uniform())
             k = int(rng.integers(0, m + 1))
-            want = float(binom.sf(k - 1, m, p))
+            want = oracle.binomial_tail_mp(m, p, k)
             got = binomial_tail(m, p, k)
             assert got == pytest.approx(want, abs=1e-12, rel=1e-9)
 
@@ -471,7 +437,7 @@ class TestTailArrayWalk:
         m, ks = levels
         got = binomial_tail(m, p, ks)
         assert got.shape == ks.shape
-        want = [reference_binomial_tail(m, p, k) for k in ks.tolist()]
+        want = [oracle.binomial_tail(m, p, k)[0] for k in ks.tolist()]
         assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
 
     @pytest.mark.parametrize("p", [1e-300, 0.5, 1.0 - 1e-12])
@@ -490,7 +456,7 @@ class TestTailArrayWalk:
         m, p = 3000, 0.4
         monkeypatch.setattr(fisher, "_WALK_TERMS", 64)
         got = binomial_tail(m, p, np.arange(m + 1))
-        want = [reference_binomial_tail(m, p, k) for k in range(m + 1)]
+        want = [oracle.binomial_tail(m, p, k)[0] for k in range(m + 1)]
         assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
 
     def test_scalar_far_from_the_mode_walks_in_little_memory(self):
@@ -532,7 +498,8 @@ class TestTailArrayWalk:
         else:
             starts = np.arange(math.floor(mode) - 1, -1, -1)
         picked = np.r_[0:300, 300 : starts.size : 97]
-        walks = [docstring_tail_loop(m, p, start, step) for start in starts[picked].tolist()]
+        # the walk from a start s is that of the level s above the mode, s + 1 below it
+        walks = [oracle.binomial_tail(m, p, s + (step < 0))[1:] for s in starts[picked].tolist()]
         want = [total.hex() for total, _ in walks]
         # the whole side (many rows, narrow rounds) and the picked rows alone (rows
         # far apart, fewer to a round)
@@ -560,7 +527,7 @@ class TestTailArrayWalk:
         monkeypatch.setattr(fisher, "np", CountingNumpy())
         got = binomial_tail(m, p, np.arange(m + 1))
         monkeypatch.undo()
-        want = [reference_binomial_tail(m, p, k) for k in range(m + 1)]
+        want = [oracle.binomial_tail(m, p, k)[0] for k in range(m + 1)]
         assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
         assert sum(entries) <= m * (m + 2), entries
 
@@ -578,82 +545,19 @@ class TestTailArrayWalk:
         assert peak < 10 * 8 * (m + 1), peak
 
 
-def docstring_tail_loop(m, p, start, step):
-    """The loop of `_tail_sums`' docstring for one row: its sum and the terms it adds."""
-    term = math.exp(
-        math.lgamma(m + 1) - math.lgamma(start + 1) - math.lgamma(m - start + 1)
-        + start * math.log(p) + (m - start) * math.log1p(-p)
-    )
-    ratio = p / (1.0 - p) if step > 0 else (1.0 - p) / p
-    total, j, added = 0.0, start, 0
-    while True:
-        total += term
-        added += 1
-        if term == 0.0 or term < total * 1e-18 or j == (m if step > 0 else 0):
-            return total, added
-        term *= (m - j) / (j + 1) * ratio if step > 0 else j / (m - j + 1) * ratio
-        j += step
-
-
-def reference_binomial_tail(m, p, k):
-    """binomial_tail as a walk that stops only on the relative threshold, never on
-    an exact zero: the same anchor, recurrence and operation order, term by term."""
-    if k == 0:
-        return 1.0
-    if p == 0.0:
-        return 0.0
-    if p == 1.0:
-        return 1.0
-
-    def term_at(j):
-        return math.exp(
-            math.lgamma(m + 1) - math.lgamma(j + 1) - math.lgamma(m - j + 1)
-            + j * math.log(p) + (m - j) * math.log1p(-p)
-        )
-
-    if k > (m + 1) * p:
-        term, ratio, total = term_at(k), p / (1.0 - p), 0.0
-        for j in range(k, m + 1):
-            total += term
-            if term < total * 1e-18:
-                break
-            term *= (m - j) / (j + 1) * ratio
-        return min(1.0, total)
-    term, ratio, total = term_at(k - 1), (1.0 - p) / p, 0.0
-    for j in range(k - 1, -1, -1):
-        total += term
-        if term < total * 1e-18:
-            break
-        if j > 0:
-            term *= j / (m - j + 1) * ratio
-    return max(0.0, 1.0 - total)
-
-
-@functools.cache
-def reference_choose_cutoff(r, n0, gain):
-    """choose_cutoff as a one-level-at-a-time scan from the floor n0 + 1.
-
-    Kept per argument tuple: at r = 30 one scan makes about 10**5 scalar calls."""
-    mu = (gain * r) ** 2
-    n = n0 + 1
-    while gammainc(n + 1, mu) >= 1e-12:
-        n += 1
-    return n
-
-
 FRACTION_M = 10000
 
 
 @pytest.fixture(scope="module")
-def fraction_tail_reference():
+def fraction_tail_column():
     # every row of the fraction dataset at m = 10000 and the paper working point
     p = paper_breakdown().p_s
-    return p, [reference_binomial_tail(FRACTION_M, p, k) for k in range(FRACTION_M + 1)]
+    return p, [oracle.binomial_tail(FRACTION_M, p, k)[0] for k in range(FRACTION_M + 1)]
 
 
 class TestTailReferenceEquality:
-    def test_binomial_tail_every_row_at_large_m(self, fraction_tail_reference):
-        p, want = fraction_tail_reference
+    def test_binomial_tail_every_row_at_large_m(self, fraction_tail_column):
+        p, want = fraction_tail_column
         got = [binomial_tail(FRACTION_M, p, k) for k in range(FRACTION_M + 1)]
         assert [v.hex() for v in got] == [v.hex() for v in want]
 
@@ -662,14 +566,14 @@ class TestTailReferenceEquality:
     def test_binomial_tail_grid(self, p):
         for m in (1, 2, 5, 40, 333, 1500):
             for k in range(m + 1):
-                assert binomial_tail(m, p, k).hex() == reference_binomial_tail(m, p, k).hex()
+                assert binomial_tail(m, p, k).hex() == oracle.binomial_tail(m, p, k)[0].hex()
 
     @pytest.mark.parametrize("r", [0.0, 1e-3, 0.25, 1.0, 4.0, 16.0, 30.0])
     def test_choose_cutoff_default_grid(self, r):
         for n0 in (1, 2, 3, 6):
             for g in default_gain_grid():
                 got = choose_cutoff(CoherentParams(r), n0, float(g))
-                assert got == reference_choose_cutoff(r, n0, float(g)), (r, n0, g)
+                assert oracle.cutoff_contract_holds(got, r, n0, float(g)), (r, n0, g)
 
     @pytest.mark.parametrize("r", [0.25, 16.0, 30.0])
     def test_choose_cutoff_independent_of_call_order(self, r):
@@ -682,15 +586,11 @@ class TestTailReferenceEquality:
             cold[n0, g] = choose_cutoff(CoherentParams(r), n0, g)
         for n0, g in points:
             warm = choose_cutoff(CoherentParams(r), n0, g)
-            want = reference_choose_cutoff(r, n0, g)
             assert type(warm) is int
-            assert warm == cold[n0, g] == want, (r, n0, g)
+            assert warm == cold[n0, g] and oracle.cutoff_contract_holds(warm, r, n0, g), (r, n0, g)
 
-    def test_choose_cutoff_large_r_point(self):
-        assert choose_cutoff(CoherentParams(16.0), 1, 8.0) == 17292
-
-    def test_fraction_dataset_tail_column(self, tmp_path, fraction_tail_reference):
-        _, want = fraction_tail_reference
+    def test_fraction_dataset_tail_column(self, tmp_path, fraction_tail_column):
+        _, want = fraction_tail_column
         out = tmp_path / "fraction.json"
         assert main(["fraction", "--m", str(FRACTION_M), "--r", "0.25", "--gain", "2",
                      "--n0", "2", "--format", "json", "--output", str(out)]) == 0

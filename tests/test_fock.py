@@ -3,7 +3,6 @@
 import math
 import random
 
-import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -18,7 +17,6 @@ from nlaphase import (
     coherent_state,
     fisher,
     fock,
-    heralding_probabilities,
     inner_product,
     nla,
     phase_derivative,
@@ -26,27 +24,7 @@ from nlaphase import (
 )
 from nlaphase.errors import DimensionMismatchError
 
-
-def poisson_sides_oracle(n, mu, dps=30):
-    """(P[N <= n], P[N > n], pmf at n) for N ~ Poisson(mu), finite mu > 0, as mpf values.
-
-    The side away from the mode is summed term by term from its first term, whose
-    logarithm mpmath evaluates, until a term is below 2**-60 of the sum; the other
-    side is the complement.  No gammainc: mpmath's raised NoConvergence near mu = 1.2e7.
-    """
-    with mp.workdps(dps):
-        m = mp.mpf(mu)
-        first, step = (n, -1) if n < mu else (n + 1, 1)
-        term, total, k = mp.mpf(1), mp.mpf(0), first
-        while True:
-            total += term
-            if term < total * mp.mpf(2) ** -60 or k + step < 0:
-                break
-            term = term * (k / m if step < 0 else m / (k + 1))
-            k += step
-        side = mp.exp(-m + first * mp.log(m) - mp.loggamma(first + 1)) * total
-        pmf = mp.exp(-m + n * mp.log(m) - mp.loggamma(n + 1))
-        return (side, 1 - side, pmf) if step < 0 else (1 - side, side, pmf)
+import oracle
 
 
 def cutoff_points_past_1800(count=6, seed=20):
@@ -69,10 +47,7 @@ class TestChooseCutoff:
     def test_matches_tail_oracle(self):
         # smallest N >= 3 with Poisson(0.25) tail below 1e-12, from the mpmath oracle
         n = choose_cutoff(CoherentParams(0.25), 2, 2.0)
-        assert n == 9
-        mu = (2.0 * 0.25) ** 2
-        assert poisson_sides_oracle(n, mu)[1] < 1e-12
-        assert poisson_sides_oracle(n - 1, mu)[1] >= 1e-12
+        assert n == 9 and oracle.cutoff_contract_holds(n, 0.25, 2, 2.0)
 
     @pytest.mark.parametrize(
         "r, n0, g", [(34.83, 15, 98.22), *cutoff_points_past_1800()], ids=lambda v: f"{v:.6g}"
@@ -83,9 +58,7 @@ class TestChooseCutoff:
         n = choose_cutoff(CoherentParams(r), n0, g)
         if (r, n0, g) == (34.83, 15, 98.22):
             assert n == 11727332
-        _, tail_before, pmf = poisson_sides_oracle(n - 1, (g * r) ** 2)
-        with mp.workdps(30):
-            assert tail_before >= mp.mpf("1e-12") > tail_before - pmf
+        assert oracle.cutoff_contract_holds(n, r, n0, g)
 
     def test_floor_respected(self):
         for n0 in (1, 3, 5):
@@ -202,7 +175,7 @@ class TestPoissonTails:
             return
         n = max(0, int(mu + z * math.sqrt(mu)))
         got = fock._poisson_tails(n, mu)
-        below, above, _ = poisson_sides_oracle(n, mu)
+        below, above, _ = oracle.poisson_sides_mp(n, mu)
         want = (float(below), float(above))
         small = 0 if n < mu else 1
         run = fock._pmf_run(n, mu, -1) if n < mu else fock._pmf_run(n + 1, mu, 1)
@@ -227,18 +200,13 @@ class TestCoherentState:
             assert abs(v.norm_sq - 1.0) < 1e-12
 
     def test_mean_photon_number_is_r_squared(self):
-        # Poisson mean identity, cross-checked against an explicit series sum;
-        # the amplified-bound cutoff (n0=2, g=2) leaves no visible truncation
+        # Poisson mean identity (r^2 = 0.0625 is a double); the amplified-bound cutoff
+        # (n0=2, g=2) leaves no visible truncation
         r = 0.25
         n = choose_cutoff(CoherentParams(r), 2, 2.0)
         v = coherent_state(CoherentParams(r), n)
         mean_n = float(np.sum(np.arange(v.cutoff + 1) * np.abs(v.amplitudes) ** 2))
-        assert abs(mean_n - r**2) < 1e-12
-        with mp.workdps(40):
-            series = mp.fsum(
-                [k * mp.e ** (-mp.mpf(r) ** 2) * mp.mpf(r) ** (2 * k) / mp.factorial(k) for k in range(60)]
-            )
-        assert abs(mean_n - float(series)) < 1e-13
+        assert abs(mean_n - r**2) < 1e-13
 
     def test_matches_explicit_formula(self):
         r, theta = 0.7, 1.1
@@ -277,15 +245,8 @@ class TestCoherentState:
             coherent_state(CoherentParams(r), 10)
 
 
-def coherent_reference(r, theta, cutoff):
-    """The recurrence as one call ran it before amplitudes were reused across calls."""
-    vacuum = math.exp(-0.5 * r**2)
-    alpha = r * np.exp(1j * theta)
-    amps = np.zeros(cutoff + 1, dtype=np.complex128)
-    amps[0] = vacuum
-    for n in range(cutoff):
-        amps[n + 1] = amps[n] * alpha / math.sqrt(n + 1)
-    return amps
+def column_bytes(table):
+    return {name: column.tobytes() for name, column in table.items()}
 
 
 REUSE_R = [0.0, -0.0, 1e-3, 0.25, 1.0, 4.0, 16.0, 30.0]
@@ -298,7 +259,7 @@ class TestCoherentStateReuse:
     def assert_calls_match_reference(self, calls):
         for r, theta, cutoff in calls:
             got = coherent_state(CoherentParams(r, theta), cutoff).amplitudes
-            assert got.tobytes() == coherent_reference(r, theta, cutoff).tobytes(), (r, theta, cutoff)
+            assert got.tobytes() == oracle.coherent_state(r, theta, cutoff).tobytes(), (r, theta, cutoff)
 
     @pytest.mark.parametrize(
         "cutoffs",
@@ -370,7 +331,7 @@ class TestCoherentStateReuse:
         cutoff = int(r * r) + 2000
         last = fock._branch_cutoff(params, cutoff, 1)
         run = fock._state_run(params)[0]
-        want = coherent_reference(r, theta, cutoff)
+        want = oracle.coherent_state(r, theta, cutoff)
         zero_from = int((want == 0).argmax())
         assert not want[zero_from:].any() and want[zero_from - 1] != 0
         assert last + 1 == run.size == -(-zero_from // 64) * 64 < cutoff
@@ -382,14 +343,11 @@ class TestCoherentStateReuse:
             assert fock._branch_cutoff(params, c, 1) == min(last, c)
 
     def test_sweep_rows_match_the_reference_loop(self, monkeypatch):
-        def column_bytes(table):
-            return {name: column.tobytes() for name, column in table.items()}
-
         reused = column_bytes(sweep_gain(16, [1, 6], gains=[1, 2.5, 8]))
         monkeypatch.setattr(
             nla,
             "coherent_state",
-            lambda params, cutoff: FockVector(coherent_reference(params.r, params.theta, cutoff)),
+            lambda params, cutoff: FockVector(oracle.coherent_state(params.r, params.theta, cutoff)),
         )
         assert reused == column_bytes(sweep_gain(16, [1, 6], gains=[1, 2.5, 8]))
 
@@ -506,28 +464,6 @@ class TestFockVector:
             v.amplitudes[0] = 0.0
 
 
-def old_apply_branch(input, params, cutoff):
-    """apply_branch as it was written with whole weight arrays and copying vectors."""
-    p_s, p_f = heralding_probabilities(input.r, params)
-    alpha = FockVector(coherent_state(input, cutoff).amplitudes)
-    n0 = params.n0
-    ratio = np.power(params.gain, np.arange(n0 + 1, dtype=np.float64) - n0)
-    w_s = np.ones(cutoff + 1)
-    w_f = np.zeros(cutoff + 1)
-    w_s[: n0 + 1] = ratio
-    w_f[: n0 + 1] = np.sqrt(np.maximum(0.0, 1.0 - ratio**2))
-    succ = FockVector(w_s * alpha.amplitudes / math.sqrt(p_s))
-    if p_f == 0.0:
-        return succ, None
-    return succ, FockVector(w_f * alpha.amplitudes / math.sqrt(p_f))
-
-
-def old_phase_derivative(v):
-    """phase_derivative as it was written, building its factors on every call."""
-    n = np.arange(v.cutoff + 1)
-    return FockVector(1j * n * v.amplitudes)
-
-
 class TestStateArraysMatchOldExpressions:
     """Branch states and derivatives hold the bytes of the expressions that built them
     before; TestCoherentStateReuse checks coherent_state the same way."""
@@ -540,7 +476,7 @@ class TestStateArraysMatchOldExpressions:
         for n0 in (1, 2, 8):
             params = NlaParams(g, n0)
             for cutoff in (n0, n0 + 60, choose_cutoff(input, n0, g), n0 + 3):
-                got, want = apply_branch(input, params, cutoff), old_apply_branch(input, params, cutoff)
+                got, want = apply_branch(input, params, cutoff), oracle.apply_branch(input, params, cutoff)
                 assert (got[1] is None) == (want[1] is None) == (g == 1.0 or r == 30.0)
                 for state, old in zip(got, want):
                     if state is None:
@@ -548,17 +484,14 @@ class TestStateArraysMatchOldExpressions:
                     where = (n0, cutoff)
                     assert state.amplitudes.tobytes() == old.amplitudes.tobytes(), where
                     derivative = phase_derivative(state).amplitudes
-                    assert derivative.tobytes() == old_phase_derivative(old).amplitudes.tobytes(), where
+                    assert derivative.tobytes() == oracle.phase_derivative(old).amplitudes.tobytes(), where
 
     @pytest.mark.parametrize("r", REUSE_R)
     def test_sweep_rows(self, monkeypatch, r):
-        def column_bytes(table):
-            return {name: column.tobytes() for name, column in table.items()}
-
         # the longest cutoff first, then shorter ones: the kept run serves by prefix
         got = column_bytes(sweep_gain(r, [8, 2, 1], gains=[8.0, 1.5, 1.0]))
-        monkeypatch.setattr(fisher, "apply_branch", old_apply_branch)
-        monkeypatch.setattr(fisher, "phase_derivative", old_phase_derivative)
+        monkeypatch.setattr(fisher, "apply_branch", oracle.apply_branch)
+        monkeypatch.setattr(fisher, "phase_derivative", oracle.phase_derivative)
         assert got == column_bytes(sweep_gain(r, [8, 2, 1], gains=[8.0, 1.5, 1.0]))
 
 

@@ -13,21 +13,14 @@ from hypothesis import strategies as st
 from nlaphase import kernels
 from nlaphase.kernels import categorical_counts, derive_key, uniform_stream
 
-
-def reference_hash(key, counter):
-    """The 64-bit hash behind one draw, on masked python ints."""
-    mask = (1 << 64) - 1
-    z = (key + ((counter + 1) * 0x9E3779B97F4A7C15 & mask)) & mask
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & mask
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & mask
-    return z ^ (z >> 31)
+import oracle
 
 
 class TestMixer:
     def test_scalar_matches_vector_pipeline(self):
         key = derive_key(123456789, 3)
         got = uniform_stream(key, 0, 8)
-        want = [(reference_hash(key, c) >> 11) * 2.0**-53 for c in range(8)]
+        want = [(oracle.hash64(key, c) >> 11) * 2.0**-53 for c in range(8)]
         np.testing.assert_array_equal(got, np.array(want))
 
     def test_derive_key_distinct_streams(self):
@@ -172,21 +165,10 @@ class TestCategoricalCounts:
         assert counts.shape == (0, 2)
 
 
-def reference_counts(key, run0, runs, m, probs):
-    """Per-row bincount of searchsorted over the raw uniforms: the float categorization."""
-    probs = np.asarray(probs, dtype=np.float64)
-    cdf = np.cumsum(probs[:-1])
-    cat = np.searchsorted(cdf, uniform_stream(key, run0 * m, runs * m), side="right")
-    out = np.zeros((runs, probs.size), dtype=np.int64)
-    for i, row in enumerate(cat.reshape(runs, m)):
-        out[i] = np.bincount(row, minlength=probs.size)
-    return out
-
-
-def assert_matches_reference(key, run0, runs, m, probs):
+def assert_counts_match(key, run0, runs, m, probs):
     got = categorical_counts(key, run0, runs, m, probs)
     assert got.dtype == np.int64 and got.flags.f_contiguous  # each category's counts contiguous
-    np.testing.assert_array_equal(got, reference_counts(key, run0, runs, m, probs))
+    np.testing.assert_array_equal(got, oracle.categorical_counts(key, run0, runs, m, probs))
     return got
 
 
@@ -212,7 +194,7 @@ class TestNumpyKernelMatchesReference:
     )
     @pytest.mark.parametrize("m", [1, 20, 97, 1000])
     def test_fixed_vectors(self, probs, m):
-        got = assert_matches_reference(self.KEY, 3, 70, m, probs)
+        got = assert_counts_match(self.KEY, 3, 70, m, probs)
         if probs[-1] == 0.0:
             np.testing.assert_array_equal(got[:, -1], 0)
 
@@ -220,7 +202,7 @@ class TestNumpyKernelMatchesReference:
     def test_column_major_counts_at_m_20(self, probs):
         # the simulate path's row length over three chunks and part of a fourth
         runs = 3 * (kernels._BLOCK_TRIALS // 20) + 17
-        got = assert_matches_reference(self.KEY, 0, runs, 20, probs)
+        got = assert_counts_match(self.KEY, 0, runs, 20, probs)
         assert got.shape == (runs, len(probs)) and not got.flags.c_contiguous
         assert all(got[:, j].flags.c_contiguous for j in range(len(probs)))
 
@@ -236,17 +218,17 @@ class TestNumpyKernelMatchesReference:
             a, b = np.nextafter(a, nudge), np.nextafter(b, nudge)
         probs = [a, b - a, 1.0 - b]
         assert np.array_equal(np.cumsum(probs[:-1]), [a, b])
-        got = assert_matches_reference(self.KEY, run0, runs, m, probs)
+        got = assert_counts_match(self.KEY, run0, runs, m, probs)
         assert got[:, 0].sum() == 3 + (nudge == 1.0)
 
     def test_cdf_entry_at_a_draw_whose_hash_is_its_threshold(self):
         # a hash with its low 11 bits clear equals the threshold of its own uniform,
         # so that draw passes only under z >= threshold, not z > threshold
         m, runs = 100, 60
-        exact = [c for c in range(runs * m) if reference_hash(self.KEY, c) & 0x7FF == 0]
+        exact = [c for c in range(runs * m) if oracle.hash64(self.KEY, c) & 0x7FF == 0]
         assert exact, "no hash with clear low bits in the stream"
         a = uniform_stream(self.KEY, exact[0], 1)[0]
-        assert_matches_reference(self.KEY, 0, runs, m, [a, 1.0 - a])
+        assert_counts_match(self.KEY, 0, runs, m, [a, 1.0 - a])
 
     @pytest.mark.parametrize("m", [1, 20, 1000, kernels._BLOCK_TRIALS + 3])
     def test_runs_across_chunk_boundaries(self, m):
@@ -256,7 +238,7 @@ class TestNumpyKernelMatchesReference:
         runs = 2 * chunk + 3 if chunk > 1 else 3
         run0 = chunk - 1 if chunk > 1 else 7
         probs = [0.1, 0.0, 0.6, 0.3]
-        got = assert_matches_reference(self.KEY, run0, runs, m, probs)
+        got = assert_counts_match(self.KEY, run0, runs, m, probs)
         whole = categorical_counts(self.KEY, 0, run0 + runs, m, probs)
         np.testing.assert_array_equal(whole[run0:], got)
 
@@ -268,7 +250,7 @@ class TestNumpyKernelMatchesReference:
         # sums every width in float64, as rows of 2**24 or more trials are.
         monkeypatch.setattr(kernels, "_FLOAT32_EXACT", float32_exact)
         runs = 2 * max(1, kernels._BLOCK_TRIALS // m) + 1
-        assert_matches_reference(self.KEY, 5, runs, m, [0.0, 1e-5, 0.3, 0.7 - 2e-5, 1e-5])
+        assert_counts_match(self.KEY, 5, runs, m, [0.0, 1e-5, 0.3, 0.7 - 2e-5, 1e-5])
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -282,7 +264,7 @@ class TestNumpyKernelMatchesReference:
     )
     def test_random_vectors(self, weights, m, runs, run0, key):
         probs = np.array(weights) / sum(weights)
-        assert_matches_reference(key, run0, runs, m, probs)
+        assert_counts_match(key, run0, runs, m, probs)
 
 
 
@@ -307,7 +289,7 @@ class TestWorkerThreads:
     )
     def test_counts_do_not_depend_on_workers(self, monkeypatch, workers, m, run0, runs):
         monkeypatch.setattr(kernels, "_workers", lambda: workers)
-        assert_matches_reference(self.KEY, run0, runs, m, self.PROBS)
+        assert_counts_match(self.KEY, run0, runs, m, self.PROBS)
 
     def test_chunk_counter_under_thread_switches(self, monkeypatch):
         # more threads than CPUs and a switch every microsecond race for 40 chunks
@@ -316,7 +298,7 @@ class TestWorkerThreads:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            assert_matches_reference(self.KEY, 3, 40, kernels._BLOCK_TRIALS + 1, self.PROBS)
+            assert_counts_match(self.KEY, 3, 40, kernels._BLOCK_TRIALS + 1, self.PROBS)
         finally:
             sys.setswitchinterval(interval)
 

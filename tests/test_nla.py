@@ -4,7 +4,6 @@ import math
 import sys
 from itertools import product
 
-import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,50 +22,15 @@ from nlaphase import (
     phase_derivative,
 )
 
-# frozen from the high-precision series oracle below (r=0.25, g=2, n0=2)
+import oracle
+
+# frozen from the high-precision series oracle (r=0.25, g=2, n0=2)
 P_S_PAPER_POINT = 0.075265266292984773
 P_F_PAPER_POINT = 0.924734733707015227
 
 GRID_R = [0.0, 0.1, 0.25, 0.5, 1.0, 1.5]
 GRID_G = [1.0, 1.5, 2.0, 4.0, 8.0]
 GRID_N0 = [1, 2, 3, 4, 5]
-
-
-def success_series_oracle(r, g, n0, dps=50):
-    """Independent high-precision evaluation by explicit series summation."""
-    with mp.workdps(dps):
-        r, g = mp.mpf(r), mp.mpf(g)
-        head = mp.fsum([g ** (2 * (n - n0)) * r ** (2 * n) / mp.factorial(n) for n in range(n0 + 1)])
-        tail = mp.e ** (r**2) - mp.fsum([r ** (2 * n) / mp.factorial(n) for n in range(n0 + 1)])
-        return float(mp.e ** (-(r**2)) * (head + tail))
-
-
-def branch_probabilities_oracle(r, g, n0, dps=60):
-    """(p_s, p_f) from the head sum over n <= n0 of Poisson(r^2) terms and mpmath's tail."""
-    with mp.workdps(dps):
-        r, g = mp.mpf(r), mp.mpf(g)
-        mu = r * r
-        terms = [mp.e ** (-mu) * mu**n / mp.factorial(n) for n in range(n0 + 1)]
-        ratio = [g ** (2 * (n - n0)) for n in range(n0 + 1)]
-        head = mp.fsum(t * w for t, w in zip(terms, ratio))
-        fail = mp.fsum(t * (1 - w) for t, w in zip(terms, ratio))
-        tail = mp.gammainc(n0 + 1, 0, mu, regularized=True)
-        return float(head + tail), float(fail)
-
-
-def looped_branch_probabilities(r, g, n0):
-    """The running-term loop that the probabilities are kept bit-identical to."""
-    w = math.exp(-r * r)
-    g2 = g**2
-    term, gfac = 1.0, g2 ** (-n0)
-    head = plain = fail = 0.0
-    for n in range(n0 + 1):
-        head += term * gfac
-        plain += term
-        fail += term * (1.0 - gfac)
-        term *= r * r / (n + 1)
-        gfac *= g2
-    return w * head + (1.0 - w * plain), w * fail
 
 
 class TestOperators:
@@ -115,19 +79,10 @@ class TestOperators:
     def test_weights_equal_whole_array_formula(self, g, n0):
         # the weights are computed on the head 0..n0 only; every level must be the
         # double the formula over all levels gives
-        def whole_array(cutoff):
-            n = np.arange(cutoff + 1, dtype=np.float64)
-            ratio = np.power(g, np.minimum(n - n0, 0.0))
-            head = n <= n0
-            return (
-                np.where(head, ratio, 1.0),
-                np.where(head, np.sqrt(np.maximum(0.0, 1.0 - ratio**2)), 0.0),
-            )
-
         params = NlaParams(g, n0)
         for cutoff in (n0, n0 + 1, n0 + 3, 20000):
             got, again = arm_weights(params, cutoff), arm_weights(params, cutoff)
-            for w, want in zip(got, whole_array(cutoff)):
+            for w, want in zip(got, oracle.arm_weights(params, cutoff)):
                 assert w.dtype == np.float64 and w.shape == (cutoff + 1,)
                 assert w.flags.writeable
                 assert [v.hex() for v in w.tolist()] == [v.hex() for v in want.tolist()]
@@ -153,7 +108,7 @@ class TestProbabilities:
     def test_paper_point_against_series_oracle(self):
         p_s, p_f = heralding_probabilities(0.25, NlaParams(2.0, 2))
         assert p_s == pytest.approx(P_S_PAPER_POINT, abs=1e-12)
-        assert p_s == pytest.approx(success_series_oracle(0.25, 2, 2), abs=1e-12)
+        assert p_s == pytest.approx(oracle.heralding_probabilities_mp(0.25, 2, 2)[0], abs=1e-12)
         assert p_f == pytest.approx(P_F_PAPER_POINT, abs=1e-12)
 
     def test_vacuum_input(self):
@@ -208,14 +163,14 @@ class TestProbabilities:
         # e^{-r^2} or g^{-2 n0} is not a normal double here: the running-term loop
         # lost the head sum (p_s = 0.4834 for 0.5087 at the first point), went
         # negative, or turned into nan and inf
-        exact_s, exact_f = branch_probabilities_oracle(r, g, n0)
+        exact_s, exact_f = oracle.heralding_probabilities_mp(r, g, n0)
         p_s, p_f = heralding_probabilities(r, NlaParams(g, n0))
         assert p_s == pytest.approx(exact_s, rel=1e-11, abs=1e-300)
         assert p_f == pytest.approx(exact_f, rel=1e-11, abs=1e-300)
 
     def test_gain_too_large_to_square(self):
         # g^2 overflows a double; g^{-2 n0} is then 0.0 and the scaled path runs
-        exact_s, exact_f = branch_probabilities_oracle(0.5, 1e200, 2)
+        exact_s, exact_f = oracle.heralding_probabilities_mp(0.5, 1e200, 2)
         p_s, p_f = heralding_probabilities(0.5, NlaParams(1e200, 2))
         assert p_s == pytest.approx(exact_s, rel=1e-14)
         assert p_f == pytest.approx(exact_f, rel=1e-14)
@@ -234,12 +189,12 @@ class TestProbabilities:
             if math.exp(-r * r) >= sys.float_info.min and g ** (-2 * n0) >= sys.float_info.min
         ]
         for r, g, n0 in points:
-            want = looped_branch_probabilities(r, g, n0)
+            want = oracle.heralding_probabilities(r, g, n0)
             got = heralding_probabilities(r, NlaParams(g, n0))
             if want[0] >= 2**-16:
                 assert [p.hex() for p in got] == [p.hex() for p in want], (r, g, n0)
             else:
-                exact = branch_probabilities_oracle(r, g, n0)
+                exact = oracle.heralding_probabilities_mp(r, g, n0)
                 assert got == pytest.approx(exact, rel=1e-11, abs=0), (r, g, n0)
 
     @pytest.mark.parametrize(
@@ -249,8 +204,8 @@ class TestProbabilities:
     def test_small_success_probability_against_oracle(self, r, g, n0, loop_rel_error):
         # the loop's 1 - e^{-r^2} * sum cancels here, with the relative error in p_s
         # given; at the first point it gives 0.0 for 1.7687e-16
-        exact_s, exact_f = branch_probabilities_oracle(r, g, n0)
-        loop_s = looped_branch_probabilities(r, g, n0)[0]
+        exact_s, exact_f = oracle.heralding_probabilities_mp(r, g, n0)
+        loop_s = oracle.heralding_probabilities(r, g, n0)[0]
         assert abs(loop_s - exact_s) / exact_s == pytest.approx(loop_rel_error, rel=0.05)
         p_s, p_f = heralding_probabilities(r, NlaParams(g, n0))
         assert p_s == pytest.approx(exact_s, rel=1e-14, abs=0)
@@ -259,7 +214,7 @@ class TestProbabilities:
     def test_relative_error_on_a_small_amplitude_grid(self):
         # the loop above 2**-16 and the scaled path below stay within 2e-11 of p_s
         for r, g, n0 in product((0.0, 0.1, 0.25, 0.5, 1.0, 2.0), (1.0, 2.0, 16.0, 1e4), (1, 2, 5, 8, 12)):
-            exact_s, exact_f = branch_probabilities_oracle(r, g, n0)
+            exact_s, exact_f = oracle.heralding_probabilities_mp(r, g, n0)
             p_s, p_f = heralding_probabilities(r, NlaParams(g, n0))
             assert p_s == pytest.approx(exact_s, rel=2e-11, abs=0), (r, g, n0)
             assert p_f == pytest.approx(exact_f, rel=2e-11, abs=1e-300), (r, g, n0)
@@ -282,7 +237,7 @@ class TestProbabilities:
         st.integers(min_value=1, max_value=1000),
     )
     def test_probabilities_match_oracle(self, r, g, n0):
-        exact_s, exact_f = branch_probabilities_oracle(r, g, n0)
+        exact_s, exact_f = oracle.heralding_probabilities_mp(r, g, n0)
         p_s, p_f = heralding_probabilities(r, NlaParams(g, n0))
         assert p_s == pytest.approx(exact_s, rel=1e-10, abs=1e-12)
         assert p_f == pytest.approx(exact_f, rel=1e-10, abs=1e-12)
@@ -292,22 +247,6 @@ class TestProbabilities:
         for r in (-0.1, -1e80, math.nan, math.inf):
             with pytest.raises(ValueError):
                 heralding_probabilities(r, NlaParams(2.0, 2))
-
-
-def per_arm(input, params, branch, cutoff):
-    """One arm's weights and state from the single-arm formula, one arm per call.
-
-    The state is None where the arm's probability is 0.
-    """
-    p = heralding_probabilities(input.r, params)[branch == "failure"]
-    alpha = coherent_state(input, cutoff)
-    n = np.arange(cutoff + 1, dtype=np.float64)
-    ratio = np.power(params.gain, np.minimum(n - params.n0, 0.0))
-    if branch == "success":
-        weights = np.where(n <= params.n0, ratio, 1.0)
-    else:
-        weights = np.where(n <= params.n0, np.sqrt(np.maximum(0.0, 1.0 - ratio**2)), 0.0)
-    return weights, (weights * alpha.amplitudes / math.sqrt(p) if p > 0.0 else None)
 
 
 class TestApplyBranch:
@@ -372,11 +311,12 @@ class TestApplyBranch:
             states = apply_branch(input, params, cutoff)
             p_f = heralding_probabilities(r, params)[1]
             assert (states[1] is None) == (p_f == 0.0), (r, g, n0)
-            for branch, weights, state in zip(("success", "failure"), arm_weights(params, cutoff), states):
-                want_weights, want_state = per_arm(input, params, branch, cutoff)
+            arms = zip(arm_weights(params, cutoff), states, oracle.arm_weights(params, cutoff),
+                       oracle.apply_branch(input, params, cutoff))
+            for branch, (weights, state, want_weights, want_state) in zip(("success", "failure"), arms):
                 assert weights.tobytes() == want_weights.tobytes(), (r, g, n0, branch)
                 if state is not None:
-                    assert state.amplitudes.tobytes() == want_state.tobytes(), (r, g, n0, branch)
+                    assert state.amplitudes.tobytes() == want_state.amplitudes.tobytes(), (r, g, n0, branch)
 
 
 class TestDiagonalOperator:
