@@ -5,8 +5,11 @@ CASE names the layer:
 - `kernel`: `kernels.categorical_counts`, each size timed once after one warm-up
   call: m = 1000 x 20000 runs (the m of the README `simulate` point, at the run
   count the old kernel_bench.py timed) and m = 20 x 50000 runs (the perfbench
-  `mc-small-m` workload).  Check: on 200 runs at each m, the counts equal a
-  per-run `bincount` of `searchsorted` over `uniform_stream`'s float uniforms.
+  `mc-small-m` workload), with the minor page faults (`ru_minflt`) of the timed
+  call and the tracemalloc peak of the same call made once more, traced (a warm
+  call allocates the same arrays each time).  Check: on 200 runs at each m, the
+  counts equal a per-run `bincount` of `searchsorted` over `uniform_stream`'s
+  float uniforms.
 - `setup`: what comes before any work: `import nlaphase.cli` as the first thing
   in a fresh interpreter (`import_s`); the cumulative `-X importtime`
   microseconds of `nlaphase.cli` and `numpy` in a second interpreter; then the
@@ -29,9 +32,10 @@ CASE names the layer:
   the `fisher-sweep-large-r` workload.
 - `simulate`: the `mc-small-m` workload's call, `simulate --r 0.25 --gains
   1,2,8 --n0-list 1,2 --m 20 --runs 50000 --seed 4`, as the first call after
-  import (`call_s`), with its minor page faults (`call_minflt`).  Check: every
-  tree's dataset has the seed-4 sha256 that perfbench/digests.json records for
-  `mc-small-m`.
+  import (`call_s`), with its minor page faults (`call_minflt`), and the
+  tracemalloc peak of the same call made once more, traced (`call_peak_b`).
+  Check: every tree's dataset has the seed-4 sha256 that perfbench/digests.json
+  records for `mc-small-m`.
 
 Each tree is given as LABEL=PATH to a `src` directory, for example a checkout
 of the parent commit and this one.  Each of RUNS rounds starts one fresh
@@ -59,9 +63,14 @@ DIGESTS = os.path.join(os.path.dirname(HERE), "perfbench", "digests.json")
 # samples taken in one interpreter), "sha256" (of the results the trees must
 # agree on) and "failed" (messages of failed checks).
 KERNEL = """
-import hashlib, json, time
+import hashlib, json, resource, time, tracemalloc
 import numpy as np
 from nlaphase.kernels import categorical_counts, derive_key, uniform_stream
+
+
+def minflt():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
 
 probs = np.array([0.0376, 0.0376, 0.4624, 0.4624, 0.0])  # five-outcome working point
 key = derive_key(12345, 0)
@@ -76,10 +85,15 @@ for m in (1000, 20):
     digest.update(got.tobytes())
 for m, runs in ((1000, 20000), (20, 50000)):
     categorical_counts(key, 0, runs, m, probs)  # warm-up
-    start = time.perf_counter()
+    faults, start = minflt(), time.perf_counter()
     categorical_counts(key, 0, runs, m, probs)
-    seconds = time.perf_counter() - start
-    out["figures"].update({f"kernel_s m={m}": seconds, f"trials_per_s m={m}": runs * m / seconds})
+    seconds, faults = time.perf_counter() - start, minflt() - faults
+    tracemalloc.start()
+    categorical_counts(key, 0, runs, m, probs)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    out["figures"].update({f"kernel_s m={m}": seconds, f"trials_per_s m={m}": runs * m / seconds,
+                           f"kernel_minflt m={m}": faults, f"kernel_peak_b m={m}": peak})
 out["sha256"] = digest.hexdigest()
 print(json.dumps(out))
 """
@@ -193,6 +207,13 @@ print(json.dumps({"figures": figures, "sha256": sha256, "failed": []}))
 
 SIMULATE = ('ARGV = ["simulate", "--r", "0.25", "--gains", "1,2,8", "--n0-list", "1,2", "--m", "20", '
             '"--runs", "50000", "--seed", "4"]') + FIRST_CALL + """
+import tracemalloc
+
+with tempfile.TemporaryDirectory() as tmp:
+    tracemalloc.start()
+    cli.main(ARGV + ["--output", os.path.join(tmp, "dataset.csv")])
+    figures["call_peak_b"] = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
 print(json.dumps({"figures": figures, "sha256": sha256, "failed": []}))
 """
 

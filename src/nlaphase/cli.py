@@ -519,7 +519,7 @@ def main(argv=None) -> int:
     except NoBreakevenError as e:
         print(f"numerical degeneracy: {e}", file=sys.stderr)
         return 4
-    except ValueError as e:  # ConfigError included
+    except (ValueError, MemoryError) as e:  # ConfigError included; a size numpy refuses
         print(f"invalid configuration: {e}", file=sys.stderr)
         return 2
     except OSError as e:

@@ -31,6 +31,12 @@ the bytes never depend on how many CPUs there are or which thread drew which
 chunk; `taskset -c 0` runs the kernel on one thread, and a call of one chunk
 starts no thread.
 
+Each worker needs two uint64 buffers per trial of a chunk, z and tmp, beside one
+read-only table of 4096 counter steps (32 KiB) that every call shares.  A chunk's
+counters are laid out in lines of 4096 trials: one broadcast add of the table to
+the per-line bases gives every counter, and the compare mask is written into tmp,
+which the hash is done with by then.
+
 The tests and the `kernel` case of `benchmarks/bench.py` check the kernel against
 a per-run bincount of searchsorted over `uniform_stream`'s float uniforms.
 """
@@ -65,8 +71,16 @@ _INV53 = 1.0 / 9007199254740992.0  # 2**-53
 _TWO53 = 9007199254740992.0  # 2**53
 
 # the kernel hashes about this many trials per chunk, so that its buffers
-# (three uint64 and one float mask per trial) stay in a core's L2 cache
+# (two uint64 per trial, beside the 32 KiB line table) stay in a core's L2 cache
 _BLOCK_TRIALS = 1 << 16
+
+# a chunk's counters are hashed in lines of _LINE trials: trial j of a line whose
+# first counter is c hashes key + (c + j + 1) * GOLDEN, the line's base
+# key + c * GOLDEN plus _LINE_STEPS[j] = (j + 1) * GOLDEN, all mod 2**64
+_LINE = 1 << 12
+_LINE_STEPS = np.arange(1, _LINE + 1, dtype=np.uint64) * _U_GOLDEN
+_LINE_STEPS.flags.writeable = False
+_U_LINE_GOLDEN = np.uint64(_LINE * _GOLDEN & _MASK64)
 
 # row counts below this are summed in float32: every partial sum of 1.0/0.0 mask
 # entries is an integer no larger than the count, which float32 holds exactly
@@ -120,23 +134,24 @@ def _counts(key, cdf, m, run0, runs, out):
     chunk = max(1, _BLOCK_TRIALS // m)
     chunks = -(-runs // chunk)
     size = min(chunk, runs) * m
-    # trial i of a chunk whose first counter is c0 hashes key + (c0 + i + 1) * GOLDEN:
-    # step holds (i + 1) * GOLDEN, and each chunk adds key + c0 * GOLDEN, all mod 2**64
-    step = np.arange(1, size + 1, dtype=np.uint64)
-    np.multiply(step, _U_GOLDEN, out=step)
-    step.flags.writeable = False
-    # 1.0 where a draw passes a threshold; a product with ones counts each row
     dtype = np.float32 if m < _FLOAT32_EXACT else np.float64
+
+    def scratch():
+        # a worker's z and tmp come before any other array whose size scales with
+        # the chunk, so a size numpy refuses fails before anything large is written;
+        # the compare mask is tmp's buffer, viewed as float
+        tmp = np.empty(size, dtype=np.uint64)
+        return np.empty(size, dtype=np.uint64), tmp, tmp.view(dtype)
+
+    mine = scratch()
+    # 1.0 where a draw passes a threshold; a product with ones counts each row
     ones = np.ones(m, dtype=dtype)
     ones.flags.writeable = False
     claim, lock, errors = iter(range(chunks)), threading.Lock(), []
 
-    def draw():
+    def draw(z, tmp, mask):
         # each thread takes the next unclaimed chunk until none is left, and
         # writes only that chunk's rows of out
-        z = np.empty(size, dtype=np.uint64)
-        tmp = np.empty(size, dtype=np.uint64)
-        mask = np.empty(size, dtype=dtype)
         while not errors:
             with lock:
                 index = next(claim, None)
@@ -147,7 +162,14 @@ def _counts(key, cdf, m, run0, runs, out):
             rows = hi - lo
             n = rows * m
             zz, tt, mm = z[:n], tmp[:n], mask[:n]
-            np.add(step[:n], np.uint64((key + (run0 + lo) * m * _GOLDEN) & _MASK64), out=zz)
+            # line l of the chunk starts at counter (run0 + lo) * m + l * _LINE
+            full, rest = divmod(n, _LINE)
+            base = np.arange(full + (rest > 0), dtype=np.uint64)
+            np.multiply(base, _U_LINE_GOLDEN, out=base)
+            np.add(base, np.uint64((key + (run0 + lo) * m * _GOLDEN) & _MASK64), out=base)
+            np.add(base[:full, None], _LINE_STEPS, out=zz[: full * _LINE].reshape(full, _LINE))
+            if rest:
+                np.add(_LINE_STEPS[:rest], base[full], out=zz[full * _LINE :])
             np.right_shift(zz, _R30, out=tt)
             np.bitwise_xor(zz, tt, out=zz)
             np.multiply(zz, _U_MIX1, out=zz)
@@ -170,9 +192,9 @@ def _counts(key, cdf, m, run0, runs, out):
                 above = now
             out[lo:hi, -1] = above
 
-    def work():
+    def work(buffers=None):
         try:
-            draw()
+            draw(*(buffers or scratch()))
         except BaseException as exc:  # re-raised in the calling thread
             errors.append(exc)
 
@@ -183,7 +205,7 @@ def _counts(key, cdf, m, run0, runs, out):
             thread = threading.Thread(target=work)
             thread.start()
             threads.append(thread)
-        work()
+        work(mine)
     finally:
         for thread in threads:
             thread.join()

@@ -95,8 +95,9 @@ def precision_from_samples(estimates, theta_true: float, m: int) -> PrecisionRep
     if est.size < 1:
         raise ValueError("need at least one estimate")
     sq = est - theta_true
-    np.square(sq, out=sq)
-    mse = float(np.mean(sq))
+    with np.errstate(over="ignore"):  # an infinite square fails the finite check below
+        np.square(sq, out=sq)
+        mse = float(np.mean(sq))
     if not math.isfinite(mse):
         raise ValueError(f"estimates must give a finite mean square error, got {mse}")
     if mse == 0.0:

@@ -816,6 +816,30 @@ class TestExitCodes:
         assert "needs a cutoff above 2**24" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["simulate", "--runs", 10**16], ["simulate", "--m", 10**17, "--runs", 1], ["fraction", "--m", 10**17]],
+        ids=["simulate-runs", "simulate-m", "fraction-m"],
+    )
+    def test_allocation_numpy_refuses_exits_2(self, tmp_path, capsys, argv):
+        # each size asks for an array above 128 PiB, which numpy refuses before it
+        # touches any memory; numpy's MemoryError once ended the command with exit 1
+        assert run(*argv, "--output", tmp_path / "x.csv") == 2
+        assert "invalid configuration: Unable to allocate" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_overflowing_phase_error_exits_2_without_a_warning(self, tmp_path, capsys):
+        # (1e300 - estimate)**2 is past the largest double: numpy's overflow warning
+        # once came before the message
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run("simulate", "--theta-true", "1e300", "--gains", 2, "--n0-list", 1,
+                       "--m", 10, "--runs", 10, "--output", out)
+        assert code == 2
+        assert "invalid configuration: estimates must give a finite mean square error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_amplitude_without_representable_cutoff(self, tmp_path):
         assert run("fisher-sweep", "--r", "1e100", "--n0-list", "1", "--gains", "1",
                    "--output", tmp_path / "x.csv") == 2

@@ -3,6 +3,7 @@
 import os
 import sys
 import threading
+import tracemalloc
 import types
 
 import numpy as np
@@ -230,7 +231,7 @@ class TestNumpyKernelMatchesReference:
         a = uniform_stream(self.KEY, exact[0], 1)[0]
         assert_counts_match(self.KEY, 0, runs, m, [a, 1.0 - a])
 
-    @pytest.mark.parametrize("m", [1, 20, 1000, kernels._BLOCK_TRIALS + 3])
+    @pytest.mark.parametrize("m", [1, 20, 1000, kernels._LINE, kernels._LINE + 1, kernels._BLOCK_TRIALS + 3])
     def test_runs_across_chunk_boundaries(self, m):
         # a run count that is no multiple of the chunk, from a run0 > 0, so the call's
         # chunk boundaries fall inside the chunks of the same rows drawn from run 0
@@ -243,7 +244,9 @@ class TestNumpyKernelMatchesReference:
         np.testing.assert_array_equal(whole[run0:], got)
 
     @pytest.mark.parametrize("float32_exact", [kernels._FLOAT32_EXACT, 1], ids=["float32", "float64"])
-    @pytest.mark.parametrize("m", [1, 2, 20, 1000, kernels._BLOCK_TRIALS + 1])
+    # m = _LINE fills a chunk with exactly 16 lines; m = _LINE + 1 leaves a last line
+    # of one trial in a chunk of one run
+    @pytest.mark.parametrize("m", [1, 2, 20, 1000, kernels._LINE, kernels._LINE + 1, kernels._BLOCK_TRIALS + 1])
     def test_row_counts_at_every_row_width(self, monkeypatch, m, float32_exact):
         # rows are counted by a matrix-vector product of the 0/1 mask with ones; counts
         # sit at 0, near m and in between, over more than two chunks.  A limit of 1
@@ -345,6 +348,19 @@ class TestWorkerThreads:
         with pytest.raises(RuntimeError, match=f"^{failing} failed$"):
             kernels._counts(self.KEY, cdf, 1000, 0, out.shape[0], Rows(out))
         assert threading.active_count() == before
+
+    def test_scratch_is_two_uint64_per_chunk_trial(self, monkeypatch):
+        # each of two workers hashes a chunk of 65520 trials into its z and tmp, 16 B a
+        # trial; 512 KiB above them and the count matrix is room for the per-row counts
+        # (about 190 KB), not for a separate float mask per trial as well (about 720 KB)
+        monkeypatch.setattr(kernels, "_workers", lambda: 2)
+        tracemalloc.start()
+        try:
+            counts = categorical_counts(self.KEY, 0, 50000, 20, [0.0376, 0.0376, 0.4624, 0.4624, 0.0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= counts.nbytes + 2 * 16 * kernels._BLOCK_TRIALS + 512 * 1024
 
     def test_workers_are_the_usable_cpus(self, monkeypatch):
         if hasattr(os, "sched_getaffinity"):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -95,6 +96,16 @@ class TestPrecisionFromSamples:
         message = r"^estimates must give a finite mean square error, got (nan|inf)$"
         with pytest.raises(ValueError, match=message):
             precision_from_samples(estimates, 0.0, 20)
+
+    @pytest.mark.parametrize("estimates, theta_true", [([1e300], 0.0), ([0.1], -1e300), ([1e154, 1e154], 0.0)])
+    def test_overflowing_square_error_refused_without_a_warning(self, estimates, theta_true):
+        # a square or a sum past the largest double once raised numpy's overflow
+        # RuntimeWarning, under -W error::RuntimeWarning, in place of this message
+        message = r"^estimates must give a finite mean square error, got inf$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match=message):
+                precision_from_samples(estimates, theta_true, 1)
 
     def test_numpy_scalars_accepted(self):
         want = precision_from_samples([0.1, 0.2, 0.4], 0.0, 20)
