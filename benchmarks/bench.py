@@ -82,7 +82,7 @@ for m in (1000, 20):
     want = np.array([np.bincount(row, minlength=probs.size) for row in cat.reshape(200, m)])
     if not np.array_equal(got, want):
         out["failed"].append(f"m={m}: counts differ from the uniform_stream reference")
-    digest.update(got.tobytes())
+    digest.update(got.astype(np.int64).tobytes())  # the counts, whatever type holds them
 for m, runs in ((1000, 20000), (20, 50000)):
     categorical_counts(key, 0, runs, m, probs)  # warm-up
     faults, start = minflt(), time.perf_counter()

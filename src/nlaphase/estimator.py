@@ -114,14 +114,13 @@ _INT64_MAX = np.iinfo(np.int64).max
 
 def _counts(name: str, counts) -> np.ndarray:
     # the one rule for estimator counts: an integer dtype, each count in [0, 2**63),
-    # taken as int64 (without a copy when it already is), so no count is rounded,
-    # read from a truth value or wrapped by unsigned arithmetic
+    # so no count is rounded or read from a truth value; `_by_blocks` converts them
+    # to int64 a block at a time, so none is wrapped by unsigned or narrow arithmetic
     counts = np.asarray(counts)
     if counts.dtype.kind not in "iu":
         raise ValueError(f"{name} must be integer counts, got dtype {counts.dtype}")
     if counts.dtype.kind == "u" and counts.size and counts.max() > _INT64_MAX:
         raise ValueError(f"{name} must be at most 2**63 - 1, got {counts.max()}")
-    counts = counts.astype(np.int64, copy=False)
     if counts.size and counts.min() < 0:
         raise ValueError(f"{name} must be nonnegative")
     return counts
@@ -133,12 +132,14 @@ _BLOCK_RUNS = 1 << 13
 
 
 def _by_blocks(estimate, columns, shape, *args):
-    # estimate(*columns, *args) a block of runs at a time; a float for one run
+    # estimate(*columns, *args) a block of runs at a time, on the block's counts
+    # as int64; a float for one run
     columns = [c.reshape(-1) for c in columns]
     theta = np.empty(columns[0].size)
     for lo in range(0, theta.size, _BLOCK_RUNS):
         block = slice(lo, lo + _BLOCK_RUNS)
-        theta[block] = estimate(*(c[block] for c in columns), *args)
+        counts = (c[block].astype(np.int64, copy=False) for c in columns)
+        theta[block] = estimate(*counts, *args)
     theta = theta.reshape(shape)
     return theta if theta.ndim else float(theta)
 
@@ -162,9 +163,10 @@ def mle_direct(n_plus, n_minus, lam: float):
 
     n_plus and n_minus are counts or broadcastable arrays of per-run counts; the
     result is a float or an array of per-run estimates, each computed in the scalar
-    formula's operation order.  Raises NoDataError if any run has n+ + n- = 0 and
-    ValueError unless the counts are integers in [0, 2**63) (`_counts`: a bool or
-    float count raises) or unless lam is a finite positive number; an empty array
+    formula's operation order, on the counts converted to int64 a block of runs
+    at a time.  Raises NoDataError if any run has n+ + n- = 0 and ValueError
+    unless the counts are integers in [0, 2**63) (`_counts`: a bool or float
+    count raises) or unless lam is a finite positive number; an empty array
     gives an empty result.
     """
     pair = np.broadcast_arrays(_counts("n_plus", n_plus), _counts("n_minus", n_minus))
@@ -179,7 +181,8 @@ def mle_nla(counts, lambda_s: float, lambda_f: float | None):
     degenerate failure branch (lambda_f = None) the failure counts are ignored.
 
     counts is one run's (s+, s-, f+, f-, null) row, giving a float, or an array
-    of such rows, giving an array of per-run estimates.  Raises NoDataError if any
+    of such rows, giving an array of per-run estimates; the counts are converted
+    to int64 a block of runs at a time.  Raises NoDataError if any
     run has no informative count (n_s = 0 with a degenerate failure branch, else
     n_s + n_f = 0) and ValueError unless the counts are integers in [0, 2**63)
     (`_counts`) and each lambda is a finite positive number.

@@ -23,6 +23,12 @@ passing draws are counted as a matrix-vector product of a 1.0/0.0 mask with ones
 in float32 (float64 for runs of 2**24 trials or more): every partial sum is an
 integer no larger than m, so the count is exact in any summation order.
 
+The count matrix holds each count in the narrowest signed integer type whose
+maximum is at least m (int8, int16, int32, else int64), chosen from m alone: every
+count lies in [0, m], so any sum or difference of one row's counts lies in
+[-m, m] and fits the type too.  `np.sum` promotes small integer types to the
+default integer, so a row or column total does not wrap either.
+
 The kernel draws a call's runs in chunks of about 2**16 trials on every CPU the
 process may use (`os.sched_getaffinity`): the calling thread and one thread per
 further CPU each take the next undrawn chunk until none is left, and numpy
@@ -129,6 +135,14 @@ def _workers() -> int:
     return os.cpu_count() or 1
 
 
+def _count_dtype(m):
+    # the narrowest signed integer type that holds every count of a run of m trials
+    for dtype in (np.int8, np.int16, np.int32):
+        if m <= np.iinfo(dtype).max:
+            return dtype
+    return np.int64
+
+
 def _counts(key, cdf, m, run0, runs, out):
     thresholds = _thresholds(cdf)
     chunk = max(1, _BLOCK_TRIALS // m)
@@ -188,7 +202,7 @@ def _counts(key, cdf, m, run0, runs, out):
                 else:
                     np.greater_equal(zz, t, out=mm)
                     now = passed[t] = (mm.reshape(rows, m) @ ones).astype(np.int64)
-                out[lo:hi, j] = above - now
+                out[lo:hi, j] = above - now  # exact in out's type: a count is at most m
                 above = now
             out[lo:hi, -1] = above
 
@@ -226,8 +240,10 @@ def uniform_stream(key: int, start: int, count: int) -> np.ndarray:
 def categorical_counts(key: int, run0: int, runs: int, m: int, probs: np.ndarray) -> np.ndarray:
     """Outcome counts of `runs` experiments of m categorical trials each.
 
-    Row i of the int64 matrix, which is column-major so that each category's
-    counts are contiguous, holds the counts of run index run0 + i.  The
+    Row i of the matrix, which is column-major so that each category's counts
+    are contiguous, holds the counts of run index run0 + i.  Its type is the
+    narrowest signed integer type whose maximum is at least m (int8, int16,
+    int32, else int64; module docstring), also when runs is 0.  The
     probability vector must be finite, nonnegative and sum to 1 within 1e-9.
     key is a seed by `errors.as_seed`, as `derive_key` gives one, and m >= 1,
     runs >= 0 and run0 >= 0 are integers by `errors.as_int`.
@@ -242,7 +258,7 @@ def categorical_counts(key: int, run0: int, runs: int, m: int, probs: np.ndarray
     key, m = as_seed("key", key), as_int("m", m, minimum=1)
     runs, run0 = as_int("runs", runs, minimum=0), as_int("run0", run0, minimum=0)
 
-    out = np.zeros((runs, probs.size), dtype=np.int64, order="F")
+    out = np.zeros((runs, probs.size), dtype=_count_dtype(m), order="F")
     if runs == 0:
         return out
     _counts(key, np.cumsum(probs[:-1]), m, run0, runs, out)

@@ -17,7 +17,6 @@ import numpy as np
 from . import kernels
 from .errors import DegenerateObservableError, NoDataError, as_float, as_int, as_seed
 from .estimator import (
-    _BLOCK_RUNS,
     _has_data,
     build_observable,
     five_outcome_probs,
@@ -86,8 +85,10 @@ def precision_from_samples(estimates, theta_true: float, m: int) -> PrecisionRep
     MSE is the plain mean of squared errors (bias included); the standard error of
     the precision follows from the sample variance of the squared errors through
     the delta method.  A zero MSE yields the infinite-precision sentinel; a
-    non-finite one (a NaN or infinite estimate) raises ValueError.  m is an
-    integer >= 1 by `errors.as_int` and theta_true a finite float by `errors.as_float`.
+    non-finite one (a NaN or infinite estimate) raises ValueError, and so does a
+    finite MSE whose standard error is not (a centred square past the largest
+    double).  m is an integer >= 1 by `errors.as_int` and theta_true a finite
+    float by `errors.as_float`.
     """
     m = as_int("m", m, minimum=1)
     theta_true = as_float("theta_true", theta_true)
@@ -106,8 +107,11 @@ def precision_from_samples(estimates, theta_true: float, m: int) -> PrecisionRep
     if est.size > 1:
         # np.std(sq, ddof=1)'s operations, on sq's own buffer
         sq -= mse
-        np.square(sq, out=sq)
-        se_mse = math.sqrt(float(sq.sum()) / (est.size - 1)) / math.sqrt(est.size)
+        with np.errstate(over="ignore"):  # an infinite square fails the finite check below
+            np.square(sq, out=sq)
+            se_mse = math.sqrt(float(sq.sum()) / (est.size - 1)) / math.sqrt(est.size)
+        if not math.isfinite(se_mse):
+            raise ValueError(f"estimates must give a finite standard error, got {se_mse}")
         stderr = precision * se_mse / mse
     else:
         stderr = math.nan
@@ -118,8 +122,7 @@ def _runs_with_data(
     counts: np.ndarray, config: SimConfig, failure_informative: bool = False
 ) -> np.ndarray:
     """The runs the no-data rule keeps (dropped runs show in runs_used): counts
-    itself when it keeps every run, else its first rows, into which the kept rows
-    move in place.
+    itself when it keeps every run, else a copy of the kept rows.
 
     Raises NoDataError naming the grid point when it keeps none.
     """
@@ -129,15 +132,7 @@ def _runs_with_data(
             f"no run has an informative count at gain={config.gain}, n0={config.n0}, "
             f"m={config.m}, runs={config.runs}"
         )
-    if keep.all():
-        return counts
-    kept = 0  # in place and a block at a time: a whole copy would take fresh pages
-    for lo in range(0, keep.size, _BLOCK_RUNS):
-        rows = np.flatnonzero(keep[lo : lo + _BLOCK_RUNS]) + lo
-        for column in counts.T:
-            column[kept : kept + rows.size] = column[rows]
-        kept += rows.size
-    return counts[:kept]
+    return counts if keep.all() else counts[keep]
 
 
 def _direct_setup(config: SimConfig):

@@ -298,9 +298,10 @@ class TestMleNla:
 
 
 class TestCountRule:
-    """Counts are integers in [0, 2**63), taken as int64: unsigned subtraction once
-    wrapped (`mle_direct(np.uint8(1), np.uint8(3), 1.0)` gave 63.5) and float counts
-    once gave an estimate or a NoDataError."""
+    """Counts are integers of any integer type in [0, 2**63), taken as int64 a block
+    of runs at a time: unsigned subtraction once wrapped (`mle_direct(np.uint8(1),
+    np.uint8(3), 1.0)` gave 63.5) and float counts once gave an estimate or a
+    NoDataError."""
 
     def test_unsigned_counts_do_not_wrap(self):
         assert mle_direct(np.uint8(1), np.uint8(3), 1.0) == -0.5
@@ -326,6 +327,30 @@ class TestCountRule:
     def test_counts_above_int64_refused(self, big):
         with pytest.raises(ValueError, match=r"^n_minus must be at most 2\*\*63 - 1, got "):
             mle_direct(1, big, 1.0)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16])
+    def test_every_integer_type_gives_the_int64_doubles(self, dtype):
+        # the sampling kernel hands over its narrowest type; rows of m = 100 trials,
+        # near int8's limit, over three blocks of runs, two of them all + or all -
+        counts = np.random.default_rng(3).multinomial(
+            100, [0.3, 0.2, 0.05, 0.05, 0.4], size=2 * estimator._BLOCK_RUNS + 5)
+        counts[:2] = [[100, 0, 0, 0, 0], [0, 100, 0, 0, 0]]
+        counts = np.asarray(counts, order="F")
+        typed = counts.astype(dtype)
+        for lam_f in (None, 2.0):
+            want = mle_nla(counts, 1.5, lam_f)
+            assert mle_nla(typed, 1.5, lam_f).tobytes() == want.tobytes()
+            assert mle_nla(typed[7], 1.5, lam_f).hex() == float(want[7]).hex()
+        want = mle_direct(counts[:, 0], counts[:, 1], 1.5)
+        assert mle_direct(typed[:, 0], typed[:, 1], 1.5).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16])
+    def test_every_integer_type_gives_the_same_no_data_error(self, dtype):
+        rows = np.array([[3, 1, 0, 0, 96], [0, 0, 0, 0, 100]], dtype=dtype)
+        with pytest.raises(NoDataError, match="^no informative counts$"):
+            mle_nla(rows, 1.5, 2.0)
+        with pytest.raises(NoDataError, match="^no informative counts$"):
+            mle_direct(rows[:, 0], rows[:, 1], 1.5)
 
     def test_int64_counts_are_not_copied(self):
         counts = np.zeros((4, 5), dtype=np.int64, order="F")

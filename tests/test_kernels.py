@@ -165,10 +165,25 @@ class TestCategoricalCounts:
         counts = categorical_counts(derive_key(1, 0), 0, 0, 10, [0.5, 0.5])
         assert counts.shape == (0, 2)
 
+    @pytest.mark.parametrize(
+        "m, dtype",
+        [(127, np.int8), (128, np.int16), (32767, np.int16), (32768, np.int32),
+         (2**31 - 1, np.int32), (2**31, np.int64)],
+    )
+    def test_count_type_is_chosen_from_m_alone(self, m, dtype):
+        # with no run drawn, the type is the narrowest signed one whose maximum is m or more
+        counts = categorical_counts(derive_key(1, 0), 0, 0, m, [0.5, 0.5])
+        assert counts.dtype == dtype and counts.shape == (0, 2)
+
+
+def count_dtype(m):
+    # the narrowest signed integer type whose maximum is at least m
+    return next(t for t in (np.int8, np.int16, np.int32, np.int64) if np.iinfo(t).max >= m)
+
 
 def assert_counts_match(key, run0, runs, m, probs):
     got = categorical_counts(key, run0, runs, m, probs)
-    assert got.dtype == np.int64 and got.flags.f_contiguous  # each category's counts contiguous
+    assert got.dtype == count_dtype(m) and got.flags.f_contiguous  # each category's counts contiguous
     np.testing.assert_array_equal(got, oracle.categorical_counts(key, run0, runs, m, probs))
     return got
 
@@ -193,7 +208,8 @@ class TestNumpyKernelMatchesReference:
             [1.0],
         ],
     )
-    @pytest.mark.parametrize("m", [1, 20, 97, 1000])
+    # m = 127 and 128: the largest int8 row and the smallest int16 one
+    @pytest.mark.parametrize("m", [1, 20, 97, 127, 128, 1000])
     def test_fixed_vectors(self, probs, m):
         got = assert_counts_match(self.KEY, 3, 70, m, probs)
         if probs[-1] == 0.0:
@@ -246,7 +262,9 @@ class TestNumpyKernelMatchesReference:
     @pytest.mark.parametrize("float32_exact", [kernels._FLOAT32_EXACT, 1], ids=["float32", "float64"])
     # m = _LINE fills a chunk with exactly 16 lines; m = _LINE + 1 leaves a last line
     # of one trial in a chunk of one run
-    @pytest.mark.parametrize("m", [1, 2, 20, 1000, kernels._LINE, kernels._LINE + 1, kernels._BLOCK_TRIALS + 1])
+    @pytest.mark.parametrize(
+        "m", [1, 2, 20, 127, 128, 1000, kernels._LINE, kernels._LINE + 1, kernels._BLOCK_TRIALS + 1]
+    )
     def test_row_counts_at_every_row_width(self, monkeypatch, m, float32_exact):
         # rows are counted by a matrix-vector product of the 0/1 mask with ones; counts
         # sit at 0, near m and in between, over more than two chunks.  A limit of 1
